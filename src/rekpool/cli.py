@@ -18,7 +18,7 @@ from . import forest as rf
 from .features import RealizationConfig, load_dataset, save_dataset
 from .geometry import canonical_street_scene, load_scene, save_scene, atomic_write_text
 from .pipeline import (FitCache, build_pool, cdf_csv, learn_positions,
-                       loo_evaluate, make_pool, simulate_trajectory,
+                       loo_evaluate, simulate_trajectory,
                        spectrum_csv, summary_csv)
 from .pool import (Pool, PoolFileError, PoolVersionError, load_pool, save_pool,
                    similarity)
@@ -115,7 +115,7 @@ def cmd_learn(args, parser) -> int:
         if k.degenerate:
             print(f"warning: position {k.position_id} has degenerate weights; "
                   "no spectrum emitted", file=sys.stderr)
-    pool = make_pool(
+    pool = Pool(
         capacity=args.capacity if args.capacity is not None else 32,
         theta_high=args.theta_high if args.theta_high is not None else 0.95,
         theta_low=args.theta_low if args.theta_low is not None else 0.40,

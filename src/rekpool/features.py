@@ -167,10 +167,13 @@ def load_dataset(path) -> list:
     rows = []
     with open(path) as f:
         reader = csv.reader(f)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != DATASET_HEADER:
             raise ValueError("unexpected dataset header")
         for rec in reader:
+            if len(rec) != len(DATASET_HEADER):
+                raise ValueError(f"dataset line {reader.line_num}: expected "
+                                 f"{len(DATASET_HEADER)} fields, got {len(rec)}")
             rows.append(DatasetRow(
                 position_id=int(rec[0]), realization_id=int(rec[1]),
                 features=np.array([float(x) for x in rec[2:2 + len(FEATURE_NAMES)]]),

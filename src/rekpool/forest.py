@@ -153,7 +153,6 @@ def _tree_predict(node: TreeNode, X: np.ndarray) -> np.ndarray:
 @dataclass
 class RandomForestModel:
     trees: list
-    bootstrap_indices: list          # per-tree row indices, for OOB bookkeeping
     params: ForestParams
     feature_names: tuple
     n_train_rows: int
@@ -192,7 +191,6 @@ class RandomForestModel:
             "feature_names": list(self.feature_names),
             "n_train_rows": self.n_train_rows,
             "oob_r2": self.oob_r2,
-            "bootstrap_indices": [[int(i) for i in idx] for idx in self.bootstrap_indices],
             "trees": [t.to_dict() for t in self.trees],
         }
 
@@ -201,7 +199,6 @@ class RandomForestModel:
         p = d["params"]
         return RandomForestModel(
             trees=[TreeNode.from_dict(t) for t in d["trees"]],
-            bootstrap_indices=[np.array(idx, dtype=int) for idx in d["bootstrap_indices"]],
             params=ForestParams(n_trees=int(p["n_trees"]), max_depth=int(p["max_depth"]),
                                 min_leaf=int(p["min_leaf"]),
                                 features_per_split=p["features_per_split"],
@@ -252,6 +249,8 @@ def fit(X, y, params: ForestParams, feature_names=None) -> RandomForestModel:
         raise ValueError(f"need at least {2 * params.min_leaf} rows, got {len(y)}")
     if not np.all(np.isfinite(y)):
         raise ValueError("target column must be finite")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("feature matrix must be finite")
     if feature_names is None:
         feature_names = tuple(f"x{i}" for i in range(X.shape[1]))
     trees = []
@@ -261,7 +260,7 @@ def fit(X, y, params: ForestParams, feature_names=None) -> RandomForestModel:
         trees.append(tree)
         bootstraps.append(boot)
     oob = compute_oob_r2(trees, bootstraps, X, y)
-    return RandomForestModel(trees=trees, bootstrap_indices=bootstraps, params=params,
+    return RandomForestModel(trees=trees, params=params,
                              feature_names=tuple(feature_names),
                              n_train_rows=len(y), oob_r2=oob)
 

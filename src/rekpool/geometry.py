@@ -15,10 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Exact predicates (interval overlap, point-on-plane) use EPS_EXACT;
-# sampled cross-checks in tests use the looser EPS_SAMPLED.
+# Exact predicates (interval overlap, point-on-plane) use EPS_EXACT.
 EPS_EXACT = 1e-9
-EPS_SAMPLED = 1e-6
 
 SCENE_FORMAT_VERSION = 1
 
@@ -295,21 +293,27 @@ def scene_to_dict(scene: Scene, trajectory: Trajectory) -> dict:
 
 
 def scene_from_dict(doc: dict):
+    if not isinstance(doc, dict):
+        raise ValueError("not a scene file")
     version = doc.get("version")
     if version != SCENE_FORMAT_VERSION:
         raise ValueError(f"unsupported scene format version: {version!r}")
-    scatterers = tuple(
-        Scatterer(id=int(s["id"]), center=s["center"], dims=s["dims"],
-                  reflection_loss_db=float(s["reflection_loss_db"]))
-        for s in doc["scatterers"]
-    )
-    scene = Scene(tx=doc["tx"], frequency_hz=float(doc["frequency_hz"]),
-                  scatterers=scatterers)
-    positions = tuple(doc["trajectory"])
-    spacing = 0.0
-    if len(positions) >= 2:
-        spacing = float(np.linalg.norm(np.asarray(positions[1]) - np.asarray(positions[0])))
-    traj = Trajectory(positions=positions, spacing_m=spacing)
+    try:
+        scatterers = tuple(
+            Scatterer(id=int(s["id"]), center=s["center"], dims=s["dims"],
+                      reflection_loss_db=float(s["reflection_loss_db"]))
+            for s in doc["scatterers"]
+        )
+        scene = Scene(tx=doc["tx"], frequency_hz=float(doc["frequency_hz"]),
+                      scatterers=scatterers)
+        positions = tuple(doc["trajectory"])
+        spacing = 0.0
+        if len(positions) >= 2:
+            spacing = float(np.linalg.norm(
+                np.asarray(positions[1]) - np.asarray(positions[0])))
+        traj = Trajectory(positions=positions, spacing_m=spacing)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed scene file: {type(exc).__name__}: {exc}") from exc
     return scene, traj
 
 

@@ -22,7 +22,7 @@ from .pool import Context, Outcome, Pool
 from .predict import (Prediction, context_for, fit_logdistance, predict_knn,
                       predict_rekp, evaluate, DEFAULT_TAU)
 from .propagation import path_loss
-from .spectrum import SUBSETS, group_weights, spectrum as build_spectrum
+from .spectrum import SUBSETS, derive
 
 SPECTRUM_HEADER = ("position_id", "los", "w_L", "w_V", "w_B", "w_D") + tuple(
     f"K_{s}" for s in SUBSETS)
@@ -63,7 +63,12 @@ class PositionKnowledge:
 
 
 class FitCache:
-    """Memoizes forest fits and permutation-importance runs by content."""
+    """Memoizes forest fits by content and permutation-importance runs by
+    tree identity plus data content.
+
+    Each importance entry holds its trees, so an id in its key cannot be
+    reused by another tree while the entry exists.
+    """
 
     def __init__(self, importance_repeats: int = 5):
         self._fits = {}
@@ -77,12 +82,12 @@ class FitCache:
         return self._fits[key]
 
     def importance(self, model, X, y, seed=0):
-        sig = tuple((t.feature, t.threshold, t.value, t.n_rows) for t in model.trees)
-        key = (sig, X.tobytes(), y.tobytes(), seed)
+        trees = tuple(model.trees)
+        key = (tuple(map(id, trees)), X.tobytes(), y.tobytes(), seed)
         if key not in self._imps:
-            self._imps[key] = rf.permutation_importance(
+            self._imps[key] = trees, rf.permutation_importance(
                 model, X, y, seed=seed, n_repeats=self.importance_repeats)
-        return self._imps[key]
+        return self._imps[key][1]
 
 
 def learn_positions(scene: Scene, trajectory: Trajectory, rows,
@@ -95,9 +100,8 @@ def learn_positions(scene: Scene, trajectory: Trajectory, rows,
         X, y = design_matrices(by_pos[pid])
         los = by_pos[pid][0].los  # realization 0 is unperturbed
         model = cache.fit(X, y, params, feature_names=FEATURE_NAMES)
-        imp = cache.importance(model, X, y, seed=params.seed)
-        w = group_weights(imp)
-        sp = None if w.degenerate else build_spectrum(w, position_id=pid, los=los)
+        w, sp = derive(cache.importance(model, X, y, seed=params.seed),
+                       position_id=pid, los=los)
         out.append(PositionKnowledge(position_id=pid, los=los, weights=w,
                                      spectrum=sp, model=model,
                                      degenerate=w.degenerate))
@@ -137,22 +141,15 @@ def spectrum_csv(knowledge) -> str:
     return buf.getvalue()
 
 
-def make_pool(capacity=32, theta_high=0.95, theta_low=0.40,
-              alpha=1.0, beta=0.5, gamma=0.25,
-              forest_params: rf.ForestParams | None = None) -> Pool:
-    return Pool(capacity=capacity, theta_high=theta_high, theta_low=theta_low,
-                alpha=alpha, beta=beta, gamma=gamma,
-                forest_params=forest_params or rf.ForestParams())
-
-
 def loo_evaluate(scene: Scene, trajectory: Trajectory, rows,
-                 pool_template: Pool | None = None, tau: float = DEFAULT_TAU,
+                 pool_template: Pool, tau: float = DEFAULT_TAU,
                  knn_k: int = 3, cache: FitCache | None = None):
     """Leave-one-position-out comparison of REKP vs the two baselines.
 
-    For each held-out position a fresh pool is built from the remaining
-    positions' realizations; the held-out position's data never enters
-    that pool.  Returns (predictions, reports-by-method).
+    For each held-out position a fresh pool with `pool_template`'s
+    capacity, thresholds, coefficients and forest parameters is built
+    from the remaining positions' realizations; the held-out position's
+    data never enters that pool.  Returns (predictions, reports-by-method).
     """
     cache = cache or FitCache()
     truths = {}
@@ -166,7 +163,7 @@ def loo_evaluate(scene: Scene, trajectory: Trajectory, rows,
                   if pid != q]
         ld = fit_logdistance([(float(np.linalg.norm(p - scene.tx)), truths[pid])
                               for pid, p in others])
-        tmpl = pool_template or make_pool()
+        tmpl = pool_template
         pool = Pool(capacity=tmpl.capacity, theta_high=tmpl.theta_high,
                     theta_low=tmpl.theta_low, alpha=tmpl.alpha, beta=tmpl.beta,
                     gamma=tmpl.gamma, forest_params=tmpl.forest_params)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -24,10 +24,9 @@ import numpy as np
 from . import forest as rf
 from .features import FEATURE_NAMES
 from .geometry import as_vec3, atomic_write_text
-from .spectrum import (GroupWeights, KnowledgeSpectrum, SUBSETS, group_weights,
-                       spectrum)
+from .spectrum import GroupWeights, KnowledgeSpectrum, derive
 
-POOL_FORMAT_VERSION = 1
+POOL_FORMAT_VERSION = 2
 
 FNV64_OFFSET = 0xCBF29CE484222325
 FNV64_PRIME = 0x100000001B3
@@ -66,6 +65,8 @@ class Context:
 
     def __post_init__(self):
         object.__setattr__(self, "rx", as_vec3(self.rx))
+        if not (np.isfinite(self.frequency_hz) and self.frequency_hz > 0):
+            raise ValueError("frequency_hz must be finite and positive")
 
 
 #: Distance scale of the RX-proximity similarity term [m].
@@ -94,11 +95,11 @@ class KnowledgeEntry:
     """One unit of stored knowledge.
 
     `model` holds the trees fit on this entry's own realizations and is
-    what predictions evaluate.  `warm_trees` are trees retained from the
-    transfer source; they extend the forest for knowledge derivation
-    (weights/spectrum are recomputed over own + retained trees) but do
-    not vote in predictions, so transfer never biases the predictive
-    path toward the source's position.
+    what predictions evaluate.  An entry created by transfer derived its
+    weights and spectrum over its own trees plus the source entry's
+    trees; the source trees are used only for that derivation and are
+    never stored, so transfer never biases the predictive path toward
+    the source's position.
     """
 
     entry_id: int
@@ -111,18 +112,6 @@ class KnowledgeEntry:
     created_at: float
     updated_at: float
     utilization_count: int = 0
-    warm_trees: list = field(default_factory=list)
-
-    def combined_model(self) -> rf.RandomForestModel:
-        """Own plus retained trees, for knowledge derivation."""
-        if not self.warm_trees:
-            return self.model
-        return rf.RandomForestModel(
-            trees=self.model.trees + self.warm_trees,
-            bootstrap_indices=self.model.bootstrap_indices
-            + [np.array([], dtype=int)] * len(self.warm_trees),
-            params=self.model.params, feature_names=self.model.feature_names,
-            n_train_rows=self.model.n_train_rows, oob_r2=self.model.oob_r2)
 
 
 @dataclass
@@ -175,19 +164,11 @@ class Pool:
         fn = self.fit_fn if self.fit_fn is not None else rf.fit
         return fn(X, y, self.forest_params, feature_names=FEATURE_NAMES)
 
-    def _importance(self, model, X, y):
+    def _derive(self, model, X, y, ctx):
+        """(weights, spectrum) from `model`'s importances on (X, y)."""
         fn = self.importance_fn if self.importance_fn is not None else rf.permutation_importance
-        return fn(model, X, y, seed=self.forest_params.seed)
-
-    def _entry_from_fit(self, ctx, model, X, y, now) -> KnowledgeEntry:
-        imp = self._importance(model, X, y)
-        w = group_weights(imp)
-        sp = None if w.degenerate else spectrum(w, position_id=ctx.position_id, los=ctx.los)
-        eid = self.next_entry_id
-        self.next_entry_id += 1
-        return KnowledgeEntry(entry_id=eid, context=ctx, weights=w, spectrum=sp,
-                              model=model, train_X=X, train_y=y,
-                              created_at=now, updated_at=now)
+        return derive(fn(model, X, y, seed=self.forest_params.seed),
+                      position_id=ctx.position_id, los=ctx.los)
 
     def ingest(self, ctx: Context, X, y, now: float = 0.0, force_refresh: bool = False):
         """Dual interaction flow; returns (Outcome, entry_id)."""
@@ -204,47 +185,31 @@ class Pool:
             # Refine: retrain on stored provenance plus the new data.
             X2 = np.vstack([entry.train_X, X])
             y2 = np.concatenate([entry.train_y, y])
-            model = self._fit(X2, y2)
-            imp = self._importance(model, X2, y2)
-            w = group_weights(imp)
-            entry.model = model
-            entry.warm_trees = []
+            entry.model = self._fit(X2, y2)
+            entry.weights, entry.spectrum = self._derive(entry.model, X2, y2, ctx)
             entry.train_X = X2
             entry.train_y = y2
-            entry.weights = w
-            entry.spectrum = None if w.degenerate else spectrum(
-                w, position_id=ctx.position_id, los=ctx.los)
             entry.updated_at = now
             return Outcome.REFINED, entry.entry_id
+        model = self._fit(X, y)
         if best is not None and best[1] >= self.theta_low:
-            outcome, entry = Outcome.TRANSFERRED, self._transfer(
-                self.entries[best[0]], ctx, X, y, now)
+            # Warm start (knowledge completion): derive weights and
+            # spectrum over the fresh trees plus the source's own trees.
+            # Only the fresh trees are kept, so only they vote.
+            source = self.entries[best[0]].model
+            outcome, basis = Outcome.TRANSFERRED, replace(
+                model, trees=model.trees + source.trees)
         else:
-            model = self._fit(X, y)
-            outcome, entry = Outcome.GENERATED_NEW, self._entry_from_fit(ctx, model, X, y, now)
+            outcome, basis = Outcome.GENERATED_NEW, model
+        weights, spec = self._derive(basis, X, y, ctx)
+        entry = KnowledgeEntry(entry_id=self.next_entry_id, context=ctx, weights=weights,
+                               spectrum=spec, model=model, train_X=X, train_y=y,
+                               created_at=now, updated_at=now)
+        self.next_entry_id += 1
         self.entries[entry.entry_id] = entry
         if len(self.entries) > self.capacity:
             self.sort_and_evict()
         return outcome, entry.entry_id
-
-    def _transfer(self, source: KnowledgeEntry, ctx, X, y, now) -> KnowledgeEntry:
-        """Warm start: retain the source's own trees, extend with trees
-        fit on the new realizations, and re-derive weights and spectrum
-        on the combined forest (knowledge completion).  Only the fresh
-        trees vote in predictions (see KnowledgeEntry)."""
-        fresh = self._fit(X, y)
-        eid = self.next_entry_id
-        self.next_entry_id += 1
-        entry = KnowledgeEntry(entry_id=eid, context=ctx, weights=group_weights(
-            np.zeros(len(FEATURE_NAMES))), spectrum=None,
-            model=fresh, train_X=X, train_y=y, created_at=now, updated_at=now,
-            warm_trees=list(source.model.trees))
-        imp = self._importance(entry.combined_model(), X, y)
-        w = group_weights(imp)
-        entry.weights = w
-        entry.spectrum = None if w.degenerate else spectrum(
-            w, position_id=ctx.position_id, los=ctx.los)
-        return entry
 
     def sort_and_evict(self) -> list:
         """Evict highest-scoring entries until within capacity.
@@ -310,7 +275,6 @@ def pool_to_dict(pool: Pool) -> dict:
                 "los": e.spectrum.los,
             },
             "model": e.model.to_dict(),
-            "warm_trees": [t.to_dict() for t in e.warm_trees],
             "train_X": [[float(v) for v in row] for row in e.train_X],
             "train_y": [float(v) for v in e.train_y],
             "created_at": e.created_at,
@@ -336,38 +300,40 @@ def pool_from_dict(doc: dict) -> Pool:
         raise PoolFileError("not a pool file")
     if doc["version"] != POOL_FORMAT_VERSION:
         raise PoolVersionError(f"unsupported pool format version: {doc['version']!r}")
-    fp = doc["forest_params"]
-    pool = Pool(capacity=int(doc["capacity"]),
-                theta_high=float(doc["thresholds"]["theta_high"]),
-                theta_low=float(doc["thresholds"]["theta_low"]),
-                alpha=float(doc["coefficients"]["alpha"]),
-                beta=float(doc["coefficients"]["beta"]),
-                gamma=float(doc["coefficients"]["gamma"]),
-                forest_params=rf.ForestParams(
-                    n_trees=int(fp["n_trees"]), max_depth=int(fp["max_depth"]),
-                    min_leaf=int(fp["min_leaf"]),
-                    features_per_split=fp["features_per_split"], seed=int(fp["seed"])),
-                next_entry_id=int(doc["next_entry_id"]))
-    for ed in doc["entries"]:
-        w = ed["weights"]
-        sp = ed["spectrum"]
-        entry = KnowledgeEntry(
-            entry_id=int(ed["entry_id"]),
-            context=_context_from_dict(ed["context"]),
-            weights=GroupWeights(w_L=float(w["w_L"]), w_V=float(w["w_V"]),
-                                 w_B=float(w["w_B"]), w_D=float(w["w_D"]),
-                                 degenerate=bool(w["degenerate"])),
-            spectrum=None if sp is None else KnowledgeSpectrum(
-                values=tuple(sp["values"]), position_id=int(sp["position_id"]),
-                los=bool(sp["los"])),
-            model=rf.RandomForestModel.from_dict(ed["model"]),
-            warm_trees=[rf.TreeNode.from_dict(t) for t in ed["warm_trees"]],
-            train_X=np.array(ed["train_X"], dtype=float),
-            train_y=np.array(ed["train_y"], dtype=float),
-            created_at=float(ed["created_at"]),
-            updated_at=float(ed["updated_at"]),
-            utilization_count=int(ed["utilization_count"]))
-        pool.entries[entry.entry_id] = entry
+    try:
+        fp = doc["forest_params"]
+        pool = Pool(capacity=int(doc["capacity"]),
+                    theta_high=float(doc["thresholds"]["theta_high"]),
+                    theta_low=float(doc["thresholds"]["theta_low"]),
+                    alpha=float(doc["coefficients"]["alpha"]),
+                    beta=float(doc["coefficients"]["beta"]),
+                    gamma=float(doc["coefficients"]["gamma"]),
+                    forest_params=rf.ForestParams(
+                        n_trees=int(fp["n_trees"]), max_depth=int(fp["max_depth"]),
+                        min_leaf=int(fp["min_leaf"]),
+                        features_per_split=fp["features_per_split"], seed=int(fp["seed"])),
+                    next_entry_id=int(doc["next_entry_id"]))
+        for ed in doc["entries"]:
+            w = ed["weights"]
+            sp = ed["spectrum"]
+            entry = KnowledgeEntry(
+                entry_id=int(ed["entry_id"]),
+                context=_context_from_dict(ed["context"]),
+                weights=GroupWeights(w_L=float(w["w_L"]), w_V=float(w["w_V"]),
+                                     w_B=float(w["w_B"]), w_D=float(w["w_D"]),
+                                     degenerate=bool(w["degenerate"])),
+                spectrum=None if sp is None else KnowledgeSpectrum(
+                    values=tuple(sp["values"]), position_id=int(sp["position_id"]),
+                    los=bool(sp["los"])),
+                model=rf.RandomForestModel.from_dict(ed["model"]),
+                train_X=np.array(ed["train_X"], dtype=float),
+                train_y=np.array(ed["train_y"], dtype=float),
+                created_at=float(ed["created_at"]),
+                updated_at=float(ed["updated_at"]),
+                utilization_count=int(ed["utilization_count"]))
+            pool.entries[entry.entry_id] = entry
+    except (KeyError, TypeError) as exc:
+        raise PoolFileError(f"malformed pool file: {type(exc).__name__}: {exc}") from exc
     return pool
 
 

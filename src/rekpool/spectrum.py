@@ -84,6 +84,13 @@ def spectrum(w: GroupWeights, position_id: int = 0, los: bool = True) -> Knowled
     return KnowledgeSpectrum(values=values, position_id=position_id, los=los)
 
 
+def derive(importances, position_id: int = 0, los: bool = True):
+    """Group weights from member importances, and the spectrum built on
+    them; the spectrum is None when the weights are degenerate."""
+    w = group_weights(importances)
+    return w, None if w.degenerate else spectrum(w, position_id=position_id, los=los)
+
+
 def build_graph(w: GroupWeights) -> RelationshipGraph:
     sp = spectrum(w)
     nodes = {g: sp.value(g) for g in GROUPS}

@@ -189,6 +189,7 @@ def test_criterion_5_prediction_margin(canonical_run, capfd):
     with criterion(5, "prediction margin at p80", capfd):
         _, reports = loo_evaluate(canonical_run["scene"], canonical_run["traj"],
                                   canonical_run["rows"],
+                                  pool_template=Pool(forest_params=canonical_run["params"]),
                                   cache=canonical_run["cache"])
         rekp = reports["rekp"].p80
         logd = reports["logdistance"].p80

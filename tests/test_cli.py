@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 
@@ -6,7 +7,7 @@ import pytest
 
 from rekpool.cli import main
 from rekpool.pipeline import SPECTRUM_HEADER
-from rekpool.pool import load_pool
+from rekpool.pool import POOL_FORMAT_VERSION, load_pool
 
 
 def run(*argv):
@@ -132,6 +133,71 @@ class TestPoolCommand:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run("pool", "show", str(bad)) == 1
+
+
+class TestGolden:
+    """Byte-exact outputs of the seeded small run, predict included.
+
+    A digest change is a change to the program's output and must be
+    deliberate and recorded."""
+
+    DIGESTS = {
+        "dataset.csv": "49d02848761a1c0a98b1b6f60d629d06062107919b608df454286f5fa28b31f7",
+        "spectrum.csv": "8336fc9291975b642169db2dbbd2f2f57bdba60fee40976665c8b101ccf087bb",
+        "pool.json": "829bf621b435c46318a1e6674fc0369ba11d94689af8a371fa144b7782fb563c",
+        "summary.csv": "7de504d0b3727837665a81429820b0ac143df3ffd8ce8eb9f0c0325caa01b039",
+    }
+
+    def test_output_digests(self, workdir, tmp_path):
+        assert run("--out-dir", str(tmp_path), "--quiet", "predict",
+                   "--scene", str(workdir / "scene.json"),
+                   "--dataset", str(workdir / "dataset.csv"),
+                   "--pool", str(workdir / "pool.json")) == 0
+        got = {}
+        for name in self.DIGESTS:
+            path = tmp_path / name if name == "summary.csv" else workdir / name
+            got[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert got == self.DIGESTS
+
+
+class TestMalformedInput:
+    """A malformed input file gives one `error:` line and exit code 1."""
+
+    def assert_one_error_line(self, capsys, argv):
+        assert run(*argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("doc", [
+        {"version": 1},
+        {"version": POOL_FORMAT_VERSION},
+        {"version": POOL_FORMAT_VERSION, "forest_params": []},
+    ])
+    def test_pool(self, tmp_path, capsys, doc):
+        path = tmp_path / "pool.json"
+        path.write_text(json.dumps(doc))
+        self.assert_one_error_line(capsys, ["pool", "show", str(path)])
+
+    @pytest.mark.parametrize("key", ["tx", "scatterers", "trajectory"])
+    def test_scene(self, workdir, tmp_path, capsys, key):
+        doc = json.loads((workdir / "scene.json").read_text())
+        del doc[key]
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(doc))
+        self.assert_one_error_line(capsys, [
+            "--seed", "1", "--out-dir", str(tmp_path), "simulate", "--scene", str(path)])
+
+    @pytest.mark.parametrize("case", ["empty", "short row"])
+    def test_dataset(self, workdir, tmp_path, capsys, case):
+        text = ""
+        if case == "short row":
+            lines = (workdir / "dataset.csv").read_text().splitlines(keepends=True)
+            text = lines[0] + ",".join(lines[1].split(",")[:5]) + "\n"
+        path = tmp_path / "dataset.csv"
+        path.write_text(text)
+        self.assert_one_error_line(capsys, [
+            "--seed", "1", "--out-dir", str(tmp_path), "learn",
+            "--scene", str(workdir / "scene.json"), "--dataset", str(path)])
 
 
 class TestUsage:

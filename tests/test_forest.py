@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from rekpool.forest import (ForestParams, RandomForestModel, TreeNode, fit,
                             permutation_importance)
+from rekpool.pipeline import FitCache
 
 
 def linear_benchmark(n=500, seed=0, noise=0.1):
@@ -81,6 +83,12 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(X, y, ForestParams(n_trees=2))
 
+    def test_nonfinite_features_rejected(self):
+        X, y = linear_benchmark(n=20)
+        X[3, 1] = np.nan
+        with pytest.raises(ValueError):
+            fit(X, y, ForestParams(n_trees=2))
+
     def test_bad_params_rejected(self):
         with pytest.raises(ValueError):
             ForestParams(n_trees=0)
@@ -120,6 +128,29 @@ class TestPermutationImportance:
         a = permutation_importance(model, X, y, seed=3)
         b = permutation_importance(model, X, y, seed=3)
         assert np.array_equal(a, b)
+
+
+class TestFitCache:
+    def test_equal_roots_different_leaves_not_shared(self):
+        X, y = linear_benchmark(n=120)
+        a = fit(X, y, ForestParams(n_trees=5, seed=4))
+        b = copy.deepcopy(a)
+        for tree in b.trees:
+            assert not tree.is_leaf()
+            stack = [tree.left, tree.right]
+            while stack:
+                nd = stack.pop()
+                if nd.is_leaf():
+                    nd.value = 0.0
+                else:
+                    stack += [nd.left, nd.right]
+        cache = FitCache()
+        imp_a = cache.importance(a, X, y, seed=1)
+        imp_b = cache.importance(b, X, y, seed=1)
+        assert np.array_equal(imp_a, permutation_importance(a, X, y, seed=1))
+        assert np.array_equal(imp_b, permutation_importance(b, X, y, seed=1))
+        assert not np.array_equal(imp_a, imp_b)
+        assert cache.importance(a, X, y, seed=1) is imp_a
 
 
 class TestSerialization:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,10 +6,11 @@ import numpy as np
 import pytest
 
 from rekpool.features import FEATURE_NAMES
-from rekpool.forest import ForestParams, fit
-from rekpool.pool import (Context, Outcome, Pool, PoolFileError, PoolVersionError,
-                          fnv1a_64, load_pool, pool_from_dict, pool_to_dict,
-                          save_pool, similarity)
+from rekpool.forest import ForestParams, fit, permutation_importance
+from rekpool.pool import (POOL_FORMAT_VERSION, Context, Outcome, Pool, PoolFileError,
+                          PoolVersionError, fnv1a_64, load_pool, pool_from_dict,
+                          pool_to_dict, save_pool, similarity)
+from rekpool.spectrum import group_weights, spectrum
 
 SMALL_PARAMS = ForestParams(n_trees=6, max_depth=4, min_leaf=2, seed=1)
 
@@ -127,31 +129,42 @@ class TestIngest:
         entry = pool.entries[1]
         assert entry.train_X.shape[0] == len(X) + len(X2)
         assert entry.updated_at == 2.0
-        assert entry.warm_trees == []
+        assert entry.model.n_train_rows == len(X) + len(X2)
 
     def test_intermediate_similarity_transfers(self):
         pool = small_pool()
         X, y = data()
         pool.ingest(ctx(rx=(0, 0, 1.5)), X, y, now=1.0)
+        source = pool.entries[1].model
         # same scene, same LOS, 40 m away: 0.4 + 0.3 e^-4 + 0.2 + 0.1 = 0.705
         probe = ctx(pid=2, rx=(40, 0, 1.5))
-        outcome, eid = pool.ingest(probe, *data(seed=2), now=2.0)
+        X2, y2 = data(seed=2)
+        outcome, eid = pool.ingest(probe, X2, y2, now=2.0)
         assert outcome is Outcome.TRANSFERRED
         assert eid == 2
         entry = pool.entries[2]
-        assert len(entry.warm_trees) == SMALL_PARAMS.n_trees
         assert len(entry.model.trees) == SMALL_PARAMS.n_trees
-        assert len(entry.combined_model().trees) == 2 * SMALL_PARAMS.n_trees
+        # knowledge is derived over the fresh trees followed by the
+        # source's trees, evaluated on the new realizations
+        combined = dataclasses.replace(entry.model, trees=entry.model.trees + source.trees)
+        imp = permutation_importance(combined, X2, y2, seed=SMALL_PARAMS.seed)
+        assert entry.weights == group_weights(imp)
+        assert entry.spectrum == spectrum(entry.weights, position_id=2, los=True)
+        fresh_only = permutation_importance(entry.model, X2, y2, seed=SMALL_PARAMS.seed)
+        assert entry.weights != group_weights(fresh_only)
 
     def test_dissimilar_generates_new(self):
         pool = small_pool()
         X, y = data()
         pool.ingest(ctx(fp=1, los=True), X, y, now=1.0)
+        X2, y2 = data(seed=3)
         outcome, eid = pool.ingest(ctx(fp=2, rx=(500, 0, 1.5), los=False),
-                                   *data(seed=3), now=2.0)
+                                   X2, y2, now=2.0)
         assert outcome is Outcome.GENERATED_NEW
         assert eid == 2
-        assert pool.entries[2].warm_trees == []
+        entry = pool.entries[2]
+        imp = permutation_importance(entry.model, X2, y2, seed=SMALL_PARAMS.seed)
+        assert entry.weights == group_weights(imp)
 
     def test_transfer_prediction_uses_only_fresh_trees(self):
         pool = small_pool()
@@ -292,9 +305,22 @@ class TestPersistence:
     def test_version_bump_rejected(self, tmp_path):
         pool = self.build()
         doc = pool_to_dict(pool)
-        doc["version"] = 2
+        doc["version"] = POOL_FORMAT_VERSION + 1
         with pytest.raises(PoolVersionError):
             pool_from_dict(doc)
+
+    def test_only_read_back_state_saved(self, tmp_path):
+        path = tmp_path / "pool.json"
+        save_pool(path, self.build())  # includes a transferred entry
+        text = path.read_text()
+        assert '"warm_trees"' not in text
+        assert '"bootstrap_indices"' not in text
+
+    def test_v1_and_keyless_files_rejected(self):
+        with pytest.raises(PoolVersionError):
+            pool_from_dict({"version": 1})
+        with pytest.raises(PoolFileError):
+            pool_from_dict({"version": POOL_FORMAT_VERSION})
 
     def test_truncated_file_rejected(self, tmp_path):
         pool = self.build()
@@ -320,3 +346,8 @@ class TestValidation:
     def test_bad_thresholds(self):
         with pytest.raises(ValueError):
             Pool(theta_low=0.9, theta_high=0.5)
+
+    @pytest.mark.parametrize("f", [0.0, -28e9, math.nan, math.inf])
+    def test_bad_frequency(self, f):
+        with pytest.raises(ValueError):
+            ctx(f=f)
