@@ -12,8 +12,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import forest as rf
 from .features import RealizationConfig, load_dataset, save_dataset
 from .geometry import canonical_street_scene, load_scene, save_scene, atomic_write_text

@@ -19,13 +19,15 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import Scatterer, Scene, as_vec3, atomic_write_text, segment_blocked
-from .propagation import OUTAGE_CAP_DB, path_loss, trace_paths, effective_scatterers
+from .geometry import Scatterer, Scene, as_vec3, atomic_write_text
+# perfbench's tracer tests expect segment_blocked in this module's namespace
+from .geometry import segment_blocked  # noqa: F401
+from .propagation import Trace, trace
 
 FEATURE_NAMES = (
     "L_cx", "L_cy", "L_cz", "L_rx", "L_ry", "L_rz",
@@ -49,9 +51,13 @@ DATASET_HEADER = ("position_id", "realization_id") + FEATURE_NAMES + (
 
 def extract_features(scene: Scene, rx) -> np.ndarray:
     """16-member feature vector in FEATURE_NAMES order."""
-    rx = as_vec3(rx)
-    eff_ids = effective_scatterers(scene, rx)
-    eff = [scene.scatterer_by_id(i) for i in eff_ids]
+    return trace_features(trace(scene, rx))
+
+
+def trace_features(tr: Trace) -> np.ndarray:
+    """16-member feature vector of one oracle pass, in FEATURE_NAMES order."""
+    scene, rx = tr.scene, tr.rx
+    eff = [scene.scatterer_by_id(i) for i in tr.effective_scatterers()]
     sentinel = scene.bounds_diagonal()
 
     if eff:
@@ -69,9 +75,8 @@ def extract_features(scene: Scene, rx) -> np.ndarray:
         v_total = v_maxh = v_area = 0.0
         d_txs = d_srx = sentinel
 
-    blk = segment_blocked(scene.tx, rx, scene)
-    paths = trace_paths(scene, rx)
-    d_pathlen = paths[0].length_m if paths else sentinel
+    blk = tr.direct
+    d_pathlen = tr.paths[0].length_m if tr.paths else sentinel
 
     return np.array([
         centroid[0], centroid[1], centroid[2], rx[0], rx[1], rx[2],
@@ -136,9 +141,10 @@ def realize(scene: Scene, rx, cfg: RealizationConfig, position_id: int = 0,
             if rx_i is None:
                 raise ValueError(
                     f"could not place jittered RX outside scatterers at position {position_id}")
-        sample = path_loss(sc, rx_i, position_id=position_id, timestamp=timestamp)
+        tr = trace(sc, rx_i)
+        sample = tr.sample(position_id=position_id, timestamp=timestamp)
         rows.append(DatasetRow(position_id=position_id, realization_id=i,
-                               features=extract_features(sc, rx_i),
+                               features=trace_features(tr),
                                path_loss_db=sample.path_loss_db, los=sample.los,
                                timestamp=timestamp))
     return rows
@@ -179,6 +185,8 @@ def load_dataset(path) -> list:
                 features=np.array([float(x) for x in rec[2:2 + len(FEATURE_NAMES)]]),
                 path_loss_db=float(rec[-3]), los=bool(int(rec[-2])),
                 timestamp=float(rec[-1])))
+    if not rows:
+        raise ValueError("dataset has no rows")
     return rows
 
 

@@ -59,29 +59,25 @@ class Scatterer:
     def hi(self) -> np.ndarray:
         return self.center + self.dims / 2.0
 
-    def contains(self, p, tol: float = EPS_EXACT) -> bool:
-        p = np.asarray(p, dtype=float)
-        return bool(np.all(p >= self.lo - tol) and np.all(p <= self.hi + tol))
-
     def volume(self) -> float:
         return float(np.prod(self.dims))
-
-    def faces(self):
-        """Six axis-aligned face planes as (axis, value, outward_sign)."""
-        out = []
-        for axis in range(3):
-            out.append((axis, float(self.lo[axis]), -1))
-            out.append((axis, float(self.hi[axis]), +1))
-        return out
 
 
 @dataclass(frozen=True)
 class Scene:
-    """TX plus an ordered (by id) collection of box scatterers."""
+    """TX plus an ordered (by id) collection of box scatterers.
+
+    `box_lo`, `box_hi` (S, 3) and `box_ids` (S,) hold the scatterers'
+    corners and ids in scatterer order; they are derived once, here, so
+    that every point and segment test runs over all boxes at once.
+    """
 
     tx: np.ndarray
     frequency_hz: float
     scatterers: tuple = ()
+    box_lo: np.ndarray = field(init=False, repr=False, compare=False)
+    box_hi: np.ndarray = field(init=False, repr=False, compare=False)
+    box_ids: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "tx", as_vec3(self.tx))
@@ -91,9 +87,12 @@ class Scene:
         ids = [s.id for s in self.scatterers]
         if len(ids) != len(set(ids)):
             raise ValueError("scatterer ids must be unique")
-        for s in self.scatterers:
-            if s.contains(self.tx):
-                raise ValueError(f"TX lies inside scatterer {s.id}")
+        object.__setattr__(self, "box_lo", np.array([s.lo for s in self.scatterers]).reshape(-1, 3))
+        object.__setattr__(self, "box_hi", np.array([s.hi for s in self.scatterers]).reshape(-1, 3))
+        object.__setattr__(self, "box_ids", np.array(ids, dtype=int))
+        inside = self.ids_containing(self.tx)
+        if inside:
+            raise ValueError(f"TX lies inside scatterer {inside[0]}")
 
     def scatterer_by_id(self, sid: int) -> Scatterer:
         for s in self.scatterers:
@@ -103,20 +102,22 @@ class Scene:
 
     def bounds(self):
         """Padded AABB (lo, hi) covering TX and all scatterers."""
-        pts = [self.tx]
-        for s in self.scatterers:
-            pts.append(s.lo)
-            pts.append(s.hi)
-        pts = np.asarray(pts)
+        pts = np.vstack([self.tx, self.box_lo, self.box_hi])
         return pts.min(axis=0) - BOUNDS_MARGIN_M, pts.max(axis=0) + BOUNDS_MARGIN_M
 
     def bounds_diagonal(self) -> float:
         lo, hi = self.bounds()
         return float(np.linalg.norm(hi - lo))
 
+    def ids_containing(self, p, tol: float = EPS_EXACT) -> list:
+        """Ids of the scatterers whose closed box (padded by tol) holds p."""
+        p = np.asarray(p, dtype=float)
+        inside = np.all((p >= self.box_lo - tol) & (p <= self.box_hi + tol), axis=1)
+        return self.box_ids[inside].tolist()
+
     def point_free(self, p) -> bool:
         """True if p is outside every scatterer."""
-        return not any(s.contains(p) for s in self.scatterers)
+        return not self.ids_containing(p)
 
 
 @dataclass(frozen=True)
@@ -180,28 +181,32 @@ def segment_blocked(p, q, scene: Scene, exclude_ids=()) -> Blockage:
     clipped intervals in segment parameterization.  Endpoint grazes
     within EPS_EXACT do not count as blockage, so a reflection point
     sitting exactly on a face never occludes its own bounce.
+
+    The slab test runs over all boxes at once (Williams et al. 2005) and
+    gives, box for box, the interval `ray_box_intersect` gives.
     """
     p = as_vec3(p)
     q = as_vec3(q)
     d = q - p
     if np.linalg.norm(d) == 0.0:
         raise ValueError("segment endpoints must differ")
-    intervals = []
-    ids = []
-    for s in scene.scatterers:
-        if s.id in exclude_ids:
-            continue
-        hit = ray_box_intersect(p, d, s)
-        if hit is None:
-            continue
-        a = max(hit[0], 0.0)
-        b = min(hit[1], 1.0)
-        if b - a > EPS_EXACT:
-            intervals.append((a, b))
-            ids.append(s.id)
-    if not intervals:
+    moving = d != 0.0
+    still = ~moving
+    # along an axis with d == 0 a box is missed unless p lies in its slab
+    in_slabs = np.all((p[still] >= scene.box_lo[:, still])
+                      & (p[still] <= scene.box_hi[:, still]), axis=1)
+    t0 = (scene.box_lo[:, moving] - p[moving]) / d[moving]
+    t1 = (scene.box_hi[:, moving] - p[moving]) / d[moving]
+    enter = np.maximum(np.minimum(t0, t1).max(axis=1, initial=-np.inf), 0.0)
+    leave = np.minimum(np.maximum(t0, t1).min(axis=1, initial=np.inf), 1.0)
+    # leave - enter > EPS_EXACT also rejects boxes behind p (t_exit < 0)
+    # and lines that miss (t_enter > t_exit), since then leave < enter
+    hit = in_slabs & (leave - enter > EPS_EXACT)
+    for sid in exclude_ids:
+        hit &= scene.box_ids != sid
+    if not hit.any():
         return Blockage(False, (), 0.0)
-    intervals.sort()
+    intervals = sorted(zip(enter[hit].tolist(), leave[hit].tolist()))
     total = 0.0
     cur_a, cur_b = intervals[0]
     for a, b in intervals[1:]:
@@ -211,7 +216,7 @@ def segment_blocked(p, q, scene: Scene, exclude_ids=()) -> Blockage:
         else:
             cur_b = max(cur_b, b)
     total += cur_b - cur_a
-    return Blockage(True, tuple(sorted(set(ids))), float(min(total, 1.0)))
+    return Blockage(True, tuple(scene.box_ids[hit].tolist()), float(min(total, 1.0)))
 
 
 def mirror_point(p, axis: int, value: float) -> np.ndarray:

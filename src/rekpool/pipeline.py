@@ -15,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forest as rf
-from .features import (DATASET_HEADER, FEATURE_NAMES, RealizationConfig,
-                       realize)
-from .geometry import Scene, Trajectory, atomic_write_text
-from .pool import Context, Outcome, Pool
+from .features import FEATURE_NAMES, RealizationConfig, realize
+from .geometry import Scene, Trajectory
+from .pool import Pool
 from .predict import (Prediction, context_for, fit_logdistance, predict_knn,
                       predict_rekp, evaluate, DEFAULT_TAU)
 from .propagation import path_loss
@@ -80,6 +79,10 @@ class FitCache:
         if key not in self._fits:
             self._fits[key] = rf.fit(X, y, params, feature_names=feature_names)
         return self._fits[key]
+
+    def add(self, X, y, model):
+        """Record `model` as the fit of (X, y) under its own params."""
+        self._fits[(X.tobytes(), y.tobytes(), model.params)] = model
 
     def importance(self, model, X, y, seed=0):
         trees = tuple(model.trees)
@@ -149,9 +152,13 @@ def loo_evaluate(scene: Scene, trajectory: Trajectory, rows,
     For each held-out position a fresh pool with `pool_template`'s
     capacity, thresholds, coefficients and forest parameters is built
     from the remaining positions' realizations; the held-out position's
-    data never enters that pool.  Returns (predictions, reports-by-method).
+    data never enters that pool.  The template's entries seed the fit
+    cache, so a loaded pool's forests are not fit again.  Returns
+    (predictions, reports-by-method).
     """
     cache = cache or FitCache()
+    for e in pool_template.entries.values():
+        cache.add(e.train_X, e.train_y, e.model)
     truths = {}
     for pid, rx in enumerate(trajectory.positions, start=1):
         truths[pid] = path_loss(scene, rx, position_id=pid).path_loss_db

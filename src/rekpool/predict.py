@@ -7,10 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FEATURE_NAMES, GROUP_MEMBER_INDEX, extract_features
+from .features import GROUP_MEMBER_INDEX, trace_features
 from .geometry import Scene, Trajectory, as_vec3, canonical_scene_json
 from .pool import Context, Pool, fnv1a_64
-from .propagation import OUTAGE_CAP_DB, path_loss
+from .propagation import OUTAGE_CAP_DB, Trace, trace
 from .spectrum import GROUPS
 
 #: Cumulative group-weight coverage required before masking stops.
@@ -22,9 +22,12 @@ def scene_fingerprint(scene: Scene, trajectory: Trajectory) -> int:
 
 
 def context_for(scene: Scene, trajectory: Trajectory, rx, position_id: int) -> Context:
-    los = path_loss(scene, rx, position_id=position_id).los
+    return _context(scene, trajectory, trace(scene, rx), position_id)
+
+
+def _context(scene: Scene, trajectory: Trajectory, tr: Trace, position_id: int) -> Context:
     return Context(scene_fingerprint=scene_fingerprint(scene, trajectory),
-                   position_id=position_id, rx=as_vec3(rx), los=los,
+                   position_id=position_id, rx=tr.rx, los=tr.los,
                    frequency_hz=scene.frequency_hz)
 
 
@@ -82,18 +85,19 @@ def predict_rekp(pool: Pool, scene: Scene, trajectory: Trajectory, rx,
     distance -> dB, typically a fitted log-distance model - is used and
     the prediction tagged as fallback.  Returns a Prediction.
     """
-    truth = path_loss(scene, rx, position_id=position_id).path_loss_db
-    ctx = context_for(scene, trajectory, rx, position_id)
+    tr = trace(scene, rx)
+    truth = tr.sample(position_id).path_loss_db
+    ctx = _context(scene, trajectory, tr, position_id)
     hit = pool.query(ctx)
     if hit is not None and not hit[0].weights.degenerate:
         entry, _sim = hit
-        feats = mask_features(extract_features(scene, rx), entry.weights, tau)
+        feats = mask_features(trace_features(tr), entry.weights, tau)
         pred = entry.model.predict_one(feats)
         return Prediction(position_id=position_id, predicted_db=pred,
                           truth_db=truth, method="rekp")
     if fallback is None:
         raise NoKnowledgeError(f"no usable knowledge for position {position_id}")
-    d = float(np.linalg.norm(as_vec3(rx) - scene.tx))
+    d = float(np.linalg.norm(tr.rx - scene.tx))
     return Prediction(position_id=position_id, predicted_db=float(fallback(d)),
                       truth_db=truth, method="rekp", fallback=True)
 

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (EPS_EXACT, Scatterer, Scene, as_vec3, mirror_point,
-                       segment_blocked)
+from .geometry import EPS_EXACT, Blockage, Scene, as_vec3, segment_blocked
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -51,92 +50,116 @@ class ChannelSample:
     timestamp: float
 
 
+#: Face order within a box: (axis 0 lo, axis 0 hi, axis 1 lo, ...), each
+#: face with its axis and the sign of its outward normal.
+_FACE_AXIS = np.array([0, 0, 1, 1, 2, 2])
+_FACE_SIGN = np.array([-1.0, 1.0, -1.0, 1.0, -1.0, 1.0])
+
+
+@dataclass(frozen=True)
+class Trace:
+    """One oracle pass at a receiver, from which the channel sample, the
+    effective scatterers and the features are all built."""
+
+    scene: Scene
+    rx: np.ndarray          # validated receiver position
+    direct: Blockage        # occlusion of the TX-RX segment
+    paths: tuple            # valid LOS + single-bounce paths, ascending by loss
+
+    @property
+    def los(self) -> bool:
+        return not self.direct.blocked
+
+    def sample(self, position_id: int = 0, timestamp: float = 0.0) -> ChannelSample:
+        """Strongest-path channel sample; outage capped at OUTAGE_CAP_DB."""
+        loss = self.paths[0].loss_db if self.paths else OUTAGE_CAP_DB
+        return ChannelSample(position_id=position_id, rx=self.rx, path_loss_db=float(loss),
+                             los=self.los, n_paths=len(self.paths), timestamp=timestamp)
+
+    def effective_scatterers(self) -> list:
+        """Ids of scatterers that produce paths or occlude the direct segment."""
+        ids = {p.via_scatterer for p in self.paths if p.via_scatterer is not None}
+        ids.update(self.direct.blocker_ids)
+        return sorted(ids)
+
+
 def _validate_rx(scene: Scene, rx):
     rx = as_vec3(rx)
     lo, hi = scene.bounds()
     if np.any(rx < lo) or np.any(rx > hi):
         raise ValueError("rx outside scene bounds")
-    for s in scene.scatterers:
-        if s.contains(rx):
-            raise ValueError(f"rx lies inside scatterer {s.id}")
+    inside = scene.ids_containing(rx)
+    if inside:
+        raise ValueError(f"rx lies inside scatterer {inside[0]}")
     return rx
 
 
-def _reflection_path(scene: Scene, rx, scatterer: Scatterer, axis: int,
-                     value: float, sign: int):
-    """Image-method single bounce off one face, or None if invalid."""
+def _reflections(scene: Scene, rx) -> list:
+    """Valid image-method single bounces, in scatterer-then-face order."""
     tx = scene.tx
-    # TX and RX must both be on the outward side of the face.
-    if sign * (tx[axis] - value) <= EPS_EXACT or sign * (rx[axis] - value) <= EPS_EXACT:
-        return None
-    tx_img = mirror_point(tx, axis, value)
+    # face plane values (S, 6); a face can reflect only if TX and RX both
+    # lie on its outward side
+    faces = np.stack([scene.box_lo, scene.box_hi], axis=2).reshape(-1, 6)
+    facing = ((_FACE_SIGN * (tx[_FACE_AXIS] - faces) > EPS_EXACT)
+              & (_FACE_SIGN * (rx[_FACE_AXIS] - faces) > EPS_EXACT))
+    box, face = np.nonzero(facing)
+    row = np.arange(len(box))
+    axis = _FACE_AXIS[face]
+    value = faces[box, face]
+    # The bounce is where the segment from the TX image (TX mirrored
+    # across the face plane) to RX crosses the plane; it must lie
+    # strictly between them and on the face rectangle.
+    tx_img = np.tile(tx, (len(box), 1))
+    tx_img[row, axis] = 2.0 * value - tx[axis]
     d = rx - tx_img
-    denom = d[axis]
-    if abs(denom) < EPS_EXACT:
-        return None
-    t = (value - tx_img[axis]) / denom
-    if t <= EPS_EXACT or t >= 1.0 - EPS_EXACT:
-        return None
-    p = tx_img + t * d
-    # Reflection point must land on the face rectangle.
-    for other_axis in range(3):
-        if other_axis == axis:
-            continue
-        if p[other_axis] < scatterer.lo[other_axis] - EPS_EXACT:
-            return None
-        if p[other_axis] > scatterer.hi[other_axis] + EPS_EXACT:
-            return None
-    # Both legs must be clear of all geometry (the bouncing face itself
-    # only touches at the reflection point, which does not occlude).
-    if segment_blocked(tx, p, scene, exclude_ids=(scatterer.id,)).blocked:
-        return None
-    if segment_blocked(p, rx, scene, exclude_ids=(scatterer.id,)).blocked:
-        return None
-    length = float(np.linalg.norm(rx - tx_img))
-    loss = fspl_db(length, scene.frequency_hz) + scatterer.reflection_loss_db
-    return Path(kind="Reflection", length_m=length, loss_db=loss,
-                via_scatterer=scatterer.id, reflection_point=p)
-
-
-def trace_paths(scene: Scene, rx) -> list:
-    """All valid LOS + single-bounce paths, sorted ascending by loss."""
-    rx = _validate_rx(scene, rx)
+    denom = d[row, axis]
+    t = (value - tx_img[row, axis]) / denom
+    p = tx_img + t[:, None] * d
+    across = np.arange(3) != axis[:, None]
+    on_face = np.all(~across | ((p >= scene.box_lo[box] - EPS_EXACT)
+                                & (p <= scene.box_hi[box] + EPS_EXACT)), axis=1)
+    valid = (np.abs(denom) >= EPS_EXACT) & (t > EPS_EXACT) & (t < 1.0 - EPS_EXACT) & on_face
     paths = []
+    for i in np.flatnonzero(valid):
+        s = scene.scatterers[box[i]]
+        # Both legs must be clear of all geometry (the bouncing face itself
+        # only touches at the reflection point, which does not occlude).
+        if (segment_blocked(tx, p[i], scene, exclude_ids=(s.id,)).blocked
+                or segment_blocked(p[i], rx, scene, exclude_ids=(s.id,)).blocked):
+            continue
+        length = float(np.linalg.norm(rx - tx_img[i]))
+        paths.append(Path(kind="Reflection", length_m=length,
+                          loss_db=fspl_db(length, scene.frequency_hz) + s.reflection_loss_db,
+                          via_scatterer=s.id, reflection_point=p[i]))
+    return paths
+
+
+def trace(scene: Scene, rx) -> Trace:
+    """Validate rx, test the direct segment and find every valid path, once."""
+    rx = _validate_rx(scene, rx)
     direct = segment_blocked(scene.tx, rx, scene)
+    paths = []
     if not direct.blocked:
         length = float(np.linalg.norm(rx - scene.tx))
         paths.append(Path(kind="LOS", length_m=length,
                           loss_db=fspl_db(length, scene.frequency_hz)))
-    for s in scene.scatterers:
-        for axis, value, sign in s.faces():
-            p = _reflection_path(scene, rx, s, axis, value, sign)
-            if p is not None:
-                paths.append(p)
+    paths.extend(_reflections(scene, rx))
     paths.sort(key=lambda p: (p.loss_db, p.kind,
                               -1 if p.via_scatterer is None else p.via_scatterer))
-    return paths
+    return Trace(scene=scene, rx=rx, direct=direct, paths=tuple(paths))
+
+
+def trace_paths(scene: Scene, rx) -> list:
+    """All valid LOS + single-bounce paths, sorted ascending by loss."""
+    return list(trace(scene, rx).paths)
 
 
 def path_loss(scene: Scene, rx, position_id: int = 0,
               timestamp: float = 0.0) -> ChannelSample:
     """Strongest-path channel sample; outage capped at OUTAGE_CAP_DB."""
-    rx = _validate_rx(scene, rx)
-    paths = trace_paths(scene, rx)
-    los = not segment_blocked(scene.tx, rx, scene).blocked
-    if paths:
-        loss = paths[0].loss_db
-    else:
-        loss = OUTAGE_CAP_DB
-    return ChannelSample(position_id=position_id, rx=rx, path_loss_db=float(loss),
-                         los=los, n_paths=len(paths), timestamp=timestamp)
+    return trace(scene, rx).sample(position_id, timestamp)
 
 
 def effective_scatterers(scene: Scene, rx) -> list:
     """Ids of scatterers that produce paths or occlude the direct segment."""
-    rx = _validate_rx(scene, rx)
-    ids = set()
-    for p in trace_paths(scene, rx):
-        if p.via_scatterer is not None:
-            ids.add(p.via_scatterer)
-    ids.update(segment_blocked(scene.tx, rx, scene).blocker_ids)
-    return sorted(ids)
+    return trace(scene, rx).effective_scatterers()

@@ -200,6 +200,20 @@ class TestMalformedInput:
             "--scene", str(workdir / "scene.json"), "--dataset", str(path)])
 
 
+    @pytest.mark.parametrize("command", ["learn", "predict"])
+    def test_header_only_dataset(self, workdir, tmp_path, capsys, command):
+        header = (workdir / "dataset.csv").read_text().splitlines(keepends=True)[0]
+        path = tmp_path / "dataset.csv"
+        path.write_text(header)
+        argv = ["--seed", "1", "--out-dir", str(tmp_path), command,
+                "--scene", str(workdir / "scene.json"), "--dataset", str(path)]
+        if command == "predict":
+            argv += ["--pool", str(workdir / "pool.json")]
+        self.assert_one_error_line(capsys, argv)
+        assert not (tmp_path / "pool.json").exists()
+        assert not (tmp_path / "summary.csv").exists()
+
+
 class TestUsage:
     def test_no_subcommand_exit_2(self):
         with pytest.raises(SystemExit) as exc:

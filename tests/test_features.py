@@ -9,6 +9,7 @@ from rekpool.features import (DATASET_HEADER, FEATURE_NAMES, GROUP_MEMBER_INDEX,
                               RealizationConfig, StreamRecord, align_streams,
                               dataset_to_csv, extract_features, load_dataset,
                               realize, save_dataset)
+from rekpool import features, propagation
 from rekpool.geometry import Scatterer, Scene, canonical_street_scene
 from rekpool.propagation import trace_paths
 
@@ -122,6 +123,21 @@ class TestRealize:
         rows = realize(scene, traj.positions[0], cfg, position_id=1)
         losses = np.array([r.path_loss_db for r in rows])
         assert losses.std() > 0.0
+
+    def test_traces_each_realization_once(self, monkeypatch):
+        calls = []
+        real = propagation.trace
+
+        def counted(scene, rx):
+            calls.append(1)
+            return real(scene, rx)
+        # path_loss and extract_features reach trace through these names
+        monkeypatch.setattr(features, "trace", counted)
+        monkeypatch.setattr(propagation, "trace", counted)
+        scene, traj = canonical_street_scene()
+        rows = realize(scene, traj.positions[0], RealizationConfig(n_realizations=6, seed=1),
+                       position_id=1)
+        assert len(rows) == len(calls) == 6
 
     def test_n_realizations_lower_bound(self):
         with pytest.raises(ValueError):

@@ -4,9 +4,14 @@ import json
 import numpy as np
 import pytest
 
+from rekpool import forest
+from rekpool.features import RealizationConfig
 from rekpool.forest import (ForestParams, RandomForestModel, TreeNode, fit,
                             permutation_importance)
-from rekpool.pipeline import FitCache
+from rekpool.geometry import canonical_street_scene
+from rekpool.pipeline import (FitCache, build_pool, design_matrices, loo_evaluate,
+                              rows_by_position, simulate_trajectory)
+from rekpool.pool import Pool, load_pool, save_pool
 
 
 def linear_benchmark(n=500, seed=0, noise=0.1):
@@ -151,6 +156,32 @@ class TestFitCache:
         assert np.array_equal(imp_b, permutation_importance(b, X, y, seed=1))
         assert not np.array_equal(imp_a, imp_b)
         assert cache.importance(a, X, y, seed=1) is imp_a
+
+
+    def test_loaded_template_seeds_fits(self, tmp_path, monkeypatch):
+        """A saved->loaded pool as LOO template: only the positions it does
+        not hold are fit, and the predictions are those of a cold run."""
+        scene, traj = canonical_street_scene()
+        rows = simulate_trajectory(scene, traj, RealizationConfig(n_realizations=10, seed=3))
+        params = ForestParams(n_trees=3, max_depth=4, min_leaf=2, seed=3)
+        missing = {2, 9}
+        save_pool(tmp_path / "pool.json", build_pool(
+            scene, traj, rows, Pool(forest_params=params), skip_positions=missing))
+        template = load_pool(tmp_path / "pool.json")
+        cold, _ = loo_evaluate(scene, traj, rows, pool_template=Pool(forest_params=params))
+
+        fitted = []
+
+        def counted(X, y, params, feature_names=None):
+            fitted.append((X.tobytes(), y.tobytes()))
+            return fit(X, y, params, feature_names=feature_names)
+        monkeypatch.setattr(forest, "fit", counted)
+        seeded, _ = loo_evaluate(scene, traj, rows, pool_template=template)
+        by_pos = rows_by_position(rows)
+        keys = {pid: tuple(m.tobytes() for m in design_matrices(by_pos[pid]))
+                for pid in by_pos}
+        assert sorted(fitted) == sorted(keys[pid] for pid in missing)
+        assert seeded == cold
 
 
 class TestSerialization:

@@ -2,11 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from rekpool.geometry import (Scatterer, Scene, Trajectory, canonical_scene_json,
-                              canonical_street_scene, load_scene, mirror_point,
-                              ray_box_intersect, save_scene, scene_from_dict,
-                              scene_to_dict, segment_blocked)
+from rekpool.geometry import (EPS_EXACT, Blockage, Scatterer, Scene, Trajectory,
+                              canonical_scene_json, canonical_street_scene, load_scene,
+                              mirror_point, ray_box_intersect, save_scene,
+                              scene_from_dict, scene_to_dict, segment_blocked)
 
 
 def unit_cube(sid=1, center=(0, 0, 0)):
@@ -105,6 +106,83 @@ class TestSegmentBlocked:
         scene = Scene(tx=(0, 0, 0), frequency_hz=1e9)
         with pytest.raises(ValueError):
             segment_blocked((1, 1, 1), (1, 1, 1), scene)
+
+
+def scalar_segment_blocked(p, q, scene, exclude_ids=()):
+    """Reference: the per-box loop over `ray_box_intersect` that
+    `segment_blocked` batches."""
+    p = np.asarray(p, dtype=float)
+    d = np.asarray(q, dtype=float) - p
+    intervals = []
+    ids = []
+    for s in scene.scatterers:
+        if s.id in exclude_ids:
+            continue
+        hit = ray_box_intersect(p, d, s)
+        if hit is None:
+            continue
+        a = max(hit[0], 0.0)
+        b = min(hit[1], 1.0)
+        if b - a > EPS_EXACT:
+            intervals.append((a, b))
+            ids.append(s.id)
+    if not intervals:
+        return Blockage(False, (), 0.0)
+    intervals.sort()
+    total = 0.0
+    cur_a, cur_b = intervals[0]
+    for a, b in intervals[1:]:
+        if a > cur_b:
+            total += cur_b - cur_a
+            cur_a, cur_b = a, b
+        else:
+            cur_b = max(cur_b, b)
+    total += cur_b - cur_a
+    return Blockage(True, tuple(sorted(set(ids))), float(min(total, 1.0)))
+
+
+# Integer corners and endpoints put segments on faces, along edges and
+# parallel to axes; the TX sits far from every box.
+grid = st.integers(-1, 5)
+point = st.tuples(grid, grid, grid)
+box = st.tuples(point, st.tuples(*[st.integers(1, 3)] * 3))
+coord = st.floats(-2.0, 7.0, allow_nan=False, allow_infinity=False)
+
+
+def grid_scene(boxes):
+    return Scene(tx=(50.0, 50.0, 50.0), frequency_hz=1e9, scatterers=tuple(
+        Scatterer(id=i + 1, center=np.add(lo, np.divide(dims, 2.0)), dims=dims)
+        for i, (lo, dims) in enumerate(boxes)))
+
+
+class TestBatchedSegmentBlocked:
+    """Batched slab test == scalar per-box reference, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(boxes=st.lists(box, max_size=5), p=point, q=point,
+           exclude=st.sets(st.integers(1, 6), max_size=2))
+    @example(boxes=[], p=(0, 0, 0), q=(1, 2, 3), exclude=set())
+    @example(boxes=[((0, 0, 0), (2, 2, 2))], p=(-1, 0, 0), q=(3, 0, 0), exclude=set())
+    @example(boxes=[((0, 0, 0), (2, 2, 2))], p=(-1, 2, 1), q=(3, 2, 1), exclude=set())
+    @example(boxes=[((0, 0, 0), (2, 2, 2))], p=(0, 1, 1), q=(-1, 1, 1), exclude=set())
+    @example(boxes=[((0, 0, 0), (2, 2, 2)), ((1, 0, 0), (2, 1, 1))], p=(-1, 0, 0),
+             q=(4, 1, 1), exclude={1})
+    def test_grid_segments(self, boxes, p, q, exclude):
+        if np.linalg.norm(np.subtract(q, p)) == 0.0:
+            return  # rejected as degenerate
+        scene = grid_scene(boxes)
+        assert segment_blocked(p, q, scene, exclude_ids=tuple(exclude)) == \
+            scalar_segment_blocked(p, q, scene, exclude_ids=tuple(exclude))
+
+    @settings(max_examples=200, deadline=None)
+    @given(boxes=st.lists(box, max_size=5), p=st.tuples(coord, coord, coord),
+           q=st.tuples(coord, coord, coord), exclude=st.sets(st.integers(1, 6), max_size=2))
+    def test_general_segments(self, boxes, p, q, exclude):
+        if np.linalg.norm(np.subtract(q, p)) == 0.0:
+            return  # rejected as degenerate
+        scene = grid_scene(boxes)
+        assert segment_blocked(p, q, scene, exclude_ids=tuple(exclude)) == \
+            scalar_segment_blocked(p, q, scene, exclude_ids=tuple(exclude))
 
 
 class TestMirrorPoint:

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from rekpool.geometry import Scatterer, Scene, canonical_street_scene, mirror_point
+from rekpool.geometry import (EPS_EXACT, Scatterer, Scene, canonical_street_scene,
+                              mirror_point, segment_blocked)
 from rekpool.propagation import (OUTAGE_CAP_DB, SPEED_OF_LIGHT, effective_scatterers,
                                  fspl_db, path_loss, trace_paths)
 
@@ -153,3 +155,61 @@ class TestEffectiveScatterers:
         for rx in traj.positions:
             ids = effective_scatterers(scene, rx)
             assert ids == sorted(ids)
+
+
+def scalar_trace_paths(scene, rx):
+    """Reference: the per-face loop that `trace` batches, as
+    (kind, length, loss, via, reflection point) tuples sorted by loss."""
+    tx = scene.tx
+    rx = np.asarray(rx, dtype=float)
+    paths = []
+    if not segment_blocked(tx, rx, scene).blocked:
+        length = float(np.linalg.norm(rx - tx))
+        paths.append(("LOS", length, fspl_db(length, scene.frequency_hz), None, None))
+    for s in scene.scatterers:
+        for axis in range(3):
+            for value, sign in ((float(s.lo[axis]), -1), (float(s.hi[axis]), 1)):
+                if sign * (tx[axis] - value) <= EPS_EXACT or sign * (rx[axis] - value) <= EPS_EXACT:
+                    continue
+                img = mirror_point(tx, axis, value)
+                d = rx - img
+                if abs(d[axis]) < EPS_EXACT:
+                    continue
+                t = (value - img[axis]) / d[axis]
+                if t <= EPS_EXACT or t >= 1.0 - EPS_EXACT:
+                    continue
+                p = img + t * d
+                if any(p[a] < s.lo[a] - EPS_EXACT or p[a] > s.hi[a] + EPS_EXACT
+                       for a in range(3) if a != axis):
+                    continue
+                if (segment_blocked(tx, p, scene, exclude_ids=(s.id,)).blocked
+                        or segment_blocked(p, rx, scene, exclude_ids=(s.id,)).blocked):
+                    continue
+                length = float(np.linalg.norm(rx - img))
+                paths.append(("Reflection", length,
+                              fspl_db(length, scene.frequency_hz) + s.reflection_loss_db,
+                              s.id, tuple(p)))
+    paths.sort(key=lambda p: (p[2], p[0], -1 if p[3] is None else p[3]))
+    return paths
+
+
+half = st.integers(-4, 16).map(lambda v: v / 2.0)
+box = st.tuples(st.tuples(*[st.integers(0, 6)] * 3), st.tuples(*[st.integers(1, 3)] * 3))
+
+
+class TestTrace:
+    @settings(max_examples=300, deadline=None)
+    @given(boxes=st.lists(box, max_size=5), tx=st.tuples(half, half, half),
+           rx=st.tuples(half, half, half))
+    def test_batched_faces_match_scalar_reference(self, boxes, tx, rx):
+        scats = tuple(Scatterer(id=i + 1, center=np.add(lo, np.divide(dims, 2.0)), dims=dims,
+                                reflection_loss_db=float(i))
+                      for i, (lo, dims) in enumerate(boxes))
+        assume(not any(np.all(np.abs(np.subtract(pt, s.center)) <= s.dims / 2 + EPS_EXACT)
+                       for s in scats for pt in (tx, rx)))
+        assume(tx != rx)
+        scene = Scene(tx=tx, frequency_hz=28e9, scatterers=scats)
+        got = [(p.kind, p.length_m, p.loss_db, p.via_scatterer,
+                None if p.reflection_point is None else tuple(p.reflection_point))
+               for p in trace_paths(scene, rx)]
+        assert got == scalar_trace_paths(scene, rx)
