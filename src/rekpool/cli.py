@@ -18,8 +18,7 @@ from .geometry import canonical_street_scene, load_scene, save_scene, atomic_wri
 from .pipeline import (FitCache, build_pool, cdf_csv, learn_positions,
                        loo_evaluate, simulate_trajectory,
                        spectrum_csv, summary_csv)
-from .pool import (Pool, PoolFileError, PoolVersionError, load_pool, save_pool,
-                   similarity)
+from .pool import Pool, load_pool, save_pool, similarity
 from .predict import DEFAULT_TAU
 from .propagation import path_loss
 
@@ -135,12 +134,7 @@ def cmd_predict(args, parser) -> int:
             return _fail(f"{name} file not found: {p}")
     scene, traj = load_scene(args.scene)
     rows = load_dataset(args.dataset)
-    try:
-        pool_tmpl = load_pool(args.pool)
-    except PoolVersionError as exc:
-        return _fail(str(exc))
-    except PoolFileError as exc:
-        return _fail(str(exc))
+    pool_tmpl = load_pool(args.pool)
     tau = args.tau if args.tau is not None else DEFAULT_TAU
     _, reports = loo_evaluate(scene, traj, rows, pool_template=pool_tmpl,
                               tau=tau, knn_k=args.k if args.k is not None else 3)
@@ -158,12 +152,7 @@ def cmd_predict(args, parser) -> int:
 
 
 def cmd_pool(args, parser) -> int:
-    try:
-        pool = load_pool(args.pool_file)
-    except PoolVersionError as exc:
-        return _fail(str(exc))
-    except PoolFileError as exc:
-        return _fail(str(exc))
+    pool = load_pool(args.pool_file)
     if args.action == "show":
         print(f"{len(pool.entries)} entries "
               f"(capacity {pool.capacity}, thresholds {pool.theta_low}/{pool.theta_high})")

@@ -5,6 +5,13 @@ splits with midpoint thresholds, out-of-bag R2 and permutation
 importance.  Every random stream is derived from (seed, index) so a
 refit with the same data and parameters is bit-identical, and trees
 can be trained in any order.
+
+Each tree is one `Tree`: five parallel node arrays in preorder
+(`feature`, `threshold`, `left`, `right`, `value`), the layout of
+scikit-learn's `children_left`/`children_right`.  Node 0 is the root;
+a leaf has `feature == -1` and points to itself on both sides.  Fit,
+out-of-bag R2, prediction, permutation importance and persistence all
+read these arrays.
 """
 
 from __future__ import annotations
@@ -34,36 +41,52 @@ class ForestParams:
         return min(k, p)
 
 
-@dataclass
-class TreeNode:
-    feature: int = -1        # -1 marks a leaf
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    value: float = 0.0
-    n_rows: int = 0
+@dataclass(frozen=True, eq=False)
+class Tree:
+    feature: np.ndarray     # split feature per node; -1 marks a leaf
+    threshold: np.ndarray   # go left when x[feature] <= threshold
+    left: np.ndarray        # child indices; a leaf points to itself
+    right: np.ndarray
+    value: np.ndarray       # mean target of the node's training rows
 
-    def is_leaf(self) -> bool:
-        return self.feature < 0
+    def apply(self, X) -> np.ndarray:
+        """Leaf index reached by each row of X."""
+        rows = np.arange(len(X))
+        node = np.zeros(len(X), dtype=int)
+        while True:
+            nxt = np.where(X[rows, self.feature[node]] <= self.threshold[node],
+                           self.left[node], self.right[node])
+            if np.array_equal(nxt, node):
+                return node
+            node = nxt
 
-    def depth(self) -> int:
-        if self.is_leaf():
-            return 0
-        return 1 + max(self.left.depth(), self.right.depth())
+    def predict(self, X) -> np.ndarray:
+        return self.value[self.apply(X)]
 
     def to_dict(self) -> dict:
-        if self.is_leaf():
-            return {"value": self.value, "n": self.n_rows}
-        return {"feature": self.feature, "threshold": self.threshold,
-                "left": self.left.to_dict(), "right": self.right.to_dict()}
+        return {k: a.tolist() for k, a in vars(self).items()}
 
     @staticmethod
-    def from_dict(d: dict) -> "TreeNode":
-        if "feature" not in d:
-            return TreeNode(value=float(d["value"]), n_rows=int(d["n"]))
-        return TreeNode(feature=int(d["feature"]), threshold=float(d["threshold"]),
-                        left=TreeNode.from_dict(d["left"]),
-                        right=TreeNode.from_dict(d["right"]))
+    def from_dict(d: dict, n_features: int) -> "Tree":
+        """Rebuild a tree from stored arrays, rejecting any that do not
+        form a preorder tree over `n_features` features."""
+        feature, left, right = (np.array(d[k]) for k in ("feature", "left", "right"))
+        threshold, value = (np.array(d[k], dtype=float) for k in ("threshold", "value"))
+        n = len(feature)
+        if n == 0 or any(a.shape != (n,) for a in (threshold, left, right, value)):
+            raise ValueError("tree arrays must be nonempty and of equal length")
+        if any(a.dtype.kind != "i" for a in (feature, left, right)):
+            raise ValueError("tree feature and child indices must be integers")
+        if feature.min() < -1 or feature.max() >= n_features:
+            raise ValueError(f"tree feature index outside [-1, {n_features})")
+        idx = np.arange(n)
+        leaf = feature == -1
+        if np.any(leaf & ((left != idx) | (right != idx))):
+            raise ValueError("tree leaf does not point to itself")
+        # children after their parent rule out cycles, so apply() ends
+        if np.any(~leaf & ((left <= idx) | (left >= n) | (right <= idx) | (right >= n))):
+            raise ValueError("tree child index out of range")
+        return Tree(feature, threshold, left, right, value)
 
 
 def _best_split(X, y, rows, candidates, min_leaf):
@@ -112,42 +135,28 @@ def _best_split(X, y, rows, candidates, min_leaf):
     return f, thr
 
 
-def _grow(X, y, rows, depth, params, k_features, rng):
-    node = TreeNode(value=float(y[rows].mean()), n_rows=len(rows))
+def _grow(X, y, rows, depth, params, k_features, rng, nodes):
+    """Append the subtree over `rows` to `nodes` in preorder; return its
+    root's index.  Each row is [feature, threshold, left, right, value]."""
+    i = len(nodes)
+    nodes.append([-1, 0.0, i, i, float(y[rows].mean())])
     if depth >= params.max_depth or len(rows) < 2 * params.min_leaf:
-        return node
+        return i
     p = X.shape[1]
     candidates = rng.choice(p, size=k_features, replace=False)
     split = _best_split(X, y, rows, candidates, params.min_leaf)
     if split is None:
-        return node
+        return i
     f, thr = split
     mask = X[rows, f] <= thr
     left_rows = rows[mask]
     right_rows = rows[~mask]
     if len(left_rows) < params.min_leaf or len(right_rows) < params.min_leaf:
-        return node
-    node.feature = int(f)
-    node.threshold = float(thr)
-    node.left = _grow(X, y, left_rows, depth + 1, params, k_features, rng)
-    node.right = _grow(X, y, right_rows, depth + 1, params, k_features, rng)
-    return node
-
-
-def _tree_predict(node: TreeNode, X: np.ndarray) -> np.ndarray:
-    out = np.empty(len(X))
-    stack = [(node, np.arange(len(X)))]
-    while stack:
-        nd, idx = stack.pop()
-        if len(idx) == 0:
-            continue
-        if nd.is_leaf():
-            out[idx] = nd.value
-            continue
-        mask = X[idx, nd.feature] <= nd.threshold
-        stack.append((nd.left, idx[mask]))
-        stack.append((nd.right, idx[~mask]))
-    return out
+        return i
+    nodes[i][:2] = int(f), float(thr)
+    nodes[i][2] = _grow(X, y, left_rows, depth + 1, params, k_features, rng, nodes)
+    nodes[i][3] = _grow(X, y, right_rows, depth + 1, params, k_features, rng, nodes)
+    return i
 
 
 @dataclass
@@ -165,22 +174,14 @@ class RandomForestModel:
                 f"expected {len(self.feature_names)} features, got {X.shape[1]}")
         preds = np.zeros(len(X))
         for t in self.trees:
-            preds += _tree_predict(t, X)
+            preds += t.predict(X)
         return preds / len(self.trees)
 
     def predict_one(self, x) -> float:
         return float(self.predict(np.asarray(x, dtype=float)[None, :])[0])
 
     def features_used(self) -> set:
-        used = set()
-        stack = list(self.trees)
-        while stack:
-            nd = stack.pop()
-            if not nd.is_leaf():
-                used.add(nd.feature)
-                stack.append(nd.left)
-                stack.append(nd.right)
-        return used
+        return {int(f) for t in self.trees for f in t.feature[t.feature >= 0]}
 
     def to_dict(self) -> dict:
         return {
@@ -196,9 +197,11 @@ class RandomForestModel:
 
     @staticmethod
     def from_dict(d: dict) -> "RandomForestModel":
+        if not d["trees"]:
+            raise ValueError("a forest needs at least one tree")
         p = d["params"]
         return RandomForestModel(
-            trees=[TreeNode.from_dict(t) for t in d["trees"]],
+            trees=[Tree.from_dict(t, len(d["feature_names"])) for t in d["trees"]],
             params=ForestParams(n_trees=int(p["n_trees"]), max_depth=int(p["max_depth"]),
                                 min_leaf=int(p["min_leaf"]),
                                 features_per_split=p["features_per_split"],
@@ -214,8 +217,9 @@ def _fit_tree(X, y, params: ForestParams, tree_index: int):
         [params.seed & 0xFFFFFFFFFFFFFFFF, tree_index]))
     boot = rng.integers(0, n, size=n)
     k = params.resolved_features_per_split(p)
-    tree = _grow(X, y, boot.copy(), 0, params, k, rng)
-    return tree, boot
+    nodes = []
+    _grow(X, y, boot.copy(), 0, params, k, rng, nodes)
+    return Tree(*map(np.array, zip(*nodes))), boot
 
 
 def compute_oob_r2(trees, bootstraps, X, y) -> float | None:
@@ -228,7 +232,7 @@ def compute_oob_r2(trees, bootstraps, X, y) -> float | None:
         if not oob.any():
             continue
         idx = np.flatnonzero(oob)
-        pred_sum[idx] += _tree_predict(tree, X[idx])
+        pred_sum[idx] += tree.predict(X[idx])
         pred_cnt[idx] += 1
     covered = pred_cnt > 0
     if not covered.any():
@@ -273,19 +277,18 @@ def permutation_importance(model: RandomForestModel, X, y, seed: int = 0,
     if len(X) == 0:
         raise ValueError("dataset must be nonempty")
     base_mse = float(((model.predict(X) - y) ** 2).mean())
-    p = X.shape[1]
-    importances = np.zeros(p)
-    used = model.features_used()
-    for j in range(p):
-        if j not in used:
-            continue  # permuting an unused feature cannot change predictions
-        deltas = []
+    n, p = X.shape
+    used = sorted(model.features_used())  # an unused feature cannot change predictions
+    Xp = np.tile(X, (len(used), n_repeats, 1, 1))  # one copy of X per (feature, repeat)
+    for u, j in enumerate(used):
         for r in range(n_repeats):
             rng = np.random.default_rng(np.random.SeedSequence(
                 [seed & 0xFFFFFFFFFFFFFFFF, j, r]))
-            Xp = X.copy()
-            Xp[:, j] = Xp[rng.permutation(len(X)), j]
-            mse = float(((model.predict(Xp) - y) ** 2).mean())
-            deltas.append(mse - base_mse)
+            Xp[u, r, :, j] = X[rng.permutation(n), j]
+    # one predict over all the permuted copies, then one MSE per copy
+    preds = model.predict(Xp.reshape(-1, p)).reshape(len(used), n_repeats, n)
+    importances = np.zeros(p)
+    for j, block in zip(used, preds):
+        deltas = [float(((pr - y) ** 2).mean()) - base_mse for pr in block]
         importances[j] = max(0.0, float(np.mean(deltas)))
     return importances

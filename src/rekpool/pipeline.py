@@ -62,12 +62,7 @@ class PositionKnowledge:
 
 
 class FitCache:
-    """Memoizes forest fits by content and permutation-importance runs by
-    tree identity plus data content.
-
-    Each importance entry holds its trees, so an id in its key cannot be
-    reused by another tree while the entry exists.
-    """
+    """Memoizes forest fits and permutation-importance runs by content."""
 
     def __init__(self, importance_repeats: int = 5):
         self._fits = {}
@@ -85,12 +80,12 @@ class FitCache:
         self._fits[(X.tobytes(), y.tobytes(), model.params)] = model
 
     def importance(self, model, X, y, seed=0):
-        trees = tuple(model.trees)
-        key = (tuple(map(id, trees)), X.tobytes(), y.tobytes(), seed)
+        trees = tuple(a.tobytes() for t in model.trees for a in vars(t).values())
+        key = (trees, X.tobytes(), y.tobytes(), seed)
         if key not in self._imps:
-            self._imps[key] = trees, rf.permutation_importance(
+            self._imps[key] = rf.permutation_importance(
                 model, X, y, seed=seed, n_repeats=self.importance_repeats)
-        return self._imps[key][1]
+        return self._imps[key]
 
 
 def learn_positions(scene: Scene, trajectory: Trajectory, rows,

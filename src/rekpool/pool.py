@@ -26,7 +26,7 @@ from .features import FEATURE_NAMES
 from .geometry import as_vec3, atomic_write_text
 from .spectrum import GroupWeights, KnowledgeSpectrum, derive
 
-POOL_FORMAT_VERSION = 2
+POOL_FORMAT_VERSION = 3
 
 FNV64_OFFSET = 0xCBF29CE484222325
 FNV64_PRIME = 0x100000001B3
@@ -332,7 +332,7 @@ def pool_from_dict(doc: dict) -> Pool:
                 updated_at=float(ed["updated_at"]),
                 utilization_count=int(ed["utilization_count"]))
             pool.entries[entry.entry_id] = entry
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise PoolFileError(f"malformed pool file: {type(exc).__name__}: {exc}") from exc
     return pool
 

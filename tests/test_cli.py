@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import signal
 
 import pytest
 
@@ -144,7 +145,7 @@ class TestGolden:
     DIGESTS = {
         "dataset.csv": "49d02848761a1c0a98b1b6f60d629d06062107919b608df454286f5fa28b31f7",
         "spectrum.csv": "8336fc9291975b642169db2dbbd2f2f57bdba60fee40976665c8b101ccf087bb",
-        "pool.json": "829bf621b435c46318a1e6674fc0369ba11d94689af8a371fa144b7782fb563c",
+        "pool.json": "b94cbf09149a5c15e24c144a0a09ea4867a2db63c78cff330a062411c25b430e",
         "summary.csv": "7de504d0b3727837665a81429820b0ac143df3ffd8ce8eb9f0c0325caa01b039",
     }
 
@@ -177,6 +178,49 @@ class TestMalformedInput:
         path = tmp_path / "pool.json"
         path.write_text(json.dumps(doc))
         self.assert_one_error_line(capsys, ["pool", "show", str(path)])
+
+    @pytest.mark.parametrize("command", ["pool", "predict"])
+    @pytest.mark.parametrize("case", ["child out of range", "back-edge",
+                                      "leaf not self-pointing", "unequal lengths",
+                                      "feature >= 16", "no trees", "version 2"])
+    def test_malformed_tree(self, workdir, tmp_path, capsys, command, case):
+        doc = json.loads((workdir / "pool.json").read_text())
+        tree = next(t for e in doc["entries"] for t in e["model"]["trees"]
+                    if sum(f >= 0 for f in t["feature"]) >= 2)
+        n = len(tree["feature"])
+        inner = [i for i in range(n) if tree["feature"][i] >= 0]
+        leaf = tree["feature"].index(-1)
+        if case == "child out of range":
+            tree["right"][0] = n
+        elif case == "back-edge":  # a cycle through the root
+            tree["left"][inner[1]] = 0
+        elif case == "leaf not self-pointing":
+            tree["left"][leaf] = 0
+        elif case == "unequal lengths":
+            tree["value"].append(0.0)
+        elif case == "feature >= 16":
+            tree["feature"][0] = 16
+        elif case == "no trees":
+            doc["entries"][0]["model"]["trees"] = []
+        else:
+            doc["version"] = 2
+        path = tmp_path / "pool.json"
+        path.write_text(json.dumps(doc))
+        argv = ["pool", "show", str(path)]
+        if command == "predict":
+            argv = ["--out-dir", str(tmp_path), "predict", "--scene",
+                    str(workdir / "scene.json"), "--dataset",
+                    str(workdir / "dataset.csv"), "--pool", str(path)]
+
+        def hung(signum, frame):
+            raise AssertionError("command did not return")
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)  # a tree walk that never ends fails instead of hanging
+        try:
+            self.assert_one_error_line(capsys, argv)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     @pytest.mark.parametrize("key", ["tx", "scatterers", "trajectory"])
     def test_scene(self, workdir, tmp_path, capsys, key):

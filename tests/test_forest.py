@@ -6,12 +6,49 @@ import pytest
 
 from rekpool import forest
 from rekpool.features import RealizationConfig
-from rekpool.forest import (ForestParams, RandomForestModel, TreeNode, fit,
+from rekpool.forest import (ForestParams, RandomForestModel, Tree, fit,
                             permutation_importance)
 from rekpool.geometry import canonical_street_scene
 from rekpool.pipeline import (FitCache, build_pool, design_matrices, loo_evaluate,
                               rows_by_position, simulate_trajectory)
 from rekpool.pool import Pool, load_pool, save_pool
+
+
+def tree_depth(t):
+    """Depth of a tree, from its child arrays (children follow parents)."""
+    depth = np.zeros(len(t.feature), dtype=int)
+    for i in np.flatnonzero(t.feature >= 0):
+        depth[t.left[i]] = depth[t.right[i]] = depth[i] + 1
+    return depth.max()
+
+
+def scalar_predict(model, X):
+    """Reference predict: one row and one node at a time, trees summed in
+    order."""
+    out = np.zeros(len(X))
+    for i, x in enumerate(X):
+        for t in model.trees:
+            node = 0
+            while t.feature[node] >= 0:
+                go_left = x[t.feature[node]] <= t.threshold[node]
+                node = t.left[node] if go_left else t.right[node]
+            out[i] += t.value[node]
+    return out / len(model.trees)
+
+
+def scalar_importance(model, X, y, seed, n_repeats=5):
+    """Reference permutation importance: one permuted matrix per predict."""
+    base_mse = float(((scalar_predict(model, X) - y) ** 2).mean())
+    importances = np.zeros(X.shape[1])
+    for j in sorted(model.features_used()):
+        deltas = []
+        for r in range(n_repeats):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, j, r]))
+            Xp = X.copy()
+            Xp[:, j] = Xp[rng.permutation(len(X)), j]
+            deltas.append(float(((scalar_predict(model, Xp) - y) ** 2).mean()) - base_mse)
+        importances[j] = max(0.0, float(np.mean(deltas)))
+    return importances
 
 
 def linear_benchmark(n=500, seed=0, noise=0.1):
@@ -55,19 +92,16 @@ class TestFit:
     def test_depth_bound(self):
         X, y = linear_benchmark(n=300)
         model = fit(X, y, ForestParams(n_trees=10, max_depth=3, seed=0))
-        assert all(t.depth() <= 3 for t in model.trees)
+        assert all(tree_depth(t) <= 3 for t in model.trees)
 
     def test_min_leaf_respected(self):
         X, y = linear_benchmark(n=200)
-        model = fit(X, y, ForestParams(n_trees=10, min_leaf=20, seed=0))
-        for t in model.trees:
-            stack = [t]
-            while stack:
-                nd = stack.pop()
-                if nd.is_leaf():
-                    assert nd.n_rows >= 20
-                else:
-                    stack.extend((nd.left, nd.right))
+        params = ForestParams(n_trees=10, min_leaf=20, seed=0)
+        model = fit(X, y, params)
+        for i, t in enumerate(model.trees):
+            _, boot = forest._fit_tree(X, y, params, i)
+            rows_per_node = np.bincount(t.apply(X[boot]), minlength=len(t.feature))
+            assert np.all(rows_per_node[t.feature < 0] >= 20)
 
     def test_prediction_within_target_range(self):
         X, y = linear_benchmark(n=200)
@@ -99,6 +133,27 @@ class TestFit:
             ForestParams(n_trees=0)
         with pytest.raises(ValueError):
             ForestParams(features_per_split=0)
+
+
+class TestScalarReference:
+    """The array walk and the batched importance equal, bit for bit, a
+    per-row, per-node walk with trees summed in order and one predict
+    per permuted matrix."""
+
+    def test_predict_and_importance_match(self):
+        X, y = linear_benchmark(n=150, noise=0.5)
+        X[:, 3] = np.round(X[:, 3], 1)  # ties
+        model = fit(X, y, ForestParams(n_trees=12, min_leaf=3, seed=5))
+        grid = np.random.default_rng(2).uniform(-1.2, 1.2, size=(60, 4))
+        # rows that sit exactly on split thresholds pin the <= comparison
+        on_split = [(t.feature[i], t.threshold[i]) for t in model.trees
+                    for i in np.flatnonzero(t.feature >= 0)[:3]]
+        for row, (f, thr) in zip(grid, on_split):
+            row[f] = thr
+        for Z in (X, grid):
+            assert np.array_equal(model.predict(Z), scalar_predict(model, Z))
+        assert np.array_equal(permutation_importance(model, X, y, seed=4),
+                              scalar_importance(model, X, y, seed=4))
 
 
 class TestPermutationImportance:
@@ -141,14 +196,8 @@ class TestFitCache:
         a = fit(X, y, ForestParams(n_trees=5, seed=4))
         b = copy.deepcopy(a)
         for tree in b.trees:
-            assert not tree.is_leaf()
-            stack = [tree.left, tree.right]
-            while stack:
-                nd = stack.pop()
-                if nd.is_leaf():
-                    nd.value = 0.0
-                else:
-                    stack += [nd.left, nd.right]
+            assert tree.feature[0] >= 0
+            tree.value[tree.feature < 0] = 0.0
         cache = FitCache()
         imp_a = cache.importance(a, X, y, seed=1)
         imp_b = cache.importance(b, X, y, seed=1)
@@ -195,9 +244,39 @@ class TestSerialization:
         assert back.oob_r2 == model.oob_r2
         assert back.params == model.params
 
-    def test_tree_node_round_trip(self):
-        leaf = TreeNode(value=1.5, n_rows=7)
-        node = TreeNode(feature=2, threshold=0.25, left=leaf,
-                        right=TreeNode(value=-3.0, n_rows=9))
-        back = TreeNode.from_dict(node.to_dict())
-        assert back.to_dict() == node.to_dict()
+    def test_tree_round_trip(self):
+        tree = Tree(feature=np.array([2, -1, -1]), threshold=np.array([0.25, 0.0, 0.0]),
+                    left=np.array([1, 1, 2]), right=np.array([2, 1, 2]),
+                    value=np.array([0.0, 1.5, -3.0]))
+        d = json.loads(json.dumps(tree.to_dict()))
+        back = Tree.from_dict(d, n_features=3)
+        assert back.to_dict() == tree.to_dict()
+        X = np.array([[0.0, 0.0, 0.25], [0.0, 0.0, 0.3]])
+        assert np.array_equal(back.predict(X), [1.5, -3.0])
+
+    @pytest.mark.parametrize("field, index, value", [
+        ("left", 0, 5),        # child out of range
+        ("right", 1, 0),       # back-edge: a cycle through the root
+        ("left", 0, 0),        # inner node pointing to itself
+        ("right", 2, 3),       # leaf does not point to itself
+        ("feature", 1, 3),     # feature >= n_features
+        ("feature", 4, -2),    # feature < -1
+        ("feature", 0, 1.5),   # not an index
+    ])
+    def test_malformed_tree_rejected(self, field, index, value):
+        # root splits on x2, its left child on x0; nodes 2, 3 and 4 are leaves
+        d = {"feature": [2, 0, -1, -1, -1], "threshold": [0.25, 0.5, 0.0, 0.0, 0.0],
+             "left": [1, 2, 2, 3, 4], "right": [4, 3, 2, 3, 4],
+             "value": [0.0, 1.0, 1.5, 0.5, -3.0]}
+        Tree.from_dict(d, n_features=3)
+        d[field][index] = value
+        with pytest.raises(ValueError):
+            Tree.from_dict(d, n_features=3)
+
+    def test_unequal_or_empty_arrays_rejected(self):
+        d = {"feature": [-1], "threshold": [0.0], "left": [0], "right": [0],
+             "value": [1.0, 2.0]}
+        with pytest.raises(ValueError):
+            Tree.from_dict(d, n_features=3)
+        with pytest.raises(ValueError):
+            Tree.from_dict({k: [] for k in d}, n_features=3)

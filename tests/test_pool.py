@@ -317,10 +317,17 @@ class TestPersistence:
         assert '"bootstrap_indices"' not in text
 
     def test_v1_and_keyless_files_rejected(self):
-        with pytest.raises(PoolVersionError):
-            pool_from_dict({"version": 1})
+        for version in (1, 2):
+            with pytest.raises(PoolVersionError):
+                pool_from_dict({"version": version})
         with pytest.raises(PoolFileError):
             pool_from_dict({"version": POOL_FORMAT_VERSION})
+
+    def test_malformed_tree_is_pool_file_error(self):
+        doc = json.loads(json.dumps(pool_to_dict(self.build())))
+        doc["entries"][0]["model"]["trees"][0]["right"][0] = 0
+        with pytest.raises(PoolFileError):
+            pool_from_dict(doc)
 
     def test_truncated_file_rejected(self, tmp_path):
         pool = self.build()
