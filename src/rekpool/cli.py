@@ -8,13 +8,13 @@ requires an explicit --seed so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from . import forest as rf
 from .features import RealizationConfig, load_dataset, save_dataset
-from .geometry import canonical_street_scene, load_scene, save_scene, atomic_write_text
+from .geometry import (atomic_write_text, canonical_street_scene, load_json, load_scene,
+                       save_scene)
 from .pipeline import (FitCache, build_pool, cdf_csv, learn_positions,
                        loo_evaluate, simulate_trajectory,
                        spectrum_csv, summary_csv)
@@ -28,19 +28,35 @@ def _fail(msg: str) -> int:
     return 1
 
 
+def _config_type_ok(value, kind) -> bool:
+    """Whether a JSON config value can stand for an option of type
+    `kind` (int, float, or None for a string)."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind or str)
+
+
 def _apply_config(args, parser):
     """Fill unset options from the optional JSON config file."""
     if not getattr(args, "config", None):
         return args
     try:
-        with open(args.config) as f:
-            cfg = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
+        cfg = load_json(args.config)
+    except (OSError, ValueError) as exc:
         parser.error(f"cannot read config file: {exc}")
+    if not isinstance(cfg, dict):
+        parser.error("config file must hold a JSON object")
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    kinds = {a.dest: a.type for a in parser._actions + commands[args.command]._actions}
     for key, value in cfg.items():
         attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) is None:
-            setattr(args, attr, value)
+        if value is None or not hasattr(args, attr) or getattr(args, attr) is not None:
+            continue
+        kind = kinds.get(attr)
+        if not _config_type_ok(value, kind):
+            parser.error(f"config value {key!r} has the wrong type: {value!r}")
+        setattr(args, attr, float(value) if kind is float else value)
     return args
 
 
@@ -109,7 +125,7 @@ def cmd_learn(args, parser) -> int:
     cache = FitCache()
     knowledge = learn_positions(scene, traj, rows, params, cache=cache)
     for k in knowledge:
-        if k.degenerate:
+        if k.weights.degenerate:
             print(f"warning: position {k.position_id} has degenerate weights; "
                   "no spectrum emitted", file=sys.stderr)
     pool = Pool(
@@ -172,6 +188,8 @@ def cmd_pool(args, parser) -> int:
                 print(f"  {a}: {row}")
     elif args.action == "evict":
         if args.capacity is not None:
+            if args.capacity < 1:
+                return _fail("capacity must be >= 1")
             pool.capacity = args.capacity
         removed = pool.sort_and_evict()
         save_pool(args.pool_file, pool)

@@ -6,18 +6,21 @@ importance.  Every random stream is derived from (seed, index) so a
 refit with the same data and parameters is bit-identical, and trees
 can be trained in any order.
 
-Each tree is one `Tree`: five parallel node arrays in preorder
-(`feature`, `threshold`, `left`, `right`, `value`), the layout of
-scikit-learn's `children_left`/`children_right`.  Node 0 is the root;
-a leaf has `feature == -1` and points to itself on both sides.  Fit,
-out-of-bag R2, prediction, permutation importance and persistence all
-read these arrays.
+Each tree is one `Tree`: three parallel node arrays in preorder,
+`feature`, `threshold` and `value`.  Node 0 is the root and a leaf has
+`feature == -1`.  The child arrays `left` and `right` (the layout of
+scikit-learn's `children_left`/`children_right`; a leaf points to
+itself) are derived from `feature` alone, because in preorder an inner
+node's left child is the next node and its right child follows its left
+subtree.  Fit, out-of-bag R2, prediction, permutation importance and
+persistence all read these arrays; a pool file stores only `feature`,
+the inner nodes' thresholds and the leaves' values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,10 +47,25 @@ class ForestParams:
 @dataclass(frozen=True, eq=False)
 class Tree:
     feature: np.ndarray     # split feature per node; -1 marks a leaf
-    threshold: np.ndarray   # go left when x[feature] <= threshold
-    left: np.ndarray        # child indices; a leaf points to itself
-    right: np.ndarray
-    value: np.ndarray       # mean target of the node's training rows
+    threshold: np.ndarray   # go left when x[feature] <= threshold; 0 at leaves
+    value: np.ndarray       # mean target of a leaf's training rows; 0 at inner nodes
+    left: np.ndarray = field(init=False, repr=False)   # derived child indices;
+    right: np.ndarray = field(init=False, repr=False)  # a leaf points to itself
+
+    def __post_init__(self):
+        # node i > 0 is the left child of node i - 1 if that is inner, else
+        # the right child of the latest inner node still waiting for one
+        n = len(self.feature)
+        left, right = list(range(n)), list(range(n))
+        waiting = []
+        for i, f in enumerate(self.feature[:-1].tolist(), start=1):
+            if f >= 0:
+                left[i - 1] = i
+                waiting.append(i - 1)
+            else:
+                right[waiting.pop()] = i
+        object.__setattr__(self, "left", np.array(left))
+        object.__setattr__(self, "right", np.array(right))
 
     def apply(self, X) -> np.ndarray:
         """Leaf index reached by each row of X."""
@@ -64,29 +82,36 @@ class Tree:
         return self.value[self.apply(X)]
 
     def to_dict(self) -> dict:
-        return {k: a.tolist() for k, a in vars(self).items()}
+        inner = self.feature >= 0
+        return {"feature": self.feature.tolist(),
+                "threshold": self.threshold[inner].tolist(),
+                "value": self.value[~inner].tolist()}
 
     @staticmethod
     def from_dict(d: dict, n_features: int) -> "Tree":
-        """Rebuild a tree from stored arrays, rejecting any that do not
-        form a preorder tree over `n_features` features."""
-        feature, left, right = (np.array(d[k]) for k in ("feature", "left", "right"))
-        threshold, value = (np.array(d[k], dtype=float) for k in ("threshold", "value"))
-        n = len(feature)
-        if n == 0 or any(a.shape != (n,) for a in (threshold, left, right, value)):
-            raise ValueError("tree arrays must be nonempty and of equal length")
-        if any(a.dtype.kind != "i" for a in (feature, left, right)):
-            raise ValueError("tree feature and child indices must be integers")
+        """Rebuild a tree from its stored preorder `feature` sequence, the
+        inner nodes' thresholds and the leaves' values, rejecting any that
+        do not form one binary tree over `n_features` features."""
+        feature = np.array(d["feature"])
+        if feature.ndim != 1 or len(feature) == 0 or feature.dtype.kind != "i":
+            raise ValueError("tree feature must be a nonempty list of integers")
         if feature.min() < -1 or feature.max() >= n_features:
             raise ValueError(f"tree feature index outside [-1, {n_features})")
-        idx = np.arange(n)
-        leaf = feature == -1
-        if np.any(leaf & ((left != idx) | (right != idx))):
-            raise ValueError("tree leaf does not point to itself")
-        # children after their parent rule out cycles, so apply() ends
-        if np.any(~leaf & ((left <= idx) | (left >= n) | (right <= idx) | (right >= n))):
-            raise ValueError("tree child index out of range")
-        return Tree(feature, threshold, left, right, value)
+        inner = feature >= 0
+        # open child slots after each node: the root fills the one slot, an
+        # inner node opens two and a leaf none; the tree ends when none is open
+        slots = 1 + np.cumsum(np.where(inner, 1, -1))
+        if np.any(slots[:-1] <= 0) or slots[-1] != 0:
+            raise ValueError("tree feature sequence is not one preorder binary tree")
+        threshold, value = (np.array(d[k], dtype=float) for k in ("threshold", "value"))
+        if threshold.shape != (inner.sum(),) or value.shape != ((~inner).sum(),):
+            raise ValueError("tree needs one threshold per inner node and one value per leaf")
+        if not (np.all(np.isfinite(threshold)) and np.all(np.isfinite(value))):
+            raise ValueError("tree thresholds and values must be finite")
+        full_threshold, full_value = np.zeros(len(feature)), np.zeros(len(feature))
+        full_threshold[inner] = threshold
+        full_value[~inner] = value
+        return Tree(feature, full_threshold, full_value)
 
 
 def _best_split(X, y, rows, candidates, min_leaf):
@@ -136,27 +161,27 @@ def _best_split(X, y, rows, candidates, min_leaf):
 
 
 def _grow(X, y, rows, depth, params, k_features, rng, nodes):
-    """Append the subtree over `rows` to `nodes` in preorder; return its
-    root's index.  Each row is [feature, threshold, left, right, value]."""
+    """Append the subtree over `rows` to `nodes` in preorder.  Each row is
+    [feature, threshold, value]; a leaf keeps threshold 0 and an inner
+    node value 0."""
     i = len(nodes)
-    nodes.append([-1, 0.0, i, i, float(y[rows].mean())])
+    nodes.append([-1, 0.0, float(y[rows].mean())])
     if depth >= params.max_depth or len(rows) < 2 * params.min_leaf:
-        return i
+        return
     p = X.shape[1]
     candidates = rng.choice(p, size=k_features, replace=False)
     split = _best_split(X, y, rows, candidates, params.min_leaf)
     if split is None:
-        return i
+        return
     f, thr = split
     mask = X[rows, f] <= thr
     left_rows = rows[mask]
     right_rows = rows[~mask]
     if len(left_rows) < params.min_leaf or len(right_rows) < params.min_leaf:
-        return i
-    nodes[i][:2] = int(f), float(thr)
-    nodes[i][2] = _grow(X, y, left_rows, depth + 1, params, k_features, rng, nodes)
-    nodes[i][3] = _grow(X, y, right_rows, depth + 1, params, k_features, rng, nodes)
-    return i
+        return
+    nodes[i] = [int(f), float(thr), 0.0]
+    _grow(X, y, left_rows, depth + 1, params, k_features, rng, nodes)
+    _grow(X, y, right_rows, depth + 1, params, k_features, rng, nodes)
 
 
 @dataclass

@@ -9,6 +9,7 @@ keeps the propagation oracle exact and testable.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -48,8 +49,8 @@ class Scatterer:
         object.__setattr__(self, "dims", as_vec3(self.dims))
         if np.any(self.dims <= 0):
             raise ValueError(f"scatterer {self.id}: dims must be strictly positive")
-        if self.reflection_loss_db < 0:
-            raise ValueError(f"scatterer {self.id}: reflection_loss_db must be >= 0")
+        if not (np.isfinite(self.reflection_loss_db) and self.reflection_loss_db >= 0):
+            raise ValueError(f"scatterer {self.id}: reflection_loss_db must be finite and >= 0")
 
     @property
     def lo(self) -> np.ndarray:
@@ -345,7 +346,23 @@ def save_scene(path, scene: Scene, trajectory: Trajectory):
     atomic_write_text(path, canonical_scene_json(scene, trajectory) + "\n")
 
 
-def load_scene(path):
+def _finite_float(text: str) -> float:
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(f"number out of range in JSON input: {text}")
+    return v
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number in JSON input: {name}")
+
+
+def load_json(path):
+    """Parse a JSON file, rejecting the NaN and Infinity literals that
+    Python's json accepts and numbers that overflow to infinity."""
     with open(path) as f:
-        doc = json.load(f)
-    return scene_from_dict(doc)
+        return json.load(f, parse_float=_finite_float, parse_constant=_reject_constant)
+
+
+def load_scene(path):
+    return scene_from_dict(load_json(path))

@@ -58,7 +58,6 @@ class PositionKnowledge:
     weights: object
     spectrum: object | None
     model: rf.RandomForestModel
-    degenerate: bool
 
 
 class FitCache:
@@ -80,7 +79,8 @@ class FitCache:
         self._fits[(X.tobytes(), y.tobytes(), model.params)] = model
 
     def importance(self, model, X, y, seed=0):
-        trees = tuple(a.tobytes() for t in model.trees for a in vars(t).values())
+        trees = tuple(a.tobytes() for t in model.trees
+                      for a in (t.feature, t.threshold, t.value))
         key = (trees, X.tobytes(), y.tobytes(), seed)
         if key not in self._imps:
             self._imps[key] = rf.permutation_importance(
@@ -101,8 +101,7 @@ def learn_positions(scene: Scene, trajectory: Trajectory, rows,
         w, sp = derive(cache.importance(model, X, y, seed=params.seed),
                        position_id=pid, los=los)
         out.append(PositionKnowledge(position_id=pid, los=los, weights=w,
-                                     spectrum=sp, model=model,
-                                     degenerate=w.degenerate))
+                                     spectrum=sp, model=model))
     return out
 
 
@@ -130,7 +129,7 @@ def spectrum_csv(knowledge) -> str:
     w.writerow(SPECTRUM_HEADER)
     for k in knowledge:
         gw = k.weights
-        if k.degenerate:
+        if gw.degenerate:
             vals = [""] * len(SUBSETS)
         else:
             vals = [repr(v) for v in k.spectrum.values]

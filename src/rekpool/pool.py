@@ -23,10 +23,11 @@ import numpy as np
 
 from . import forest as rf
 from .features import FEATURE_NAMES
-from .geometry import as_vec3, atomic_write_text
-from .spectrum import GroupWeights, KnowledgeSpectrum, derive
+from .geometry import as_vec3, atomic_write_text, load_json
+from .spectrum import (GroupWeights, KnowledgeSpectrum, group_weights,
+                       spectrum as knowledge_spectrum)
 
-POOL_FORMAT_VERSION = 3
+POOL_FORMAT_VERSION = 4
 
 FNV64_OFFSET = 0xCBF29CE484222325
 FNV64_PRIME = 0x100000001B3
@@ -95,23 +96,32 @@ class KnowledgeEntry:
     """One unit of stored knowledge.
 
     `model` holds the trees fit on this entry's own realizations and is
-    what predictions evaluate.  An entry created by transfer derived its
-    weights and spectrum over its own trees plus the source entry's
-    trees; the source trees are used only for that derivation and are
-    never stored, so transfer never biases the predictive path toward
-    the source's position.
+    what predictions evaluate.  `weights` are derived from the
+    permutation importances of the trees; an entry created by transfer
+    derived them over its own trees plus the source entry's trees.  The
+    source trees are used only for that derivation and are never
+    stored, so transfer never biases the predictive path toward the
+    source's position.  The knowledge spectrum is not stored: it is a
+    function of the weights and the context.
     """
 
     entry_id: int
     context: Context
     weights: GroupWeights
-    spectrum: KnowledgeSpectrum | None  # None when weights are degenerate
     model: rf.RandomForestModel
     train_X: np.ndarray
     train_y: np.ndarray
     created_at: float
     updated_at: float
     utilization_count: int = 0
+
+    @property
+    def spectrum(self) -> KnowledgeSpectrum | None:
+        """The weights' spectrum, tagged with this entry's position; None
+        when the weights are degenerate."""
+        if self.weights.degenerate:
+            return None
+        return knowledge_spectrum(self.weights, self.context.position_id, self.context.los)
 
 
 @dataclass
@@ -164,11 +174,10 @@ class Pool:
         fn = self.fit_fn if self.fit_fn is not None else rf.fit
         return fn(X, y, self.forest_params, feature_names=FEATURE_NAMES)
 
-    def _derive(self, model, X, y, ctx):
-        """(weights, spectrum) from `model`'s importances on (X, y)."""
+    def _derive(self, model, X, y):
+        """Group weights from `model`'s importances on (X, y)."""
         fn = self.importance_fn if self.importance_fn is not None else rf.permutation_importance
-        return derive(fn(model, X, y, seed=self.forest_params.seed),
-                      position_id=ctx.position_id, los=ctx.los)
+        return group_weights(fn(model, X, y, seed=self.forest_params.seed))
 
     def ingest(self, ctx: Context, X, y, now: float = 0.0, force_refresh: bool = False):
         """Dual interaction flow; returns (Outcome, entry_id)."""
@@ -186,25 +195,24 @@ class Pool:
             X2 = np.vstack([entry.train_X, X])
             y2 = np.concatenate([entry.train_y, y])
             entry.model = self._fit(X2, y2)
-            entry.weights, entry.spectrum = self._derive(entry.model, X2, y2, ctx)
+            entry.weights = self._derive(entry.model, X2, y2)
             entry.train_X = X2
             entry.train_y = y2
             entry.updated_at = now
             return Outcome.REFINED, entry.entry_id
         model = self._fit(X, y)
         if best is not None and best[1] >= self.theta_low:
-            # Warm start (knowledge completion): derive weights and
-            # spectrum over the fresh trees plus the source's own trees.
+            # Warm start (knowledge completion): derive weights over the
+            # fresh trees plus the source's own trees.
             # Only the fresh trees are kept, so only they vote.
             source = self.entries[best[0]].model
             outcome, basis = Outcome.TRANSFERRED, replace(
                 model, trees=model.trees + source.trees)
         else:
             outcome, basis = Outcome.GENERATED_NEW, model
-        weights, spec = self._derive(basis, X, y, ctx)
-        entry = KnowledgeEntry(entry_id=self.next_entry_id, context=ctx, weights=weights,
-                               spectrum=spec, model=model, train_X=X, train_y=y,
-                               created_at=now, updated_at=now)
+        entry = KnowledgeEntry(entry_id=self.next_entry_id, context=ctx,
+                               weights=self._derive(basis, X, y), model=model,
+                               train_X=X, train_y=y, created_at=now, updated_at=now)
         self.next_entry_id += 1
         self.entries[entry.entry_id] = entry
         if len(self.entries) > self.capacity:
@@ -257,8 +265,7 @@ def _context_from_dict(d: dict) -> Context:
 
 
 def _weights_to_dict(w: GroupWeights) -> dict:
-    return {"w_L": w.w_L, "w_V": w.w_V, "w_B": w.w_B, "w_D": w.w_D,
-            "degenerate": w.degenerate}
+    return {"w_L": w.w_L, "w_V": w.w_V, "w_B": w.w_B, "w_D": w.w_D}
 
 
 def pool_to_dict(pool: Pool) -> dict:
@@ -269,11 +276,6 @@ def pool_to_dict(pool: Pool) -> dict:
             "entry_id": e.entry_id,
             "context": _context_to_dict(e.context),
             "weights": _weights_to_dict(e.weights),
-            "spectrum": None if e.spectrum is None else {
-                "values": list(e.spectrum.values),
-                "position_id": e.spectrum.position_id,
-                "los": e.spectrum.los,
-            },
             "model": e.model.to_dict(),
             "train_X": [[float(v) for v in row] for row in e.train_X],
             "train_y": [float(v) for v in e.train_y],
@@ -315,16 +317,11 @@ def pool_from_dict(doc: dict) -> Pool:
                     next_entry_id=int(doc["next_entry_id"]))
         for ed in doc["entries"]:
             w = ed["weights"]
-            sp = ed["spectrum"]
             entry = KnowledgeEntry(
                 entry_id=int(ed["entry_id"]),
                 context=_context_from_dict(ed["context"]),
                 weights=GroupWeights(w_L=float(w["w_L"]), w_V=float(w["w_V"]),
-                                     w_B=float(w["w_B"]), w_D=float(w["w_D"]),
-                                     degenerate=bool(w["degenerate"])),
-                spectrum=None if sp is None else KnowledgeSpectrum(
-                    values=tuple(sp["values"]), position_id=int(sp["position_id"]),
-                    los=bool(sp["los"])),
+                                     w_B=float(w["w_B"]), w_D=float(w["w_D"])),
                 model=rf.RandomForestModel.from_dict(ed["model"]),
                 train_X=np.array(ed["train_X"], dtype=float),
                 train_y=np.array(ed["train_y"], dtype=float),
@@ -343,8 +340,7 @@ def save_pool(path, pool: Pool):
 
 def load_pool(path) -> Pool:
     try:
-        with open(path) as f:
-            doc = json.load(f)
-    except json.JSONDecodeError as exc:
+        doc = load_json(path)
+    except ValueError as exc:
         raise PoolFileError(f"malformed pool file: {exc}") from exc
     return pool_from_dict(doc)

@@ -37,7 +37,11 @@ class GroupWeights:
     w_V: float
     w_B: float
     w_D: float
-    degenerate: bool = False
+
+    @property
+    def degenerate(self) -> bool:
+        """No group carried any importance: all four weights are 0."""
+        return self.w_L == self.w_V == self.w_B == self.w_D == 0.0
 
     def as_dict(self) -> dict:
         return {"L": self.w_L, "V": self.w_V, "B": self.w_B, "D": self.w_D}
@@ -71,7 +75,7 @@ def group_weights(importances, partition=GROUP_MEMBER_INDEX) -> GroupWeights:
     raw = {g: float(importances[list(idx)].sum()) for g, idx in partition.items()}
     total = sum(raw.values())
     if total <= 0.0:
-        return GroupWeights(0.0, 0.0, 0.0, 0.0, degenerate=True)
+        return GroupWeights(0.0, 0.0, 0.0, 0.0)
     return GroupWeights(w_L=raw["L"] / total, w_V=raw["V"] / total,
                         w_B=raw["B"] / total, w_D=raw["D"] / total)
 

@@ -162,7 +162,7 @@ def test_criterion_4_qualitative_reproduction(canonical_run, capfd):
     with criterion(4, "street-scene qualitative reproduction", capfd):
         knowledge = canonical_run["knowledge"]
         by_pos = {k.position_id: k for k in knowledge}
-        assert not any(k.degenerate for k in knowledge)
+        assert not any(k.weights.degenerate for k in knowledge)
 
         # (a) blockage dominates at NLOS positions 1-4 vs LOS 6-15
         w_b_nlos = np.mean([by_pos[p].weights.w_B for p in range(1, 5)])

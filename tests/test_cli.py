@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import signal
 
@@ -130,6 +131,15 @@ class TestPoolCommand:
         assert "AnsweredExisting" in out
         assert "GeneratedNew" not in out
 
+    def test_evict_below_one_rejected(self, workdir, tmp_path, capsys):
+        target = tmp_path / "pool.json"
+        target.write_bytes((workdir / "pool.json").read_bytes())
+        for capacity in ("0", "-1"):
+            assert run("pool", "evict", str(target), "--capacity", capacity) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ")
+            assert target.read_bytes() == (workdir / "pool.json").read_bytes()
+
     def test_corrupt_pool_exit_1(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -145,7 +155,7 @@ class TestGolden:
     DIGESTS = {
         "dataset.csv": "49d02848761a1c0a98b1b6f60d629d06062107919b608df454286f5fa28b31f7",
         "spectrum.csv": "8336fc9291975b642169db2dbbd2f2f57bdba60fee40976665c8b101ccf087bb",
-        "pool.json": "b94cbf09149a5c15e24c144a0a09ea4867a2db63c78cff330a062411c25b430e",
+        "pool.json": "28b4cfd735c96a10b9e683af5a1ec611d9ee6b34253312fca98b5f64c011e16f",
         "summary.csv": "7de504d0b3727837665a81429820b0ac143df3ffd8ce8eb9f0c0325caa01b039",
     }
 
@@ -180,30 +190,28 @@ class TestMalformedInput:
         self.assert_one_error_line(capsys, ["pool", "show", str(path)])
 
     @pytest.mark.parametrize("command", ["pool", "predict"])
-    @pytest.mark.parametrize("case", ["child out of range", "back-edge",
-                                      "leaf not self-pointing", "unequal lengths",
-                                      "feature >= 16", "no trees", "version 2"])
+    @pytest.mark.parametrize("case", ["child out of range", "trailing nodes",
+                                      "unequal lengths", "feature >= 16", "no trees",
+                                      "version 2", "version 3"])
     def test_malformed_tree(self, workdir, tmp_path, capsys, command, case):
         doc = json.loads((workdir / "pool.json").read_text())
         tree = next(t for e in doc["entries"] for t in e["model"]["trees"]
                     if sum(f >= 0 for f in t["feature"]) >= 2)
-        n = len(tree["feature"])
-        inner = [i for i in range(n) if tree["feature"][i] >= 0]
-        leaf = tree["feature"].index(-1)
-        if case == "child out of range":
-            tree["right"][0] = n
-        elif case == "back-edge":  # a cycle through the root
-            tree["left"][inner[1]] = 0
-        elif case == "leaf not self-pointing":
-            tree["left"][leaf] = 0
-        elif case == "unequal lengths":
+        if case == "child out of range":  # the last right child lies past the end
+            tree["feature"].pop()
+            tree["value"].pop()
+        elif case == "trailing nodes":  # a leaf root followed by a whole tree's worth
+            tree["feature"][:0] = [-1, 0]
+            tree["threshold"].insert(0, 0.5)
+            tree["value"].insert(0, 0.0)
+        elif case == "unequal lengths":  # one value more than there are leaves
             tree["value"].append(0.0)
         elif case == "feature >= 16":
             tree["feature"][0] = 16
         elif case == "no trees":
             doc["entries"][0]["model"]["trees"] = []
         else:
-            doc["version"] = 2
+            doc["version"] = int(case[-1])
         path = tmp_path / "pool.json"
         path.write_text(json.dumps(doc))
         argv = ["pool", "show", str(path)]
@@ -221,6 +229,32 @@ class TestMalformedInput:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+
+    def test_non_finite_pool_value(self, workdir, tmp_path, capsys):
+        doc = json.loads((workdir / "pool.json").read_text())
+        doc["entries"][0]["weights"]["w_L"] = math.nan  # nothing else checks weights
+        path = tmp_path / "pool.json"
+        path.write_text(json.dumps(doc))  # json writes the NaN literal
+        self.assert_one_error_line(capsys, [
+            "--out-dir", str(tmp_path), "predict", "--scene", str(workdir / "scene.json"),
+            "--dataset", str(workdir / "dataset.csv"), "--pool", str(path)])
+        assert not (tmp_path / "summary.csv").exists()
+
+    def test_non_finite_scene_value(self, workdir, tmp_path, capsys):
+        doc = json.loads((workdir / "scene.json").read_text())
+        doc["scatterers"][0]["reflection_loss_db"] = math.nan
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(doc))  # json writes the NaN literal
+        self.assert_one_error_line(capsys, [
+            "--seed", "1", "--out-dir", str(tmp_path), "simulate", "--scene", str(path)])
+        assert not (tmp_path / "dataset.csv").exists()
+
+    def test_non_finite_config_value(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"seed": 5, "reflection_loss_db": NaN}')
+        assert_usage_error(capsys, ["--config", str(cfg), "--out-dir", str(tmp_path),
+                                    "--quiet", "scene-gen"])
+        assert not (tmp_path / "scene.json").exists()
 
     @pytest.mark.parametrize("key", ["tx", "scatterers", "trajectory"])
     def test_scene(self, workdir, tmp_path, capsys, key):
@@ -258,7 +292,41 @@ class TestMalformedInput:
         assert not (tmp_path / "summary.csv").exists()
 
 
+def assert_usage_error(capsys, argv):
+    """Exit code 2 with one `error:` line after the usage text."""
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert sum("error:" in line for line in err.splitlines()) == 1
+
+
 class TestUsage:
+    @pytest.mark.parametrize("config", ["[1, 2]", '"seed"', '{"n_trees": "5"}',
+                                        '{"n_trees": 1.5}', '{"theta_high": true}',
+                                        '{"theta_high": "0.9"}'])
+    def test_bad_config_is_usage_error(self, workdir, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        assert_usage_error(capsys, [
+            "--config", str(cfg), "--seed", "1", "--out-dir", str(tmp_path), "--quiet",
+            "learn", "--scene", str(workdir / "scene.json"),
+            "--dataset", str(workdir / "dataset.csv")])
+        assert not (tmp_path / "pool.json").exists()
+
+    def test_config_numbers_take_the_option_type(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"seed": 5, "spacing": 5, "frequency-hz": 28000000000, '
+                       '"reflection_loss_db": null}')
+        out = tmp_path / "out"
+        assert run("--config", str(cfg), "--out-dir", str(out), "--quiet",
+                   "scene-gen") == 0
+        ref = tmp_path / "ref"
+        assert run("--seed", "5", "--out-dir", str(ref), "--quiet",
+                   "scene-gen") == 0
+        assert (out / "scene.json").read_bytes() == (ref / "scene.json").read_bytes()
+
     def test_no_subcommand_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             run()

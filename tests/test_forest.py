@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -20,6 +21,26 @@ def tree_depth(t):
     for i in np.flatnonzero(t.feature >= 0):
         depth[t.left[i]] = depth[t.right[i]] = depth[i] + 1
     return depth.max()
+
+
+#: Root splits on x2, its left child on x0; nodes 2, 3 and 4 are leaves.
+VALID_TREE = {"feature": [2, 0, -1, -1, -1], "threshold": [0.25, 0.5],
+              "value": [1.5, 0.5, -3.0]}
+
+
+def reference_children(feature):
+    """Child lists of a preorder feature sequence, by recursive descent."""
+    n = len(feature)
+    left, right = list(range(n)), list(range(n))
+
+    def subtree(i):  # index one past the subtree rooted at i
+        if feature[i] < 0:
+            return i + 1
+        left[i] = i + 1
+        right[i] = subtree(i + 1)
+        return subtree(right[i])
+    assert subtree(0) == n
+    return left, right
 
 
 def scalar_predict(model, X):
@@ -246,37 +267,70 @@ class TestSerialization:
 
     def test_tree_round_trip(self):
         tree = Tree(feature=np.array([2, -1, -1]), threshold=np.array([0.25, 0.0, 0.0]),
-                    left=np.array([1, 1, 2]), right=np.array([2, 1, 2]),
                     value=np.array([0.0, 1.5, -3.0]))
         d = json.loads(json.dumps(tree.to_dict()))
+        assert d == {"feature": [2, -1, -1], "threshold": [0.25], "value": [1.5, -3.0]}
         back = Tree.from_dict(d, n_features=3)
         assert back.to_dict() == tree.to_dict()
+        for a in ("feature", "threshold", "value", "left", "right"):
+            assert np.array_equal(getattr(back, a), getattr(tree, a))
         X = np.array([[0.0, 0.0, 0.25], [0.0, 0.0, 0.3]])
         assert np.array_equal(back.predict(X), [1.5, -3.0])
 
+    def test_children_derived_from_preorder(self):
+        # root splits on x2, its left child on x0; nodes 2, 3 and 4 are leaves
+        t = Tree.from_dict(VALID_TREE, n_features=3)
+        assert t.left.tolist() == [1, 2, 2, 3, 4]
+        assert t.right.tolist() == [4, 3, 2, 3, 4]
+        X, y = linear_benchmark(n=150)
+        for t in fit(X, y, ForestParams(n_trees=8, seed=3)).trees:
+            left, right = reference_children(t.feature.tolist())
+            assert t.left.tolist() == left and t.right.tolist() == right
+
+    def test_fitted_inner_values_and_leaf_thresholds_zero(self):
+        X, y = linear_benchmark(n=150)
+        for t in fit(X, y, ForestParams(n_trees=5, seed=3)).trees:
+            assert np.all(t.value[t.feature >= 0] == 0.0)
+            assert np.all(t.threshold[t.feature < 0] == 0.0)
+            back = Tree.from_dict(json.loads(json.dumps(t.to_dict())), n_features=4)
+            for a in ("feature", "threshold", "value"):
+                assert getattr(back, a).tobytes() == getattr(t, a).tobytes()
+
     @pytest.mark.parametrize("field, index, value", [
-        ("left", 0, 5),        # child out of range
-        ("right", 1, 0),       # back-edge: a cycle through the root
-        ("left", 0, 0),        # inner node pointing to itself
-        ("right", 2, 3),       # leaf does not point to itself
-        ("feature", 1, 3),     # feature >= n_features
-        ("feature", 4, -2),    # feature < -1
-        ("feature", 0, 1.5),   # not an index
+        ("feature", 1, 3),             # feature >= n_features
+        ("feature", 4, -2),            # feature < -1
+        ("feature", 0, 1.5),           # not an index
+        ("threshold", 0, math.nan),
+        ("threshold", 1, math.inf),
+        ("value", 0, math.nan),
+        ("value", 2, -math.inf),
     ])
     def test_malformed_tree_rejected(self, field, index, value):
-        # root splits on x2, its left child on x0; nodes 2, 3 and 4 are leaves
-        d = {"feature": [2, 0, -1, -1, -1], "threshold": [0.25, 0.5, 0.0, 0.0, 0.0],
-             "left": [1, 2, 2, 3, 4], "right": [4, 3, 2, 3, 4],
-             "value": [0.0, 1.0, 1.5, 0.5, -3.0]}
+        d = copy.deepcopy(VALID_TREE)
         Tree.from_dict(d, n_features=3)
         d[field][index] = value
         with pytest.raises(ValueError):
             Tree.from_dict(d, n_features=3)
 
-    def test_unequal_or_empty_arrays_rejected(self):
-        d = {"feature": [-1], "threshold": [0.0], "left": [0], "right": [0],
-             "value": [1.0, 2.0]}
+    @pytest.mark.parametrize("feature", [
+        [-1, 0, -1, -1],               # leaf first, with trailing nodes
+        [-1, 0, -1],                   # the same with the counts of one tree
+        [2, -1],                       # truncated: the root's right child is missing
+        [2, 0, -1, -1, -1, -1],        # one leaf too many
+    ], ids=["trailing nodes", "closed early", "truncated", "extra leaf"])
+    def test_unparsable_sequence_rejected(self, feature):
+        inner = sum(f >= 0 for f in feature)
+        d = {"feature": feature, "threshold": [0.5] * inner,
+             "value": [1.0] * (len(feature) - inner)}
         with pytest.raises(ValueError):
             Tree.from_dict(d, n_features=3)
+
+    def test_unequal_or_empty_arrays_rejected(self):
+        for key in ("threshold", "value"):
+            for grow in (lambda a: a.append(0.0), lambda a: a.pop()):
+                d = copy.deepcopy(VALID_TREE)
+                grow(d[key])
+                with pytest.raises(ValueError):
+                    Tree.from_dict(d, n_features=3)
         with pytest.raises(ValueError):
-            Tree.from_dict({k: [] for k in d}, n_features=3)
+            Tree.from_dict({k: [] for k in VALID_TREE}, n_features=3)

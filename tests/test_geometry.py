@@ -1,11 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rekpool.geometry import (EPS_EXACT, Blockage, Scatterer, Scene, Trajectory,
-                              canonical_scene_json, canonical_street_scene, load_scene,
+                              canonical_scene_json, canonical_street_scene, load_json,
+                              load_scene,
                               mirror_point, ray_box_intersect, save_scene,
                               scene_from_dict, scene_to_dict, segment_blocked)
 
@@ -236,6 +238,15 @@ class TestScenePersistence:
         save_scene(p2, scene2, traj2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_numbers_rejected(self, tmp_path, literal):
+        path = tmp_path / "doc.json"
+        path.write_text('{"a": [1.5, %s]}' % literal)
+        with pytest.raises(ValueError):
+            load_json(path)
+        path.write_text('{"a": [1.5, -2, 1e300]}')
+        assert load_json(path) == {"a": [1.5, -2, 1e300]}
+
     def test_version_rejected(self):
         scene, traj = canonical_street_scene()
         doc = scene_to_dict(scene, traj)
@@ -254,6 +265,11 @@ class TestInvariants:
         with pytest.raises(ValueError):
             Scene(tx=(9, 9, 9), frequency_hz=1e9,
                   scatterers=(unit_cube(1), unit_cube(1, center=(3, 3, 3))))
+
+    @pytest.mark.parametrize("loss", [-1.0, math.nan, math.inf])
+    def test_bad_reflection_loss_rejected(self, loss):
+        with pytest.raises(ValueError):
+            Scatterer(id=1, center=(0, 0, 0), dims=(1, 1, 1), reflection_loss_db=loss)
 
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ValueError):

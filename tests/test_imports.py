@@ -1,8 +1,11 @@
-"""Lint step: no module of the package imports a name it never uses.
+"""Lint steps over the package source, scanned with `ast` because no
+linter is a dependency.
 
-No linter is a dependency, so this scans the source with `ast`.  A line
-marked ``# noqa: F401`` keeps its import on purpose; `__init__.py`
-re-exports the public names and is not scanned.
+- No module imports a name it never uses.  A line marked
+  ``# noqa: F401`` keeps its import on purpose; `__init__.py`
+  re-exports the public names and is not scanned.
+- Every JSON input is parsed by `geometry.load_json`, which rejects
+  NaN and infinities: no other function calls `json.load`/`json.loads`.
 """
 
 import ast
@@ -41,3 +44,41 @@ def test_no_unused_imports(path):
 def test_scanner_finds_an_unused_import():
     source = "import os\nimport sys  # noqa: F401\nfrom json import dumps, loads\nloads('1')\n"
     assert unused_imports(source) == ["dumps (line 3)", "os (line 1)"]
+
+
+def json_parse_calls(source: str) -> list:
+    """(enclosing function, line) of every json.load/json.loads call and
+    of every `from json import load/loads`; the function is None at
+    module level."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and isinstance(child.func.value, ast.Name)
+                    and child.func.value.id == "json"
+                    and child.func.attr in ("load", "loads")):
+                found.append((func, child.lineno))
+            if (isinstance(child, ast.ImportFrom) and child.module == "json"
+                    and any(a.name in ("load", "loads") for a in child.names)):
+                found.append((func, child.lineno))
+            visit(child, func)
+    visit(ast.parse(source), None)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_json_parsed_only_by_load_json(path):
+    calls = json_parse_calls(path.read_text())
+    allowed = [("load_json", line) for _, line in calls] if path.name == "geometry.py" else []
+    assert calls == allowed
+
+
+def test_json_scanner_finds_calls():
+    source = ("import json\nfrom json import loads\nX = json.loads('1')\n"
+              "def f(p):\n    return json.load(open(p))\n"
+              "def g(s):\n    return json.dumps(s)\n")
+    assert json_parse_calls(source) == [(None, 2), (None, 3), ("f", 5)]

@@ -1,9 +1,13 @@
 import dataclasses
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from rekpool.features import FEATURE_NAMES
 from rekpool.forest import ForestParams, fit, permutation_importance
@@ -25,6 +29,18 @@ def data(seed=0, n=20):
     X = rng.uniform(-1, 1, size=(n, len(FEATURE_NAMES)))
     y = 4.0 * X[:, 0] + 0.1 * rng.normal(size=n)
     return X, y
+
+
+def key_paths(doc, prefix=()):
+    """Path of every object key in a JSON document, list indices included.
+    Of each list only the first item is walked: entries and trees all
+    share one set of keys."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc[:1])
+    for k, v in items:
+        if isinstance(doc, dict):
+            yield prefix + (k,)
+        if isinstance(v, (dict, list)):
+            yield from key_paths(v, prefix + (k,))
 
 
 def small_pool(capacity=8, **kw):
@@ -313,11 +329,24 @@ class TestPersistence:
         path = tmp_path / "pool.json"
         save_pool(path, self.build())  # includes a transferred entry
         text = path.read_text()
-        assert '"warm_trees"' not in text
-        assert '"bootstrap_indices"' not in text
+        for key in ("warm_trees", "bootstrap_indices", "left", "right", "spectrum",
+                    "degenerate"):
+            assert f'"{key}"' not in text
+        # every key that is stored is read back: without it loading fails
+        doc = json.loads(text)
+        paths = list(key_paths(doc))
+        assert len(paths) > 40
+        for path in paths:
+            broken = json.loads(text)
+            parent = broken
+            for k in path[:-1]:
+                parent = parent[k]
+            del parent[path[-1]]
+            with pytest.raises(PoolFileError):
+                pool_from_dict(broken)
 
     def test_v1_and_keyless_files_rejected(self):
-        for version in (1, 2):
+        for version in (1, 2, 3):
             with pytest.raises(PoolVersionError):
                 pool_from_dict({"version": version})
         with pytest.raises(PoolFileError):
@@ -325,7 +354,9 @@ class TestPersistence:
 
     def test_malformed_tree_is_pool_file_error(self):
         doc = json.loads(json.dumps(pool_to_dict(self.build())))
-        doc["entries"][0]["model"]["trees"][0]["right"][0] = 0
+        tree = doc["entries"][0]["model"]["trees"][0]
+        tree["feature"].pop()  # truncated: the last right child is missing
+        tree["value"].pop()
         with pytest.raises(PoolFileError):
             pool_from_dict(doc)
 
@@ -358,3 +389,105 @@ class TestValidation:
     def test_bad_frequency(self, f):
         with pytest.raises(ValueError):
             ctx(f=f)
+
+
+# ---------------------------------------------------------------------------
+# Stateful property test
+# ---------------------------------------------------------------------------
+
+STATE_PARAMS = ForestParams(n_trees=3, max_depth=3, min_leaf=2, seed=2)
+
+#: Contexts that reach every outcome against one another: a context
+#: matches itself (1.0, answered or refined), contexts 0/1 and 2/3 are
+#: close enough to transfer (0.81 and 0.51), and the two scenes are too
+#: far apart to share knowledge (0.3 or less, generated new).
+STATE_CONTEXTS = (ctx(fp=1, pid=1, rx=(0, 0, 1.5)), ctx(fp=1, pid=2, rx=(10, 0, 1.5)),
+                  ctx(fp=2, pid=3, rx=(400, 0, 1.5)),
+                  ctx(fp=2, pid=4, rx=(400, 30, 1.5), los=False))
+
+
+def state_data(seed):
+    """Realizations for one ingest; seed 0 has a constant target, which
+    gives degenerate weights."""
+    X, y = data(seed=seed, n=16)
+    return (X, np.full(len(y), 3.0)) if seed == 0 else (X, y)
+
+
+class PoolMachine(RuleBasedStateMachine):
+    """Ingest, query, refresh, evict and save->load in any order; the pool
+    stays within capacity, never reuses an entry id, answers as its
+    thresholds say, and replays byte-exactly from its file."""
+
+    def __init__(self):
+        super().__init__()
+        self.pool = Pool(capacity=3, forest_params=STATE_PARAMS)
+        self.clock = 0.0
+        self.next_id = self.pool.next_entry_id
+        self.dir = tempfile.TemporaryDirectory()
+
+    def teardown(self):
+        self.dir.cleanup()
+
+    def best_similarity(self, c):
+        return max((similarity(e.context, c) for e in self.pool.entries.values()),
+                   default=-1.0)
+
+    @rule(i=st.integers(0, len(STATE_CONTEXTS) - 1), seed=st.integers(0, 4),
+          refresh=st.booleans())
+    def ingest(self, i, seed, refresh):
+        c = STATE_CONTEXTS[i]
+        best = self.best_similarity(c)
+        self.clock += 1.0
+        outcome, _ = self.pool.ingest(c, *state_data(seed), now=self.clock,
+                                      force_refresh=refresh)
+        if best >= self.pool.theta_high:
+            assert outcome is (Outcome.REFINED if refresh else Outcome.ANSWERED_EXISTING)
+        elif best >= self.pool.theta_low:
+            assert outcome is Outcome.TRANSFERRED
+        else:
+            assert outcome is Outcome.GENERATED_NEW
+
+    @rule(i=st.integers(0, len(STATE_CONTEXTS) - 1))
+    def query(self, i):
+        c = STATE_CONTEXTS[i]
+        best = self.best_similarity(c)
+        hit = self.pool.query(c)
+        assert (hit is not None) == (best >= self.pool.theta_low)
+        if hit is not None:
+            assert hit[1] == best
+
+    @rule(capacity=st.integers(1, 3))
+    def evict(self, capacity):
+        n = len(self.pool.entries)
+        self.pool.capacity = capacity
+        assert len(self.pool.sort_and_evict()) == max(0, n - capacity)
+
+    @rule()
+    def save_and_load(self):
+        def derived(pool):
+            return {eid: (e.spectrum, e.weights.degenerate) for eid, e in pool.entries.items()}
+        before = derived(self.pool)
+        path = os.path.join(self.dir.name, "pool.json")
+        save_pool(path, self.pool)
+        self.pool = load_pool(path)
+        assert derived(self.pool) == before
+
+    @invariant()
+    def within_capacity(self):
+        assert len(self.pool.entries) <= self.pool.capacity
+
+    @invariant()
+    def entry_ids_only_grow(self):
+        assert self.pool.next_entry_id >= self.next_id
+        assert all(eid < self.pool.next_entry_id for eid in self.pool.entries)
+        self.next_id = self.pool.next_entry_id
+
+    @invariant()
+    def replay_is_byte_exact(self):
+        text = json.dumps(pool_to_dict(self.pool), separators=(",", ":"))
+        again = pool_to_dict(pool_from_dict(json.loads(text)))
+        assert json.dumps(again, separators=(",", ":")) == text
+
+
+TestPoolMachine = PoolMachine.TestCase
+TestPoolMachine.settings = settings(max_examples=40, stateful_step_count=15, deadline=None)

@@ -67,7 +67,7 @@ class TestSpectrum:
 
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateWeightsError):
-            spectrum(GroupWeights(0, 0, 0, 0, degenerate=True))
+            spectrum(GroupWeights(0, 0, 0, 0))
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=4, max_size=4)
            .filter(lambda v: sum(v) > 1e-6))
