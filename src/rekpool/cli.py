@@ -11,15 +11,14 @@ import argparse
 import os
 import sys
 
-from . import forest as rf
 from .features import RealizationConfig, load_dataset, save_dataset
+from .forest import ForestParams
 from .geometry import (atomic_write_text, canonical_street_scene, load_json, load_scene,
                        save_scene)
 from .pipeline import (FitCache, build_pool, cdf_csv, learn_positions,
                        loo_evaluate, simulate_trajectory,
                        spectrum_csv, summary_csv)
 from .pool import Pool, load_pool, save_pool, similarity
-from .predict import DEFAULT_TAU
 from .propagation import path_loss
 
 
@@ -37,7 +36,9 @@ def _config_type_ok(value, kind) -> bool:
 
 
 def _apply_config(args, parser):
-    """Fill unset options from the optional JSON config file."""
+    """Fill unset options from the optional JSON config file.  A key may name
+    any subcommand's option, so one file serves every stage; naming none is
+    a usage error."""
     if not getattr(args, "config", None):
         return args
     try:
@@ -48,9 +49,12 @@ def _apply_config(args, parser):
         parser.error("config file must hold a JSON object")
     commands = next(a for a in parser._actions
                     if isinstance(a, argparse._SubParsersAction)).choices
+    known = {a.dest for p in (parser, *commands.values()) for a in p._actions}
     kinds = {a.dest: a.type for a in parser._actions + commands[args.command]._actions}
     for key, value in cfg.items():
         attr = key.replace("-", "_")
+        if attr not in known:
+            parser.error(f"config key {key!r} names no option")
         if value is None or not hasattr(args, attr) or getattr(args, attr) is not None:
             continue
         kind = kinds.get(attr)
@@ -65,17 +69,22 @@ def _require_seed(args, parser):
         parser.error("--seed is required for stochastic stages")
 
 
+def _given(args, **options) -> dict:
+    """{library parameter: value} of the options (named by `args` attribute)
+    that the user set; the library's defaults stand for the rest."""
+    return {param: getattr(args, opt) for param, opt in options.items()
+            if getattr(args, opt) is not None}
+
+
 def _out(args, name):
     os.makedirs(args.out_dir, exist_ok=True)
     return os.path.join(args.out_dir, name)
 
 
 def cmd_scene_gen(args, parser) -> int:
-    scene, traj = canonical_street_scene(
-        spacing_m=args.spacing if args.spacing is not None else 5.0,
-        frequency_hz=args.frequency_hz if args.frequency_hz is not None else 28e9,
-        reflection_loss_db=args.reflection_loss_db if args.reflection_loss_db is not None else 10.0,
-        seed=args.seed if args.seed is not None else 0)
+    scene, traj = canonical_street_scene(**_given(
+        args, spacing_m="spacing", frequency_hz="frequency_hz",
+        reflection_loss_db="reflection_loss_db", seed="seed"))
     path = _out(args, "scene.json")
     save_scene(path, scene, traj)
     if not args.quiet:
@@ -92,26 +101,15 @@ def cmd_simulate(args, parser) -> int:
     if not args.scene or not os.path.exists(args.scene):
         return _fail(f"scene file not found: {args.scene}")
     scene, traj = load_scene(args.scene)
-    cfg = RealizationConfig(
-        n_realizations=args.n_realizations if args.n_realizations is not None else 200,
-        scatterer_jitter_sigma=args.scatterer_jitter if args.scatterer_jitter is not None else 0.5,
-        rx_jitter_sigma=args.rx_jitter if args.rx_jitter is not None else 0.2,
-        seed=args.seed)
+    cfg = RealizationConfig(seed=args.seed, **_given(
+        args, n_realizations="n_realizations", scatterer_jitter_sigma="scatterer_jitter",
+        rx_jitter_sigma="rx_jitter"))
     rows = simulate_trajectory(scene, traj, cfg)
     path = _out(args, "dataset.csv")
     save_dataset(path, rows)
     if not args.quiet:
         print(f"wrote {path} ({len(rows)} rows)")
     return 0
-
-
-def _forest_params(args) -> rf.ForestParams:
-    return rf.ForestParams(
-        n_trees=args.n_trees if args.n_trees is not None else 100,
-        max_depth=args.max_depth if args.max_depth is not None else 12,
-        min_leaf=args.min_leaf if args.min_leaf is not None else 5,
-        features_per_split=args.features_per_split,
-        seed=args.seed)
 
 
 def cmd_learn(args, parser) -> int:
@@ -121,19 +119,18 @@ def cmd_learn(args, parser) -> int:
             return _fail(f"{name} file not found: {p}")
     scene, traj = load_scene(args.scene)
     rows = load_dataset(args.dataset)
-    params = _forest_params(args)
+    params = ForestParams(seed=args.seed, **_given(
+        args, n_trees="n_trees", max_depth="max_depth", min_leaf="min_leaf",
+        features_per_split="features_per_split"))
     cache = FitCache()
     knowledge = learn_positions(scene, traj, rows, params, cache=cache)
     for k in knowledge:
         if k.weights.degenerate:
             print(f"warning: position {k.position_id} has degenerate weights; "
                   "no spectrum emitted", file=sys.stderr)
-    pool = Pool(
-        capacity=args.capacity if args.capacity is not None else 32,
-        theta_high=args.theta_high if args.theta_high is not None else 0.95,
-        theta_low=args.theta_low if args.theta_low is not None else 0.40,
-        forest_params=params)
-    build_pool(scene, traj, rows, pool, cache=cache)
+    pool = Pool(forest_params=params, cache=cache, **_given(
+        args, capacity="capacity", theta_high="theta_high", theta_low="theta_low"))
+    build_pool(scene, traj, rows, pool)
     spath = _out(args, "spectrum.csv")
     atomic_write_text(spath, spectrum_csv(knowledge))
     ppath = _out(args, "pool.json")
@@ -151,9 +148,8 @@ def cmd_predict(args, parser) -> int:
     scene, traj = load_scene(args.scene)
     rows = load_dataset(args.dataset)
     pool_tmpl = load_pool(args.pool)
-    tau = args.tau if args.tau is not None else DEFAULT_TAU
     _, reports = loo_evaluate(scene, traj, rows, pool_template=pool_tmpl,
-                              tau=tau, knn_k=args.k if args.k is not None else 3)
+                              **_given(args, tau="tau", knn_k="k"))
     cpath = _out(args, "cdf.csv")
     atomic_write_text(cpath, cdf_csv(reports))
     spath = _out(args, "summary.csv")

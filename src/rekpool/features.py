@@ -142,7 +142,7 @@ def realize(scene: Scene, rx, cfg: RealizationConfig, position_id: int = 0,
                 raise ValueError(
                     f"could not place jittered RX outside scatterers at position {position_id}")
         tr = trace(sc, rx_i)
-        sample = tr.sample(position_id=position_id, timestamp=timestamp)
+        sample = tr.sample(position_id=position_id)
         rows.append(DatasetRow(position_id=position_id, realization_id=i,
                                features=trace_features(tr),
                                path_loss_db=sample.path_loss_db, los=sample.los,

@@ -20,7 +20,7 @@ the inner nodes' thresholds and the leaves' values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -38,6 +38,16 @@ class ForestParams:
             raise ValueError("n_trees, max_depth and min_leaf must be >= 1")
         if self.features_per_split is not None and self.features_per_split < 1:
             raise ValueError("features_per_split must be >= 1")
+
+    def to_dict(self) -> dict:
+        """The fields in declaration order, which is their order in a pool file."""
+        return asdict(self)
+
+    @staticmethod
+    def from_dict(d: dict) -> "ForestParams":
+        return ForestParams(n_trees=int(d["n_trees"]), max_depth=int(d["max_depth"]),
+                            min_leaf=int(d["min_leaf"]),
+                            features_per_split=d["features_per_split"], seed=int(d["seed"]))
 
     def resolved_features_per_split(self, p: int) -> int:
         k = self.features_per_split if self.features_per_split is not None else math.ceil(p / 3)
@@ -210,10 +220,7 @@ class RandomForestModel:
 
     def to_dict(self) -> dict:
         return {
-            "params": {"n_trees": self.params.n_trees, "max_depth": self.params.max_depth,
-                       "min_leaf": self.params.min_leaf,
-                       "features_per_split": self.params.features_per_split,
-                       "seed": self.params.seed},
+            "params": self.params.to_dict(),
             "feature_names": list(self.feature_names),
             "n_train_rows": self.n_train_rows,
             "oob_r2": self.oob_r2,
@@ -224,13 +231,9 @@ class RandomForestModel:
     def from_dict(d: dict) -> "RandomForestModel":
         if not d["trees"]:
             raise ValueError("a forest needs at least one tree")
-        p = d["params"]
         return RandomForestModel(
             trees=[Tree.from_dict(t, len(d["feature_names"])) for t in d["trees"]],
-            params=ForestParams(n_trees=int(p["n_trees"]), max_depth=int(p["max_depth"]),
-                                min_leaf=int(p["min_leaf"]),
-                                features_per_split=p["features_per_split"],
-                                seed=int(p["seed"])),
+            params=ForestParams.from_dict(d["params"]),
             feature_names=tuple(d["feature_names"]),
             n_train_rows=int(d["n_train_rows"]),
             oob_r2=d["oob_r2"])
@@ -294,9 +297,13 @@ def fit(X, y, params: ForestParams, feature_names=None) -> RandomForestModel:
                              n_train_rows=len(y), oob_r2=oob)
 
 
-def permutation_importance(model: RandomForestModel, X, y, seed: int = 0,
-                           n_repeats: int = 5) -> np.ndarray:
-    """Mean MSE increase per feature under column permutation, clipped at 0."""
+#: Permutations of each feature column that `permutation_importance` averages.
+IMPORTANCE_REPEATS = 5
+
+
+def permutation_importance(model: RandomForestModel, X, y, seed: int = 0) -> np.ndarray:
+    """Mean MSE increase per feature over IMPORTANCE_REPEATS column
+    permutations, clipped at 0."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(X) == 0:
@@ -304,14 +311,14 @@ def permutation_importance(model: RandomForestModel, X, y, seed: int = 0,
     base_mse = float(((model.predict(X) - y) ** 2).mean())
     n, p = X.shape
     used = sorted(model.features_used())  # an unused feature cannot change predictions
-    Xp = np.tile(X, (len(used), n_repeats, 1, 1))  # one copy of X per (feature, repeat)
+    Xp = np.tile(X, (len(used), IMPORTANCE_REPEATS, 1, 1))  # one copy of X per (feature, repeat)
     for u, j in enumerate(used):
-        for r in range(n_repeats):
+        for r in range(IMPORTANCE_REPEATS):
             rng = np.random.default_rng(np.random.SeedSequence(
                 [seed & 0xFFFFFFFFFFFFFFFF, j, r]))
             Xp[u, r, :, j] = X[rng.permutation(n), j]
     # one predict over all the permuted copies, then one MSE per copy
-    preds = model.predict(Xp.reshape(-1, p)).reshape(len(used), n_repeats, n)
+    preds = model.predict(Xp.reshape(-1, p)).reshape(len(used), IMPORTANCE_REPEATS, n)
     importances = np.zeros(p)
     for j, block in zip(used, preds):
         deltas = [float(((pr - y) ** 2).mean()) - base_mse for pr in block]

@@ -110,10 +110,10 @@ class Scene:
         lo, hi = self.bounds()
         return float(np.linalg.norm(hi - lo))
 
-    def ids_containing(self, p, tol: float = EPS_EXACT) -> list:
-        """Ids of the scatterers whose closed box (padded by tol) holds p."""
+    def ids_containing(self, p) -> list:
+        """Ids of the scatterers whose closed box, padded by EPS_EXACT, holds p."""
         p = np.asarray(p, dtype=float)
-        inside = np.all((p >= self.box_lo - tol) & (p <= self.box_hi + tol), axis=1)
+        inside = np.all((p >= self.box_lo - EPS_EXACT) & (p <= self.box_hi + EPS_EXACT), axis=1)
         return self.box_ids[inside].tolist()
 
     def point_free(self, p) -> bool:
@@ -239,7 +239,6 @@ N_POSITIONS = 15
 def canonical_street_scene(spacing_m: float = 5.0,
                            frequency_hz: float = 28e9,
                            reflection_loss_db: float = 10.0,
-                           blocker_east_x: float = 4.8,
                            seed: int = 0):
     """Deterministic street-canyon scene with a 4-NLOS / 10-LOS split.
 
@@ -255,8 +254,9 @@ def canonical_street_scene(spacing_m: float = 5.0,
         raise ValueError("spacing_m must be positive")
     tx = np.array([-15.0, 35.0, 10.0])
     scatterers = (
-        # corner blocker shadowing the start of the trajectory
-        Scatterer(id=1, center=np.array([(blocker_east_x - 10.0 + blocker_east_x) / 2.0, 12.0, 6.0]),
+        # corner blocker shadowing the start of the trajectory; x spans [4.8 - 10,
+        # 4.8] and the computed midpoint (not -0.2) keeps scene files' bytes
+        Scatterer(id=1, center=np.array([(4.8 - 10.0 + 4.8) / 2.0, 12.0, 6.0]),
                   dims=np.array([10.0, 8.0, 12.0]),
                   reflection_loss_db=reflection_loss_db),
         # south building row lining the far side of the street

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .features import FEATURE_NAMES, RealizationConfig, realize
 from .geometry import Scene, Trajectory
 from .pool import Pool
 from .predict import (Prediction, context_for, fit_logdistance, predict_knn,
-                      predict_rekp, evaluate, DEFAULT_TAU)
+                      predict_rekp, evaluate, DEFAULT_KNN_K, DEFAULT_TAU)
 from .propagation import path_loss
 from .spectrum import SUBSETS, derive
 
@@ -63,10 +63,9 @@ class PositionKnowledge:
 class FitCache:
     """Memoizes forest fits and permutation-importance runs by content."""
 
-    def __init__(self, importance_repeats: int = 5):
+    def __init__(self):
         self._fits = {}
         self._imps = {}
-        self.importance_repeats = importance_repeats
 
     def fit(self, X, y, params, feature_names=None):
         key = (X.tobytes(), y.tobytes(), params)
@@ -83,8 +82,7 @@ class FitCache:
                       for a in (t.feature, t.threshold, t.value))
         key = (trees, X.tobytes(), y.tobytes(), seed)
         if key not in self._imps:
-            self._imps[key] = rf.permutation_importance(
-                model, X, y, seed=seed, n_repeats=self.importance_repeats)
+            self._imps[key] = rf.permutation_importance(model, X, y, seed=seed)
         return self._imps[key]
 
 
@@ -106,12 +104,9 @@ def learn_positions(scene: Scene, trajectory: Trajectory, rows,
 
 
 def build_pool(scene: Scene, trajectory: Trajectory, rows, pool: Pool,
-               cache: FitCache | None = None, skip_positions=()) -> Pool:
+               skip_positions=()) -> Pool:
     """Ingest every position's realizations through the dual interaction
     flow, in position order."""
-    cache = cache or FitCache()
-    pool.fit_fn = cache.fit
-    pool.importance_fn = cache.importance
     by_pos = rows_by_position(rows)
     for pid in sorted(by_pos):
         if pid in skip_positions:
@@ -140,7 +135,7 @@ def spectrum_csv(knowledge) -> str:
 
 def loo_evaluate(scene: Scene, trajectory: Trajectory, rows,
                  pool_template: Pool, tau: float = DEFAULT_TAU,
-                 knn_k: int = 3, cache: FitCache | None = None):
+                 knn_k: int = DEFAULT_KNN_K, cache: FitCache | None = None):
     """Leave-one-position-out comparison of REKP vs the two baselines.
 
     For each held-out position a fresh pool with `pool_template`'s
@@ -164,11 +159,8 @@ def loo_evaluate(scene: Scene, trajectory: Trajectory, rows,
                   if pid != q]
         ld = fit_logdistance([(float(np.linalg.norm(p - scene.tx)), truths[pid])
                               for pid, p in others])
-        tmpl = pool_template
-        pool = Pool(capacity=tmpl.capacity, theta_high=tmpl.theta_high,
-                    theta_low=tmpl.theta_low, alpha=tmpl.alpha, beta=tmpl.beta,
-                    gamma=tmpl.gamma, forest_params=tmpl.forest_params)
-        build_pool(scene, trajectory, rows, pool, cache=cache, skip_positions={q})
+        pool = replace(pool_template, entries={}, next_entry_id=1, cache=cache)
+        build_pool(scene, trajectory, rows, pool, skip_positions={q})
         predictions.append(predict_rekp(pool, scene, trajectory, rx, q,
                                         tau=tau, fallback=ld))
         d = float(np.linalg.norm(rx - scene.tx))

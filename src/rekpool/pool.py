@@ -24,7 +24,7 @@ import numpy as np
 from . import forest as rf
 from .features import FEATURE_NAMES
 from .geometry import as_vec3, atomic_write_text, load_json
-from .spectrum import (GroupWeights, KnowledgeSpectrum, group_weights,
+from .spectrum import (SUM_TOL, GroupWeights, KnowledgeSpectrum, group_weights,
                        spectrum as knowledge_spectrum)
 
 POOL_FORMAT_VERSION = 4
@@ -135,10 +135,9 @@ class Pool:
     forest_params: rf.ForestParams = field(default_factory=rf.ForestParams)
     entries: dict = field(default_factory=dict)  # entry_id -> KnowledgeEntry
     next_entry_id: int = 1
-    # dependency-injection points for harnesses that memoize fits; not
-    # part of the persisted state
-    fit_fn: object = field(default=None, repr=False, compare=False)
-    importance_fn: object = field(default=None, repr=False, compare=False)
+    #: `pipeline.FitCache` memoizing the pool's fits and importance runs, set
+    #: when the pool is built (None: fit afresh); never persisted
+    cache: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.capacity < 1:
@@ -171,12 +170,12 @@ class Pool:
     # -- write side --------------------------------------------------------
 
     def _fit(self, X, y):
-        fn = self.fit_fn if self.fit_fn is not None else rf.fit
+        fn = self.cache.fit if self.cache is not None else rf.fit
         return fn(X, y, self.forest_params, feature_names=FEATURE_NAMES)
 
     def _derive(self, model, X, y):
         """Group weights from `model`'s importances on (X, y)."""
-        fn = self.importance_fn if self.importance_fn is not None else rf.permutation_importance
+        fn = self.cache.importance if self.cache is not None else rf.permutation_importance
         return group_weights(fn(model, X, y, seed=self.forest_params.seed))
 
     def ingest(self, ctx: Context, X, y, now: float = 0.0, force_refresh: bool = False):
@@ -268,6 +267,16 @@ def _weights_to_dict(w: GroupWeights) -> dict:
     return {"w_L": w.w_L, "w_V": w.w_V, "w_B": w.w_B, "w_D": w.w_D}
 
 
+def _weights_from_dict(d: dict) -> GroupWeights:
+    """Weights as `group_weights` makes them: finite, >= 0, all 0 or summing to 1."""
+    values = [float(d[k]) for k in ("w_L", "w_V", "w_B", "w_D")]
+    if not all(math.isfinite(v) and v >= 0.0 for v in values):
+        raise ValueError(f"group weights must be finite and >= 0: {values}")
+    if any(values) and abs(sum(values) - 1.0) > SUM_TOL:
+        raise ValueError(f"group weights must sum to 1 or all be 0: {values}")
+    return GroupWeights(*values)
+
+
 def pool_to_dict(pool: Pool) -> dict:
     entries = []
     for eid in sorted(pool.entries):
@@ -283,15 +292,12 @@ def pool_to_dict(pool: Pool) -> dict:
             "updated_at": e.updated_at,
             "utilization_count": e.utilization_count,
         })
-    fp = pool.forest_params
     return {
         "version": POOL_FORMAT_VERSION,
         "capacity": pool.capacity,
         "thresholds": {"theta_high": pool.theta_high, "theta_low": pool.theta_low},
         "coefficients": {"alpha": pool.alpha, "beta": pool.beta, "gamma": pool.gamma},
-        "forest_params": {"n_trees": fp.n_trees, "max_depth": fp.max_depth,
-                          "min_leaf": fp.min_leaf,
-                          "features_per_split": fp.features_per_split, "seed": fp.seed},
+        "forest_params": pool.forest_params.to_dict(),
         "next_entry_id": pool.next_entry_id,
         "entries": entries,
     }
@@ -303,25 +309,19 @@ def pool_from_dict(doc: dict) -> Pool:
     if doc["version"] != POOL_FORMAT_VERSION:
         raise PoolVersionError(f"unsupported pool format version: {doc['version']!r}")
     try:
-        fp = doc["forest_params"]
         pool = Pool(capacity=int(doc["capacity"]),
                     theta_high=float(doc["thresholds"]["theta_high"]),
                     theta_low=float(doc["thresholds"]["theta_low"]),
                     alpha=float(doc["coefficients"]["alpha"]),
                     beta=float(doc["coefficients"]["beta"]),
                     gamma=float(doc["coefficients"]["gamma"]),
-                    forest_params=rf.ForestParams(
-                        n_trees=int(fp["n_trees"]), max_depth=int(fp["max_depth"]),
-                        min_leaf=int(fp["min_leaf"]),
-                        features_per_split=fp["features_per_split"], seed=int(fp["seed"])),
+                    forest_params=rf.ForestParams.from_dict(doc["forest_params"]),
                     next_entry_id=int(doc["next_entry_id"]))
         for ed in doc["entries"]:
-            w = ed["weights"]
             entry = KnowledgeEntry(
                 entry_id=int(ed["entry_id"]),
                 context=_context_from_dict(ed["context"]),
-                weights=GroupWeights(w_L=float(w["w_L"]), w_V=float(w["w_V"]),
-                                     w_B=float(w["w_B"]), w_D=float(w["w_D"])),
+                weights=_weights_from_dict(ed["weights"]),
                 model=rf.RandomForestModel.from_dict(ed["model"]),
                 train_X=np.array(ed["train_X"], dtype=float),
                 train_y=np.array(ed["train_y"], dtype=float),

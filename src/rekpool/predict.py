@@ -16,6 +16,9 @@ from .spectrum import GROUPS
 #: Cumulative group-weight coverage required before masking stops.
 DEFAULT_TAU = 0.9
 
+#: Neighbours averaged by the kNN baseline.
+DEFAULT_KNN_K = 3
+
 
 def scene_fingerprint(scene: Scene, trajectory: Trajectory) -> int:
     return fnv1a_64(canonical_scene_json(scene, trajectory).encode())
@@ -133,7 +136,7 @@ def fit_logdistance(samples) -> LogDistanceModel:
     return LogDistanceModel(pl0_db=pl0, exponent=n)
 
 
-def predict_knn(train, rx, k: int = 3) -> float:
+def predict_knn(train, rx, k: int = DEFAULT_KNN_K) -> float:
     """Inverse-distance-weighted mean over the k nearest train positions.
 
     train: list of (position, path_loss_db).  An exact positional match

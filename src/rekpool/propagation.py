@@ -47,7 +47,6 @@ class ChannelSample:
     path_loss_db: float
     los: bool
     n_paths: int
-    timestamp: float
 
 
 #: Face order within a box: (axis 0 lo, axis 0 hi, axis 1 lo, ...), each
@@ -70,11 +69,11 @@ class Trace:
     def los(self) -> bool:
         return not self.direct.blocked
 
-    def sample(self, position_id: int = 0, timestamp: float = 0.0) -> ChannelSample:
+    def sample(self, position_id: int = 0) -> ChannelSample:
         """Strongest-path channel sample; outage capped at OUTAGE_CAP_DB."""
         loss = self.paths[0].loss_db if self.paths else OUTAGE_CAP_DB
         return ChannelSample(position_id=position_id, rx=self.rx, path_loss_db=float(loss),
-                             los=self.los, n_paths=len(self.paths), timestamp=timestamp)
+                             los=self.los, n_paths=len(self.paths))
 
     def effective_scatterers(self) -> list:
         """Ids of scatterers that produce paths or occlude the direct segment."""
@@ -154,10 +153,9 @@ def trace_paths(scene: Scene, rx) -> list:
     return list(trace(scene, rx).paths)
 
 
-def path_loss(scene: Scene, rx, position_id: int = 0,
-              timestamp: float = 0.0) -> ChannelSample:
+def path_loss(scene: Scene, rx, position_id: int = 0) -> ChannelSample:
     """Strongest-path channel sample; outage capped at OUTAGE_CAP_DB."""
-    return trace(scene, rx).sample(position_id, timestamp)
+    return trace(scene, rx).sample(position_id)
 
 
 def effective_scatterers(scene: Scene, rx) -> list:

@@ -24,6 +24,7 @@ SUBSETS = tuple(
 )
 assert len(SUBSETS) == 15
 
+#: How far from 1 the sum of non-degenerate group weights may lie.
 SUM_TOL = 1e-9
 
 
@@ -66,13 +67,14 @@ class RelationshipGraph:
     edges: dict  # pair string (canonical order) -> K(pair)
 
 
-def group_weights(importances, partition=GROUP_MEMBER_INDEX) -> GroupWeights:
-    """Sum member importances per group and normalize to unit total."""
+def group_weights(importances) -> GroupWeights:
+    """Sum the importances (one per member) over the fixed partition
+    GROUP_MEMBER_INDEX and normalize to unit total; all 0 when none is > 0."""
     importances = np.asarray(importances, dtype=float)
-    covered = sorted(i for idx in partition.values() for i in idx)
+    covered = sorted(i for idx in GROUP_MEMBER_INDEX.values() for i in idx)
     if covered != list(range(len(importances))):
         raise ValueError("group partition does not cover the importance vector")
-    raw = {g: float(importances[list(idx)].sum()) for g, idx in partition.items()}
+    raw = {g: float(importances[list(idx)].sum()) for g, idx in GROUP_MEMBER_INDEX.items()}
     total = sum(raw.values())
     if total <= 0.0:
         return GroupWeights(0.0, 0.0, 0.0, 0.0)

@@ -7,6 +7,7 @@ import signal
 
 import pytest
 
+from rekpool import cli
 from rekpool.cli import main
 from rekpool.pipeline import SPECTRUM_HEADER
 from rekpool.pool import POOL_FORMAT_VERSION, load_pool
@@ -240,6 +241,18 @@ class TestMalformedInput:
             "--dataset", str(workdir / "dataset.csv"), "--pool", str(path)])
         assert not (tmp_path / "summary.csv").exists()
 
+    @pytest.mark.parametrize("weights", [(-3.0, 2.0, 1.0, 1.0), (0.5, 0.5, 0.5, 0.5)])
+    def test_impossible_weights(self, workdir, tmp_path, capsys, weights):
+        doc = json.loads((workdir / "pool.json").read_text())
+        for entry in doc["entries"]:
+            entry["weights"] = dict(zip(("w_L", "w_V", "w_B", "w_D"), weights))
+        path = tmp_path / "pool.json"
+        path.write_text(json.dumps(doc))
+        self.assert_one_error_line(capsys, [
+            "--out-dir", str(tmp_path), "predict", "--scene", str(workdir / "scene.json"),
+            "--dataset", str(workdir / "dataset.csv"), "--pool", str(path)])
+        assert not (tmp_path / "summary.csv").exists()
+
     def test_non_finite_scene_value(self, workdir, tmp_path, capsys):
         doc = json.loads((workdir / "scene.json").read_text())
         doc["scatterers"][0]["reflection_loss_db"] = math.nan
@@ -305,7 +318,7 @@ def assert_usage_error(capsys, argv):
 class TestUsage:
     @pytest.mark.parametrize("config", ["[1, 2]", '"seed"', '{"n_trees": "5"}',
                                         '{"n_trees": 1.5}', '{"theta_high": true}',
-                                        '{"theta_high": "0.9"}'])
+                                        '{"theta_high": "0.9"}', '{"n-tres": 5}'])
     def test_bad_config_is_usage_error(self, workdir, tmp_path, capsys, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(config)
@@ -319,6 +332,20 @@ class TestUsage:
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"seed": 5, "spacing": 5, "frequency-hz": 28000000000, '
                        '"reflection_loss_db": null}')
+        out = tmp_path / "out"
+        assert run("--config", str(cfg), "--out-dir", str(out), "--quiet",
+                   "scene-gen") == 0
+        ref = tmp_path / "ref"
+        assert run("--seed", "5", "--out-dir", str(ref), "--quiet",
+                   "scene-gen") == 0
+        assert (out / "scene.json").read_bytes() == (ref / "scene.json").read_bytes()
+
+    def test_config_may_hold_other_commands_options(self, tmp_path):
+        """One config file serves every stage: scene-gen ignores the options
+        of learn, predict and pool."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"seed": 5, "n-trees": 4, "theta_high": 0.9, "k": 2, '
+                       '"into": "other.json", "scene": "scene.json"}')
         out = tmp_path / "out"
         assert run("--config", str(cfg), "--out-dir", str(out), "--quiet",
                    "scene-gen") == 0
@@ -342,3 +369,74 @@ class TestUsage:
         assert run("--seed", "5", "--out-dir", str(ref), "--quiet",
                    "scene-gen") == 0
         assert (out / "scene.json").read_bytes() == (ref / "scene.json").read_bytes()
+
+
+class TestOptionsReachTheLibrary:
+    """The CLI passes the library only the options the user set, under the
+    library's parameter names; the library's defaults stand for the rest."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Keyword arguments of each library constructor the CLI calls.  The
+        stages' heavy work is stubbed out; the constructors run for real."""
+        calls = {}
+
+        def recorder(name, real):
+            def record(*args, **kwargs):
+                calls[name] = kwargs
+                return real(*args, **kwargs)
+            monkeypatch.setattr(cli, name, record)
+        for name in ("canonical_street_scene", "RealizationConfig", "ForestParams", "Pool"):
+            recorder(name, getattr(cli, name))
+        recorder("loo_evaluate", lambda *args, **kwargs: ([], {}))
+        monkeypatch.setattr(cli, "simulate_trajectory", lambda *args: [])
+        monkeypatch.setattr(cli, "learn_positions", lambda *args, **kwargs: [])
+        monkeypatch.setattr(cli, "build_pool", lambda *args, **kwargs: None)
+        return calls
+
+    def argv(self, workdir, tmp_path, command):
+        inputs = {"scene-gen": [],
+                  "simulate": ["--scene", str(workdir / "scene.json")],
+                  "learn": ["--scene", str(workdir / "scene.json"),
+                            "--dataset", str(workdir / "dataset.csv")],
+                  "predict": ["--scene", str(workdir / "scene.json"),
+                              "--dataset", str(workdir / "dataset.csv"),
+                              "--pool", str(workdir / "pool.json")]}[command]
+        return ["--seed", "5", "--out-dir", str(tmp_path), "--quiet", command] + inputs
+
+    #: command -> {constructor: keywords it always gets}
+    REQUIRED = {"scene-gen": {"canonical_street_scene": {"seed"}},
+                "simulate": {"RealizationConfig": {"seed"}},
+                "learn": {"ForestParams": {"seed"}, "Pool": {"forest_params", "cache"}},
+                "predict": {"loo_evaluate": {"pool_template"}}}
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    def test_no_option_set_passes_only_required(self, workdir, tmp_path, calls, command):
+        assert main(self.argv(workdir, tmp_path, command)) == 0
+        assert {name: set(kw) for name, kw in calls.items()} == self.REQUIRED[command]
+
+    @pytest.mark.parametrize("command,flag,value,name,param", [
+        ("scene-gen", "--spacing", "4", "canonical_street_scene", "spacing_m"),
+        ("scene-gen", "--frequency-hz", "3e9", "canonical_street_scene", "frequency_hz"),
+        ("scene-gen", "--reflection-loss-db", "4", "canonical_street_scene",
+         "reflection_loss_db"),
+        ("simulate", "--n-realizations", "4", "RealizationConfig", "n_realizations"),
+        ("simulate", "--scatterer-jitter", "0.3", "RealizationConfig",
+         "scatterer_jitter_sigma"),
+        ("simulate", "--rx-jitter", "0.1", "RealizationConfig", "rx_jitter_sigma"),
+        ("learn", "--n-trees", "4", "ForestParams", "n_trees"),
+        ("learn", "--max-depth", "3", "ForestParams", "max_depth"),
+        ("learn", "--min-leaf", "2", "ForestParams", "min_leaf"),
+        ("learn", "--features-per-split", "2", "ForestParams", "features_per_split"),
+        ("learn", "--capacity", "7", "Pool", "capacity"),
+        ("learn", "--theta-high", "0.9", "Pool", "theta_high"),
+        ("learn", "--theta-low", "0.3", "Pool", "theta_low"),
+        ("predict", "--tau", "0.8", "loo_evaluate", "tau"),
+        ("predict", "--k", "2", "loo_evaluate", "knn_k"),
+    ])
+    def test_set_option_arrives_under_library_name(self, workdir, tmp_path, calls,
+                                                   command, flag, value, name, param):
+        assert main(self.argv(workdir, tmp_path, command) + [flag, value]) == 0
+        kwargs = calls[name]
+        assert set(kwargs) == self.REQUIRED[command][name] | {param}
+        assert kwargs[param] == float(value)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rekpool import forest
+from rekpool import forest, pipeline
 from rekpool.features import RealizationConfig
 from rekpool.forest import (ForestParams, RandomForestModel, Tree, fit,
                             permutation_importance)
@@ -253,8 +253,41 @@ class TestFitCache:
         assert sorted(fitted) == sorted(keys[pid] for pid in missing)
         assert seeded == cold
 
+    def test_held_out_pools_take_the_template_settings(self, monkeypatch):
+        """Every held-out pool carries the template's capacity, thresholds,
+        eviction coefficients and forest parameters, none of its entries,
+        and never the held-out position."""
+        scene, traj = canonical_street_scene()
+        rows = simulate_trajectory(scene, traj, RealizationConfig(n_realizations=10, seed=3))
+        template = Pool(capacity=5, theta_high=0.9, theta_low=0.3, alpha=2.0, beta=0.1,
+                        gamma=0.75, forest_params=ForestParams(n_trees=3, max_depth=4,
+                                                               min_leaf=2, seed=3))
+        settings = ("capacity", "theta_high", "theta_low", "alpha", "beta", "gamma",
+                    "forest_params")
+        seen = []
+        real = pipeline.predict_rekp
+
+        def record(pool, scene, trajectory, rx, position_id, **kw):
+            seen.append(position_id)
+            assert all(getattr(pool, s) == getattr(template, s) for s in settings)
+            assert len(pool.entries) == 5
+            assert position_id not in {e.context.position_id for e in pool.entries.values()}
+            return real(pool, scene, trajectory, rx, position_id, **kw)
+        monkeypatch.setattr(pipeline, "predict_rekp", record)
+        loo_evaluate(scene, traj, rows, pool_template=template)
+        assert seen == list(range(1, 16))
+        assert template.entries == {} and template.next_entry_id == 1
+
 
 class TestSerialization:
+    @pytest.mark.parametrize("params", [
+        ForestParams(),
+        ForestParams(n_trees=7, max_depth=3, min_leaf=2, features_per_split=4, seed=9)])
+    def test_params_round_trip(self, params):
+        d = json.loads(json.dumps(params.to_dict()))
+        assert list(d) == ["n_trees", "max_depth", "min_leaf", "features_per_split", "seed"]
+        assert ForestParams.from_dict(d) == params
+
     def test_round_trip_preserves_predictions(self):
         X, y = linear_benchmark(n=120)
         model = fit(X, y, ForestParams(n_trees=8, seed=6))

@@ -6,6 +6,9 @@ linter is a dependency.
   re-exports the public names and is not scanned.
 - Every JSON input is parsed by `geometry.load_json`, which rejects
   NaN and infinities: no other function calls `json.load`/`json.loads`.
+- The CLI restates no library default: `cli.py` holds no
+  `<x> if <y> is not None else <literal>`; an unset option is left out
+  of the call so that the library's own default applies.
 """
 
 import ast
@@ -82,3 +85,36 @@ def test_json_scanner_finds_calls():
               "def f(p):\n    return json.load(open(p))\n"
               "def g(s):\n    return json.dumps(s)\n")
     assert json_parse_calls(source) == [(None, 2), (None, 3), ("f", 5)]
+
+
+def restated_defaults(source: str) -> list:
+    """Line of every `<x> if <y> is not None else <literal>` expression."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.IfExp) and isinstance(node.test, ast.Compare)):
+            continue
+        test = node.test
+        if ([type(op) for op in test.ops] != [ast.IsNot]
+                or not isinstance(test.comparators[0], ast.Constant)
+                or test.comparators[0].value is not None):
+            continue
+        try:
+            ast.literal_eval(node.orelse)
+        except ValueError:
+            continue
+        found.append(node.lineno)
+    return sorted(found)
+
+
+def test_cli_restates_no_library_default():
+    assert restated_defaults((SRC / "cli.py").read_text()) == []
+
+
+def test_default_scanner_finds_literals():
+    source = ("a = x if x is not None else 5\n"
+              "b = f(y if y.z is not None else -1.0)\n"
+              "c = x if x is not None else g(x)\n"
+              "d = x if x is None else 5\n"
+              "e = x if x is not None else None\n"
+              "f = x if x is not y else 5\n")
+    assert restated_defaults(source) == [1, 2, 5]

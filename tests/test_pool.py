@@ -14,7 +14,7 @@ from rekpool.forest import ForestParams, fit, permutation_importance
 from rekpool.pool import (POOL_FORMAT_VERSION, Context, Outcome, Pool, PoolFileError,
                           PoolVersionError, fnv1a_64, load_pool, pool_from_dict,
                           pool_to_dict, save_pool, similarity)
-from rekpool.spectrum import group_weights, spectrum
+from rekpool.spectrum import GroupWeights, group_weights, spectrum
 
 SMALL_PARAMS = ForestParams(n_trees=6, max_depth=4, min_leaf=2, seed=1)
 
@@ -359,6 +359,23 @@ class TestPersistence:
         tree["value"].pop()
         with pytest.raises(PoolFileError):
             pool_from_dict(doc)
+
+    @pytest.mark.parametrize("weights,ok", [
+        ((-3.0, 2.0, 1.0, 1.0), False),     # sums to 1 but one is negative
+        ((0.5, 0.5, 0.5, 0.5), False),      # sums to 2
+        ((0.25, 0.25, 0.25, 0.2), False),   # sums to 0.95
+        ((1.0, 0.0, 0.0, math.inf), False),
+        ((0.7, 0.1, 0.1, 0.1 + 1e-12), True),
+        ((0.0, 0.0, 0.0, 0.0), True),       # degenerate
+    ])
+    def test_impossible_weights_rejected(self, weights, ok):
+        doc = pool_to_dict(self.build())
+        doc["entries"][0]["weights"] = dict(zip(("w_L", "w_V", "w_B", "w_D"), weights))
+        if ok:
+            assert pool_from_dict(doc).entries[1].weights == GroupWeights(*weights)
+        else:
+            with pytest.raises(PoolFileError, match="group weights"):
+                pool_from_dict(doc)
 
     def test_truncated_file_rejected(self, tmp_path):
         pool = self.build()
