@@ -17,8 +17,9 @@ from .geometry import (atomic_write_text, canonical_street_scene, load_json, loa
                        save_scene)
 from .pipeline import (FitCache, build_pool, cdf_csv, learn_positions,
                        loo_evaluate, simulate_trajectory,
-                       spectrum_csv, summary_csv)
+                       spectrum_csv, summary_csv, trace_trajectory)
 from .pool import Pool, load_pool, save_pool, similarity
+from .predict import trajectory_contexts
 from .propagation import path_loss
 
 
@@ -29,9 +30,10 @@ def _fail(msg: str) -> int:
 
 def _config_type_ok(value, kind) -> bool:
     """Whether a JSON config value can stand for an option of type
-    `kind` (int, float, or None for a string)."""
-    if isinstance(value, bool):
-        return False
+    `kind` (bool for a flag, int, float, or None for a string)."""
+    if kind is bool or isinstance(value, bool):
+        # a flag takes only true or false, and neither stands for a number
+        return kind is bool and isinstance(value, bool)
     return isinstance(value, (int, float) if kind is float else kind or str)
 
 
@@ -50,7 +52,8 @@ def _apply_config(args, parser):
     commands = next(a for a in parser._actions
                     if isinstance(a, argparse._SubParsersAction)).choices
     known = {a.dest for p in (parser, *commands.values()) for a in p._actions}
-    kinds = {a.dest: a.type for a in parser._actions + commands[args.command]._actions}
+    kinds = {a.dest: bool if isinstance(a, argparse._StoreTrueAction) else a.type
+             for a in parser._actions + commands[args.command]._actions}
     for key, value in cfg.items():
         attr = key.replace("-", "_")
         if attr not in known:
@@ -77,8 +80,9 @@ def _given(args, **options) -> dict:
 
 
 def _out(args, name):
-    os.makedirs(args.out_dir, exist_ok=True)
-    return os.path.join(args.out_dir, name)
+    out_dir = args.out_dir or os.curdir
+    os.makedirs(out_dir, exist_ok=True)
+    return os.path.join(out_dir, name)
 
 
 def cmd_scene_gen(args, parser) -> int:
@@ -130,7 +134,8 @@ def cmd_learn(args, parser) -> int:
                   "no spectrum emitted", file=sys.stderr)
     pool = Pool(forest_params=params, cache=cache, **_given(
         args, capacity="capacity", theta_high="theta_high", theta_low="theta_low"))
-    build_pool(scene, traj, rows, pool)
+    contexts = trajectory_contexts(scene, traj, trace_trajectory(scene, traj))
+    build_pool(rows, contexts, pool)
     spath = _out(args, "spectrum.csv")
     atomic_write_text(spath, spectrum_csv(knowledge))
     ppath = _out(args, "pool.json")
@@ -213,8 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for stochastic stages")
     parser.add_argument("--config", default=None, help="JSON config file; "
                         "flags override config values")
-    parser.add_argument("--out-dir", default=".", help="output directory")
-    parser.add_argument("--quiet", action="store_true")
+    # None marks an option as unset, so that a config file can set it
+    parser.add_argument("--out-dir", default=None,
+                        help="output directory (default: the current directory)")
+    parser.add_argument("--quiet", action="store_true", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("scene-gen", help="generate the canonical street scene")

@@ -22,9 +22,8 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .geometry import Scatterer, Scene, as_vec3, atomic_write_text
+from .geometry import Scene, as_vec3, atomic_write_text
 # perfbench's tracer tests expect segment_blocked in this module's namespace
 from .geometry import segment_blocked  # noqa: F401
 from .propagation import Trace, trace
@@ -57,19 +56,23 @@ def extract_features(scene: Scene, rx) -> np.ndarray:
 def trace_features(tr: Trace) -> np.ndarray:
     """16-member feature vector of one oracle pass, in FEATURE_NAMES order."""
     scene, rx = tr.scene, tr.rx
-    eff = [scene.scatterer_by_id(i) for i in tr.effective_scatterers()]
+    # rows of the effective boxes, in id order (the scene's rows are sorted by id)
+    eff = np.searchsorted(scene.box_ids, tr.effective_scatterers())
     sentinel = scene.bounds_diagonal()
 
-    if eff:
-        centers = np.array([s.center for s in eff])
+    if len(eff):
+        centers = scene.box_center[eff]
+        dims = scene.box_dims[eff]
+        volumes = np.prod(dims, axis=1)
         centroid = centers.mean(axis=0)
-        v_total = sum(s.volume() for s in eff)
-        v_maxh = max(float(s.hi[2]) for s in eff)
-        largest = max(eff, key=lambda s: s.volume())
+        v_total = sum(volumes.tolist())
+        v_maxh = float(scene.box_hi[eff, 2].max())
+        largest = dims[np.argmax(volumes)]
         # broadside: the larger of the two vertical face areas
-        v_area = float(max(largest.dims[0], largest.dims[1]) * largest.dims[2])
-        d_txs = min(float(np.linalg.norm(scene.tx - s.center)) for s in eff)
-        d_srx = min(float(np.linalg.norm(rx - s.center)) for s in eff)
+        v_area = float(max(largest[0], largest[1]) * largest[2])
+        # one norm per box: a norm over an axis rounds differently
+        d_txs = min(float(np.linalg.norm(v)) for v in scene.tx - centers)
+        d_srx = min(float(np.linalg.norm(v)) for v in rx - centers)
     else:
         centroid = np.zeros(3)
         v_total = v_maxh = v_area = 0.0
@@ -126,12 +129,9 @@ def realize(scene: Scene, rx, cfg: RealizationConfig, position_id: int = 0,
         else:
             rng = np.random.default_rng(np.random.SeedSequence(
                 [cfg.seed & 0xFFFFFFFFFFFFFFFF, position_id, i]))
-            scats = tuple(
-                Scatterer(id=s.id,
-                          center=s.center + rng.normal(0.0, cfg.scatterer_jitter_sigma, 3),
-                          dims=s.dims, reflection_loss_db=s.reflection_loss_db)
-                for s in scene.scatterers)
-            sc = Scene(tx=scene.tx, frequency_hz=scene.frequency_hz, scatterers=scats)
+            # one (S, 3) draw: the values of S draws of size 3, box by box
+            sc = scene.with_centers(scene.box_center + rng.normal(
+                0.0, cfg.scatterer_jitter_sigma, scene.box_center.shape))
             rx_i = None
             for _attempt in range(100):
                 cand = rx + rng.normal(0.0, cfg.rx_jitter_sigma, 3)
@@ -217,6 +217,9 @@ def align_streams(pei_records, channel_records, time_tol: float, pos_tol: float)
     chosen (solved as an assignment problem).  Returns (pairs, report)
     where pairs is a list of (pei_index, channel_index).
     """
+    # scipy costs about half a second to import; only this function needs it
+    from scipy.optimize import linear_sum_assignment
+
     for name, stream in (("pei", pei_records), ("channel", channel_records)):
         ts = [r.timestamp for r in stream]
         if any(b < a for a, b in zip(ts, ts[1:])):

@@ -12,7 +12,8 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,40 +61,62 @@ class Scatterer:
     def hi(self) -> np.ndarray:
         return self.center + self.dims / 2.0
 
-    def volume(self) -> float:
-        return float(np.prod(self.dims))
 
-
-@dataclass(frozen=True)
 class Scene:
-    """TX plus an ordered (by id) collection of box scatterers.
+    """TX plus axis-aligned box scatterers, held as arrays in id order.
 
-    `box_lo`, `box_hi` (S, 3) and `box_ids` (S,) hold the scatterers'
-    corners and ids in scatterer order; they are derived once, here, so
-    that every point and segment test runs over all boxes at once.
+    Row k of `box_center`, `box_dims`, `box_lo`, `box_hi` (S, 3) and of
+    `box_ids`, `box_loss_db` (S,) describes the box with the k-th smallest
+    id, so that every point and segment test runs over all boxes at once.
+    The padded bounds are derived once per scene.  `scatterers` holds the
+    same boxes as `Scatterer` objects, for scene files and
+    `scatterer_by_id`; a scene made by `with_centers` builds them only
+    when asked.
     """
 
-    tx: np.ndarray
-    frequency_hz: float
-    scatterers: tuple = ()
-    box_lo: np.ndarray = field(init=False, repr=False, compare=False)
-    box_hi: np.ndarray = field(init=False, repr=False, compare=False)
-    box_ids: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "tx", as_vec3(self.tx))
-        object.__setattr__(self, "scatterers", tuple(sorted(self.scatterers, key=lambda s: s.id)))
-        if not (np.isfinite(self.frequency_hz) and self.frequency_hz > 0):
+    def __init__(self, tx, frequency_hz: float, scatterers=()):
+        self.tx = as_vec3(tx)
+        scatterers = tuple(sorted(scatterers, key=lambda s: s.id))
+        if not (np.isfinite(frequency_hz) and frequency_hz > 0):
             raise ValueError("frequency_hz must be finite and positive")
-        ids = [s.id for s in self.scatterers]
+        ids = [s.id for s in scatterers]
         if len(ids) != len(set(ids)):
             raise ValueError("scatterer ids must be unique")
-        object.__setattr__(self, "box_lo", np.array([s.lo for s in self.scatterers]).reshape(-1, 3))
-        object.__setattr__(self, "box_hi", np.array([s.hi for s in self.scatterers]).reshape(-1, 3))
-        object.__setattr__(self, "box_ids", np.array(ids, dtype=int))
+        self.frequency_hz = frequency_hz
+        self.box_ids = np.array(ids, dtype=int)
+        self.box_dims = np.array([s.dims for s in scatterers]).reshape(-1, 3)
+        self.box_loss_db = np.array([s.reflection_loss_db for s in scatterers], dtype=float)
+        # the cached `scatterers` are the given objects, so scene files keep their values
+        self.__dict__["scatterers"] = scatterers
+        self._place(np.array([s.center for s in scatterers]).reshape(-1, 3))
+
+    def with_centers(self, centers) -> Scene:
+        """This scene with box k's center moved to row k of `centers`."""
+        centers = np.asarray(centers, dtype=float)
+        if centers.shape != self.box_center.shape or not np.all(np.isfinite(centers)):
+            raise ValueError(f"expected finite box centers of shape {self.box_center.shape}")
+        out = object.__new__(Scene)
+        out.tx, out.frequency_hz = self.tx, self.frequency_hz
+        out.box_ids, out.box_dims, out.box_loss_db = self.box_ids, self.box_dims, self.box_loss_db
+        out._place(centers)
+        return out
+
+    def _place(self, centers):
+        """Set the box centers and derive the corners and bounds from them."""
+        self.box_center = centers
+        self.box_lo = centers - self.box_dims / 2.0
+        self.box_hi = centers + self.box_dims / 2.0
+        pts = np.vstack([self.tx, self.box_lo, self.box_hi])
+        self._bounds = (pts.min(axis=0) - BOUNDS_MARGIN_M, pts.max(axis=0) + BOUNDS_MARGIN_M)
         inside = self.ids_containing(self.tx)
         if inside:
             raise ValueError(f"TX lies inside scatterer {inside[0]}")
+
+    @cached_property
+    def scatterers(self) -> tuple:
+        return tuple(Scatterer(id=int(i), center=c, dims=d, reflection_loss_db=float(loss))
+                     for i, c, d, loss in zip(self.box_ids, self.box_center, self.box_dims,
+                                              self.box_loss_db))
 
     def scatterer_by_id(self, sid: int) -> Scatterer:
         for s in self.scatterers:
@@ -103,11 +126,10 @@ class Scene:
 
     def bounds(self):
         """Padded AABB (lo, hi) covering TX and all scatterers."""
-        pts = np.vstack([self.tx, self.box_lo, self.box_hi])
-        return pts.min(axis=0) - BOUNDS_MARGIN_M, pts.max(axis=0) + BOUNDS_MARGIN_M
+        return self._bounds
 
     def bounds_diagonal(self) -> float:
-        lo, hi = self.bounds()
+        lo, hi = self._bounds
         return float(np.linalg.norm(hi - lo))
 
     def ids_containing(self, p) -> list:
@@ -175,6 +197,30 @@ class Blockage:
     blocked_fraction: float
 
 
+def _slab_test(p, q, scene: Scene):
+    """Slab test of the segments p[m]-q[m] (M, 3) against every box at once
+    (Williams et al. 2005).
+
+    Returns (hit, enter, leave), each (M, S): the box's interval on the
+    segment, in segment parameterization clipped to [0, 1], and whether the
+    segment crosses the box for longer than EPS_EXACT.  Box for box this is
+    the interval `ray_box_intersect` gives.
+    """
+    d = (q - p)[:, None, :]
+    p = p[:, None, :]
+    moving = d != 0.0
+    step = np.where(moving, d, 1.0)
+    t0 = (scene.box_lo - p) / step
+    t1 = (scene.box_hi - p) / step
+    enter = np.maximum(np.where(moving, np.minimum(t0, t1), -np.inf).max(axis=2), 0.0)
+    leave = np.minimum(np.where(moving, np.maximum(t0, t1), np.inf).min(axis=2), 1.0)
+    # along an axis with d == 0 a box is missed unless p lies in its slab
+    in_slabs = np.all(moving | ((p >= scene.box_lo) & (p <= scene.box_hi)), axis=2)
+    # leave - enter > EPS_EXACT also rejects boxes behind p (t_exit < 0)
+    # and lines that miss (t_enter > t_exit), since then leave < enter
+    return in_slabs & (leave - enter > EPS_EXACT), enter, leave
+
+
 def segment_blocked(p, q, scene: Scene, exclude_ids=()) -> Blockage:
     """Occlusion test for the open segment p-q against scene scatterers.
 
@@ -182,27 +228,12 @@ def segment_blocked(p, q, scene: Scene, exclude_ids=()) -> Blockage:
     clipped intervals in segment parameterization.  Endpoint grazes
     within EPS_EXACT do not count as blockage, so a reflection point
     sitting exactly on a face never occludes its own bounce.
-
-    The slab test runs over all boxes at once (Williams et al. 2005) and
-    gives, box for box, the interval `ray_box_intersect` gives.
     """
     p = as_vec3(p)
     q = as_vec3(q)
-    d = q - p
-    if np.linalg.norm(d) == 0.0:
+    if np.linalg.norm(q - p) == 0.0:
         raise ValueError("segment endpoints must differ")
-    moving = d != 0.0
-    still = ~moving
-    # along an axis with d == 0 a box is missed unless p lies in its slab
-    in_slabs = np.all((p[still] >= scene.box_lo[:, still])
-                      & (p[still] <= scene.box_hi[:, still]), axis=1)
-    t0 = (scene.box_lo[:, moving] - p[moving]) / d[moving]
-    t1 = (scene.box_hi[:, moving] - p[moving]) / d[moving]
-    enter = np.maximum(np.minimum(t0, t1).max(axis=1, initial=-np.inf), 0.0)
-    leave = np.minimum(np.maximum(t0, t1).min(axis=1, initial=np.inf), 1.0)
-    # leave - enter > EPS_EXACT also rejects boxes behind p (t_exit < 0)
-    # and lines that miss (t_enter > t_exit), since then leave < enter
-    hit = in_slabs & (leave - enter > EPS_EXACT)
+    hit, enter, leave = (a[0] for a in _slab_test(p[None], q[None], scene))
     for sid in exclude_ids:
         hit &= scene.box_ids != sid
     if not hit.any():
@@ -218,6 +249,15 @@ def segment_blocked(p, q, scene: Scene, exclude_ids=()) -> Blockage:
             cur_b = max(cur_b, b)
     total += cur_b - cur_a
     return Blockage(True, tuple(scene.box_ids[hit].tolist()), float(min(total, 1.0)))
+
+
+def segments_blocked(p, q, scene: Scene, exclude_ids) -> np.ndarray:
+    """Whether each open segment p[m]-q[m] (M, 3) is blocked by a scatterer
+    other than the one with id exclude_ids[m]: for every m at once,
+    `segment_blocked(p[m], q[m], scene, exclude_ids=(exclude_ids[m],)).blocked`.
+    The endpoints of each segment must differ."""
+    hit, _, _ = _slab_test(p, q, scene)
+    return (hit & (scene.box_ids != np.asarray(exclude_ids)[:, None])).any(axis=1)
 
 
 def mirror_point(p, axis: int, value: float) -> np.ndarray:

@@ -18,9 +18,9 @@ from . import forest as rf
 from .features import FEATURE_NAMES, RealizationConfig, realize
 from .geometry import Scene, Trajectory
 from .pool import Pool
-from .predict import (Prediction, context_for, fit_logdistance, predict_knn,
-                      predict_rekp, evaluate, DEFAULT_KNN_K, DEFAULT_TAU)
-from .propagation import path_loss
+from .predict import (Prediction, fit_logdistance, predict_knn, predict_rekp,
+                      trajectory_contexts, evaluate, DEFAULT_KNN_K, DEFAULT_TAU)
+from .propagation import trace
 from .spectrum import SUBSETS, derive
 
 SPECTRUM_HEADER = ("position_id", "los", "w_L", "w_V", "w_B", "w_D") + tuple(
@@ -103,18 +103,23 @@ def learn_positions(scene: Scene, trajectory: Trajectory, rows,
     return out
 
 
-def build_pool(scene: Scene, trajectory: Trajectory, rows, pool: Pool,
-               skip_positions=()) -> Pool:
+def trace_trajectory(scene: Scene, trajectory: Trajectory) -> dict:
+    """{position id: Trace}, one oracle pass per trajectory position."""
+    return {pid: trace(scene, rx) for pid, rx in enumerate(trajectory.positions, start=1)}
+
+
+def build_pool(rows, contexts, pool: Pool, skip_positions=()) -> Pool:
     """Ingest every position's realizations through the dual interaction
-    flow, in position order."""
+    flow, in position order; `contexts` maps each position id to its
+    `Context` (see `predict.trajectory_contexts`)."""
     by_pos = rows_by_position(rows)
     for pid in sorted(by_pos):
         if pid in skip_positions:
             continue
-        rx = trajectory.positions[pid - 1]
-        ctx = context_for(scene, trajectory, rx, pid)
+        if pid not in contexts:
+            raise ValueError(f"dataset position {pid} is not on the trajectory")
         X, y = design_matrices(by_pos[pid])
-        pool.ingest(ctx, X, y, now=float(pid))
+        pool.ingest(contexts[pid], X, y, now=float(pid))
     return pool
 
 
@@ -148,9 +153,9 @@ def loo_evaluate(scene: Scene, trajectory: Trajectory, rows,
     cache = cache or FitCache()
     for e in pool_template.entries.values():
         cache.add(e.train_X, e.train_y, e.model)
-    truths = {}
-    for pid, rx in enumerate(trajectory.positions, start=1):
-        truths[pid] = path_loss(scene, rx, position_id=pid).path_loss_db
+    traces = trace_trajectory(scene, trajectory)
+    contexts = trajectory_contexts(scene, trajectory, traces)
+    truths = {pid: tr.sample(pid).path_loss_db for pid, tr in traces.items()}
     n = len(trajectory.positions)
     predictions = []
     for q in range(1, n + 1):
@@ -160,7 +165,7 @@ def loo_evaluate(scene: Scene, trajectory: Trajectory, rows,
         ld = fit_logdistance([(float(np.linalg.norm(p - scene.tx)), truths[pid])
                               for pid, p in others])
         pool = replace(pool_template, entries={}, next_entry_id=1, cache=cache)
-        build_pool(scene, trajectory, rows, pool, skip_positions={q})
+        build_pool(rows, contexts, pool, skip_positions={q})
         predictions.append(predict_rekp(pool, scene, trajectory, rx, q,
                                         tau=tau, fallback=ld))
         d = float(np.linalg.norm(rx - scene.tx))

@@ -25,13 +25,19 @@ def scene_fingerprint(scene: Scene, trajectory: Trajectory) -> int:
 
 
 def context_for(scene: Scene, trajectory: Trajectory, rx, position_id: int) -> Context:
-    return _context(scene, trajectory, trace(scene, rx), position_id)
+    return _context(scene_fingerprint(scene, trajectory), trace(scene, rx), position_id)
 
 
-def _context(scene: Scene, trajectory: Trajectory, tr: Trace, position_id: int) -> Context:
-    return Context(scene_fingerprint=scene_fingerprint(scene, trajectory),
-                   position_id=position_id, rx=tr.rx, los=tr.los,
-                   frequency_hz=scene.frequency_hz)
+def trajectory_contexts(scene: Scene, trajectory: Trajectory, traces) -> dict:
+    """{position id: Context} from `traces`, {position id: Trace} of the
+    trajectory's positions; the scene is hashed once."""
+    fingerprint = scene_fingerprint(scene, trajectory)
+    return {pid: _context(fingerprint, tr, pid) for pid, tr in traces.items()}
+
+
+def _context(fingerprint: int, tr: Trace, position_id: int) -> Context:
+    return Context(scene_fingerprint=fingerprint, position_id=position_id, rx=tr.rx,
+                   los=tr.los, frequency_hz=tr.scene.frequency_hz)
 
 
 @dataclass(frozen=True)
@@ -90,7 +96,7 @@ def predict_rekp(pool: Pool, scene: Scene, trajectory: Trajectory, rx,
     """
     tr = trace(scene, rx)
     truth = tr.sample(position_id).path_loss_db
-    ctx = _context(scene, trajectory, tr, position_id)
+    ctx = _context(scene_fingerprint(scene, trajectory), tr, position_id)
     hit = pool.query(ctx)
     if hit is not None and not hit[0].weights.degenerate:
         entry, _sim = hit

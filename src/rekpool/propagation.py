@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import EPS_EXACT, Blockage, Scene, as_vec3, segment_blocked
+from .geometry import EPS_EXACT, Blockage, Scene, as_vec3, segment_blocked, segments_blocked
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -102,34 +102,37 @@ def _reflections(scene: Scene, rx) -> list:
     facing = ((_FACE_SIGN * (tx[_FACE_AXIS] - faces) > EPS_EXACT)
               & (_FACE_SIGN * (rx[_FACE_AXIS] - faces) > EPS_EXACT))
     box, face = np.nonzero(facing)
-    row = np.arange(len(box))
     axis = _FACE_AXIS[face]
     value = faces[box, face]
     # The bounce is where the segment from the TX image (TX mirrored
     # across the face plane) to RX crosses the plane; it must lie
     # strictly between them and on the face rectangle.
-    tx_img = np.tile(tx, (len(box), 1))
-    tx_img[row, axis] = 2.0 * value - tx[axis]
+    on_axis = np.arange(3) == axis[:, None]
+    img = 2.0 * value - tx[axis]
+    tx_img = np.where(on_axis, img[:, None], tx)
     d = rx - tx_img
-    denom = d[row, axis]
-    t = (value - tx_img[row, axis]) / denom
+    denom = rx[axis] - img
+    t = (value - img) / denom
     p = tx_img + t[:, None] * d
-    across = np.arange(3) != axis[:, None]
-    on_face = np.all(~across | ((p >= scene.box_lo[box] - EPS_EXACT)
+    on_face = np.all(on_axis | ((p >= scene.box_lo[box] - EPS_EXACT)
                                 & (p <= scene.box_hi[box] + EPS_EXACT)), axis=1)
     valid = (np.abs(denom) >= EPS_EXACT) & (t > EPS_EXACT) & (t < 1.0 - EPS_EXACT) & on_face
+    box, d, p = box[valid], d[valid], p[valid]
+    n = len(box)
+    if not n:
+        return []
+    # Both legs of every bounce, TX -> p then p -> RX, must be clear of all
+    # geometry but the bouncing box, which only touches them at p.
+    starts, ends = np.concatenate([p, p]), np.concatenate([p, p])
+    starts[:n], ends[n:] = tx, rx
+    ids = scene.box_ids[box]
+    blocked = segments_blocked(starts, ends, scene, np.concatenate([ids, ids]))
     paths = []
-    for i in np.flatnonzero(valid):
-        s = scene.scatterers[box[i]]
-        # Both legs must be clear of all geometry (the bouncing face itself
-        # only touches at the reflection point, which does not occlude).
-        if (segment_blocked(tx, p[i], scene, exclude_ids=(s.id,)).blocked
-                or segment_blocked(p[i], rx, scene, exclude_ids=(s.id,)).blocked):
-            continue
-        length = float(np.linalg.norm(rx - tx_img[i]))
-        paths.append(Path(kind="Reflection", length_m=length,
-                          loss_db=fspl_db(length, scene.frequency_hz) + s.reflection_loss_db,
-                          via_scatterer=s.id, reflection_point=p[i]))
+    for i in np.flatnonzero(~(blocked[:n] | blocked[n:])):
+        length = float(np.linalg.norm(d[i]))
+        loss = fspl_db(length, scene.frequency_hz) + float(scene.box_loss_db[box[i]])
+        paths.append(Path(kind="Reflection", length_m=length, loss_db=loss,
+                          via_scatterer=int(ids[i]), reflection_point=p[i]))
     return paths
 
 

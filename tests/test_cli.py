@@ -291,6 +291,18 @@ class TestMalformedInput:
             "--scene", str(workdir / "scene.json"), "--dataset", str(path)])
 
 
+    @pytest.mark.parametrize("pid", ["0", "16"])
+    def test_dataset_position_off_the_trajectory(self, workdir, tmp_path, capsys, pid):
+        lines = (workdir / "dataset.csv").read_text().splitlines(keepends=True)
+        moved = [pid + line[line.index(","):] if line.startswith("15,") else line
+                 for line in lines]
+        path = tmp_path / "dataset.csv"
+        path.write_text("".join(moved))
+        self.assert_one_error_line(capsys, [
+            "--seed", "1", "--out-dir", str(tmp_path), "learn",
+            "--scene", str(workdir / "scene.json"), "--dataset", str(path)])
+        assert not (tmp_path / "pool.json").exists()
+
     @pytest.mark.parametrize("command", ["learn", "predict"])
     def test_header_only_dataset(self, workdir, tmp_path, capsys, command):
         header = (workdir / "dataset.csv").read_text().splitlines(keepends=True)[0]
@@ -353,6 +365,37 @@ class TestUsage:
         assert run("--seed", "5", "--out-dir", str(ref), "--quiet",
                    "scene-gen") == 0
         assert (out / "scene.json").read_bytes() == (ref / "scene.json").read_bytes()
+
+    def test_config_sets_out_dir_and_quiet(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 5, "out-dir": "elsewhere", "quiet": True}))
+        assert run("--config", str(cfg), "scene-gen") == 0
+        assert capsys.readouterr().out == ""
+        assert not (tmp_path / "scene.json").exists()
+        ref = tmp_path / "ref"
+        assert run("--seed", "5", "--out-dir", str(ref), "--quiet", "scene-gen") == 0
+        assert (tmp_path / "elsewhere" / "scene.json").read_bytes() == \
+            (ref / "scene.json").read_bytes()
+
+    @pytest.mark.parametrize("config", ['{"quiet": 1}', '{"quiet": "yes"}',
+                                        '{"out-dir": 3}', '{"out-dir": true}'])
+    def test_bad_out_dir_or_quiet_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                 config):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        assert_usage_error(capsys, ["--config", str(cfg), "--seed", "5", "scene-gen"])
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_flags_override_config_out_dir_and_quiet(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 5, "out-dir": "elsewhere", "quiet": False}))
+        assert run("--config", str(cfg), "--out-dir", "here", "--quiet", "scene-gen") == 0
+        assert capsys.readouterr().out == ""
+        assert (tmp_path / "here" / "scene.json").exists()
+        assert not (tmp_path / "elsewhere").exists()
 
     def test_no_subcommand_exit_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -3,15 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rekpool.features import (DATASET_HEADER, FEATURE_NAMES, GROUP_MEMBER_INDEX,
-                              GROUP_OF_MEMBER, GROUPS, DropReport,
+                              GROUP_OF_MEMBER, GROUPS, DatasetRow, DropReport,
                               RealizationConfig, StreamRecord, align_streams,
                               dataset_to_csv, extract_features, load_dataset,
-                              realize, save_dataset)
+                              realize, save_dataset, trace_features)
 from rekpool import features, propagation
-from rekpool.geometry import Scatterer, Scene, canonical_street_scene
-from rekpool.propagation import trace_paths
+from rekpool.geometry import EPS_EXACT, Scatterer, Scene, as_vec3, canonical_street_scene
+from rekpool.propagation import trace, trace_paths
 
 
 class TestFeatureLayout:
@@ -90,7 +91,139 @@ class TestExtractFeatures:
         assert f["D_pathlen"] == pytest.approx(trace_paths(scene, rx)[0].length_m)
 
 
+def scalar_trace_features(tr):
+    """Reference: the features read from `Scatterer` objects, one box at a
+    time, as `trace_features` did before it read the scene's arrays."""
+    scene, rx = tr.scene, tr.rx
+    eff = [scene.scatterer_by_id(i) for i in tr.effective_scatterers()]
+    lo, hi = scene.bounds()
+    sentinel = float(np.linalg.norm(hi - lo))
+    if eff:
+        centroid = np.array([s.center for s in eff]).mean(axis=0)
+        v_total = sum(float(np.prod(s.dims)) for s in eff)
+        v_maxh = max(float(s.hi[2]) for s in eff)
+        largest = max(eff, key=lambda s: float(np.prod(s.dims)))
+        v_area = float(max(largest.dims[0], largest.dims[1]) * largest.dims[2])
+        d_txs = min(float(np.linalg.norm(scene.tx - s.center)) for s in eff)
+        d_srx = min(float(np.linalg.norm(rx - s.center)) for s in eff)
+    else:
+        centroid = np.zeros(3)
+        v_total = v_maxh = v_area = 0.0
+        d_txs = d_srx = sentinel
+    blk = tr.direct
+    d_pathlen = tr.paths[0].length_m if tr.paths else sentinel
+    return np.array([
+        centroid[0], centroid[1], centroid[2], rx[0], rx[1], rx[2],
+        v_total, v_maxh, v_area,
+        1.0 if blk.blocked else 0.0, float(len(blk.blocker_ids)), blk.blocked_fraction,
+        float(np.linalg.norm(rx - scene.tx)), d_txs, d_srx, d_pathlen,
+    ])
+
+
+def scalar_realize(scene, rx, cfg, position_id=0, timestamp=0.0):
+    """Reference: `realize` rebuilding a `Scene` of jittered `Scatterer`s
+    per realization, one size-3 draw per box."""
+    rx = as_vec3(rx)
+    rows = []
+    for i in range(cfg.n_realizations):
+        if i == 0:
+            sc, rx_i = scene, rx
+        else:
+            rng = np.random.default_rng(np.random.SeedSequence(
+                [cfg.seed & 0xFFFFFFFFFFFFFFFF, position_id, i]))
+            sc = Scene(tx=scene.tx, frequency_hz=scene.frequency_hz, scatterers=tuple(
+                Scatterer(id=s.id,
+                          center=s.center + rng.normal(0.0, cfg.scatterer_jitter_sigma, 3),
+                          dims=s.dims, reflection_loss_db=s.reflection_loss_db)
+                for s in scene.scatterers))
+            rx_i = None
+            for _attempt in range(100):
+                cand = rx + rng.normal(0.0, cfg.rx_jitter_sigma, 3)
+                if sc.point_free(cand):
+                    rx_i = cand
+                    break
+            if rx_i is None:
+                raise ValueError("could not place jittered RX")
+        tr = trace(sc, rx_i)
+        sample = tr.sample(position_id=position_id)
+        rows.append(DatasetRow(position_id=position_id, realization_id=i,
+                               features=scalar_trace_features(tr),
+                               path_loss_db=sample.path_loss_db, los=sample.los,
+                               timestamp=timestamp))
+    return rows
+
+
+def street_row_scene(n_boxes):
+    """The canonical street plus a row of boxes of unequal size along its
+    south side, some tall enough to occlude reflected paths."""
+    scene, traj = canonical_street_scene()
+    row = tuple(Scatterer(id=10 + k, center=(8.0 * k + 3.0, -5.0 - k % 3, 1.0 + k % 4),
+                          dims=(3.0 + k % 2, 2.0, 2.0 + 2 * (k % 4)))
+                for k in range(n_boxes))
+    return Scene(tx=scene.tx, frequency_hz=scene.frequency_hz,
+                 scatterers=scene.scatterers + row), traj
+
+
+half = st.integers(-4, 16).map(lambda v: v / 2.0)
+grid_box = st.tuples(st.tuples(*[st.integers(0, 6)] * 3), st.tuples(*[st.integers(1, 3)] * 3))
+
+
+class TestArrayFeatures:
+    """Array-based `trace_features` == the per-`Scatterer` reference, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(boxes=st.lists(grid_box, max_size=5), tx=st.tuples(half, half, half),
+           rx=st.tuples(half, half, half))
+    def test_random_scenes(self, boxes, tx, rx):
+        scats = tuple(Scatterer(id=7 - i, center=np.add(lo, np.divide(dims, 2.0)), dims=dims)
+                      for i, (lo, dims) in enumerate(boxes))
+        assume(not any(np.all(np.abs(np.subtract(pt, s.center)) <= s.dims / 2 + EPS_EXACT)
+                       for s in scats for pt in (tx, rx)))
+        assume(tx != rx)
+        tr = trace(Scene(tx=tx, frequency_hz=28e9, scatterers=scats), rx)
+        assert np.array_equal(trace_features(tr), scalar_trace_features(tr))
+
+    def test_jittered_street_scenes(self):
+        scene, traj = street_row_scene(10)
+        rng = np.random.default_rng(5)
+        for rx in traj.positions:
+            moved = scene.with_centers(scene.box_center + rng.normal(0.0, 0.5, (13, 3)))
+            tr = trace(moved, rx)
+            assert np.array_equal(trace_features(tr), scalar_trace_features(tr))
+
+
+class TestJitterDraw:
+    @settings(max_examples=100, deadline=None)
+    @given(n_boxes=st.integers(0, 25), seed=st.integers(0, 2**32 - 1),
+           sigma=st.floats(0.0, 5.0, allow_nan=False))
+    def test_one_draw_equals_a_draw_per_box(self, n_boxes, seed, sigma):
+        """One (S, 3) normal draw gives the values of S size-3 draws, and
+        leaves the stream where they leave it."""
+        a = np.random.default_rng(np.random.SeedSequence([seed, 3, 1]))
+        b = np.random.default_rng(np.random.SeedSequence([seed, 3, 1]))
+        per_box = np.array([a.normal(0.0, sigma, 3) for _ in range(n_boxes)]).reshape(-1, 3)
+        assert np.array_equal(b.normal(0.0, sigma, (n_boxes, 3)), per_box)
+        assert np.array_equal(b.normal(0.0, 0.2, 3), a.normal(0.0, 0.2, 3))
+
+
 class TestRealize:
+    @pytest.mark.parametrize("pid", [1, 4, 9, 15])
+    def test_matches_per_scatterer_reference(self, pid):
+        scene, traj = street_row_scene(10)
+        cfg = RealizationConfig(n_realizations=12, seed=11)
+        got = realize(scene, traj.positions[pid - 1], cfg, position_id=pid, timestamp=2.0)
+        want = scalar_realize(scene, traj.positions[pid - 1], cfg, position_id=pid,
+                              timestamp=2.0)
+        assert dataset_to_csv(got) == dataset_to_csv(want)
+
+    def test_jitter_swallowing_tx_rejected(self):
+        # TX 0.1 m outside a large box: jitter moves the box over it
+        box = Scatterer(id=1, center=(0.0, 0.0, 0.0), dims=(10.0, 10.0, 10.0))
+        scene = Scene(tx=(5.1, 0.0, 0.0), frequency_hz=28e9, scatterers=(box,))
+        cfg = RealizationConfig(n_realizations=20, scatterer_jitter_sigma=1.0, seed=0)
+        with pytest.raises(ValueError, match="TX lies inside scatterer 1"):
+            realize(scene, (30.0, 0.0, 0.0), cfg)
+
     def test_realization_zero_unperturbed(self):
         scene, traj = canonical_street_scene()
         cfg = RealizationConfig(n_realizations=3, seed=5)

@@ -1,18 +1,20 @@
 import copy
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from rekpool import forest, pipeline
+from rekpool import forest, pipeline, predict, propagation
 from rekpool.features import RealizationConfig
 from rekpool.forest import (ForestParams, RandomForestModel, Tree, fit,
                             permutation_importance)
 from rekpool.geometry import canonical_street_scene
 from rekpool.pipeline import (FitCache, build_pool, design_matrices, loo_evaluate,
-                              rows_by_position, simulate_trajectory)
+                              rows_by_position, simulate_trajectory, trace_trajectory)
 from rekpool.pool import Pool, load_pool, save_pool
+from rekpool.predict import trajectory_contexts
 
 
 def tree_depth(t):
@@ -235,8 +237,9 @@ class TestFitCache:
         rows = simulate_trajectory(scene, traj, RealizationConfig(n_realizations=10, seed=3))
         params = ForestParams(n_trees=3, max_depth=4, min_leaf=2, seed=3)
         missing = {2, 9}
+        contexts = trajectory_contexts(scene, traj, trace_trajectory(scene, traj))
         save_pool(tmp_path / "pool.json", build_pool(
-            scene, traj, rows, Pool(forest_params=params), skip_positions=missing))
+            rows, contexts, Pool(forest_params=params), skip_positions=missing))
         template = load_pool(tmp_path / "pool.json")
         cold, _ = loo_evaluate(scene, traj, rows, pool_template=Pool(forest_params=params))
 
@@ -277,6 +280,24 @@ class TestFitCache:
         loo_evaluate(scene, traj, rows, pool_template=template)
         assert seen == list(range(1, 16))
         assert template.entries == {} and template.next_entry_id == 1
+
+    def test_traces_each_position_twice(self, monkeypatch):
+        """One trace per position gives its context and its truth for every
+        held-out round; predicting the held-out position traces it once
+        more."""
+        scene, traj = canonical_street_scene()
+        rows = simulate_trajectory(scene, traj, RealizationConfig(n_realizations=10, seed=3))
+        traced = Counter()
+        real = propagation.trace
+
+        def counted(scene, rx):
+            traced[tuple(rx)] += 1
+            return real(scene, rx)
+        for module in (pipeline, predict, propagation):
+            monkeypatch.setattr(module, "trace", counted)
+        params = ForestParams(n_trees=3, max_depth=4, min_leaf=2, seed=3)
+        loo_evaluate(scene, traj, rows, pool_template=Pool(forest_params=params))
+        assert traced == Counter({tuple(rx): 2 for rx in traj.positions})
 
 
 class TestSerialization:

@@ -9,7 +9,8 @@ from rekpool.geometry import (EPS_EXACT, Blockage, Scatterer, Scene, Trajectory,
                               canonical_scene_json, canonical_street_scene, load_json,
                               load_scene,
                               mirror_point, ray_box_intersect, save_scene,
-                              scene_from_dict, scene_to_dict, segment_blocked)
+                              scene_from_dict, scene_to_dict, segment_blocked,
+                              segments_blocked)
 
 
 def unit_cube(sid=1, center=(0, 0, 0)):
@@ -185,6 +186,89 @@ class TestBatchedSegmentBlocked:
         scene = grid_scene(boxes)
         assert segment_blocked(p, q, scene, exclude_ids=tuple(exclude)) == \
             scalar_segment_blocked(p, q, scene, exclude_ids=tuple(exclude))
+
+
+def legs_match(boxes, legs):
+    """`segments_blocked` over all legs == one `segment_blocked` per leg."""
+    legs = [(p, q, sid) for p, q, sid in legs if np.linalg.norm(np.subtract(q, p)) > 0.0]
+    scene = grid_scene(boxes)
+    p = np.array([leg[0] for leg in legs], dtype=float).reshape(-1, 3)
+    q = np.array([leg[1] for leg in legs], dtype=float).reshape(-1, 3)
+    got = segments_blocked(p, q, scene, [sid for _, _, sid in legs])
+    assert got.tolist() == [segment_blocked(a, b, scene, exclude_ids=(sid,)).blocked
+                            for a, b, sid in legs]
+
+
+class TestSegmentsBlocked:
+    """Batched leg test == `segment_blocked` with the leg's box excluded."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(boxes=st.lists(box, max_size=5),
+           legs=st.lists(st.tuples(point, point, st.integers(1, 6)), max_size=8))
+    # empty scene
+    @example(boxes=[], legs=[((0, 0, 0), (1, 2, 3), 1), ((0, 0, 0), (4, 0, 0), 2)])
+    # axis-parallel: through a box, along its face, along its edge
+    @example(boxes=[((0, 0, 0), (2, 2, 2))],
+             legs=[((-1, 1, 1), (3, 1, 1), 2), ((-1, 2, 1), (3, 2, 1), 2),
+                   ((-1, 2, 2), (3, 2, 2), 2), ((1, 1, -1), (1, 1, 4), 2)])
+    # ending on a face, from outside and from the face's own plane
+    @example(boxes=[((0, 0, 0), (2, 2, 2))],
+             legs=[((-1, 1, 1), (0, 1, 1), 2), ((-2, -1, 1), (0, 1, 1), 2),
+                   ((0, 1, 1), (-3, 4, 1), 2)])
+    # the leg's own box excluded, another box still blocking
+    @example(boxes=[((0, 0, 0), (2, 2, 2)), ((1, 0, 0), (2, 1, 1))],
+             legs=[((-1, 0, 0), (4, 1, 1), 1), ((-1, 0, 0), (4, 1, 1), 2),
+                   ((-1, 1, 1), (4, 1, 1), 1)])
+    def test_grid_legs(self, boxes, legs):
+        legs_match(boxes, legs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(boxes=st.lists(box, max_size=5),
+           legs=st.lists(st.tuples(st.tuples(coord, coord, coord),
+                                   st.tuples(coord, coord, coord), st.integers(1, 6)),
+                         max_size=8))
+    def test_general_legs(self, boxes, legs):
+        legs_match(boxes, legs)
+
+
+class TestSceneArrays:
+    def test_arrays_in_id_order(self):
+        scene = Scene(tx=(9, 9, 9), frequency_hz=1e9, scatterers=(
+            Scatterer(id=4, center=(3, 0, 0), dims=(1, 2, 3), reflection_loss_db=6.0),
+            unit_cube(2)))
+        assert scene.box_ids.tolist() == [2, 4]
+        assert scene.box_center.tolist() == [[0, 0, 0], [3, 0, 0]]
+        assert scene.box_dims.tolist() == [[1, 1, 1], [1, 2, 3]]
+        assert scene.box_loss_db.tolist() == [10.0, 6.0]
+        assert scene.box_lo.tolist() == [[-0.5, -0.5, -0.5], [2.5, -1, -1.5]]
+        assert [s.id for s in scene.scatterers] == [2, 4]
+
+    def test_with_centers_equals_rebuilt_scene(self):
+        scene, _ = canonical_street_scene()
+        centers = scene.box_center + np.random.default_rng(1).normal(0.0, 0.5, (3, 3))
+        moved = scene.with_centers(centers)
+        rebuilt = Scene(tx=scene.tx, frequency_hz=scene.frequency_hz, scatterers=tuple(
+            Scatterer(id=s.id, center=c, dims=s.dims, reflection_loss_db=s.reflection_loss_db)
+            for s, c in zip(scene.scatterers, centers)))
+        for name in ("box_center", "box_dims", "box_lo", "box_hi", "box_ids", "box_loss_db"):
+            assert np.array_equal(getattr(moved, name), getattr(rebuilt, name))
+        assert all(np.array_equal(a, b) for a, b in zip(moved.bounds(), rebuilt.bounds()))
+        assert moved.bounds_diagonal() == rebuilt.bounds_diagonal()
+        assert scene_to_dict(moved, Trajectory(positions=((0, 0, 0),))) == \
+            scene_to_dict(rebuilt, Trajectory(positions=((0, 0, 0),)))
+        assert moved.scatterer_by_id(3).center.tolist() == centers[2].tolist()
+
+    def test_with_centers_swallowing_tx_rejected(self):
+        scene = Scene(tx=(2, 0, 0), frequency_hz=1e9, scatterers=(unit_cube(5),))
+        with pytest.raises(ValueError, match="TX lies inside scatterer 5"):
+            scene.with_centers([[1.8, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("centers", [[[0.0, 0.0]], [[0, 0, 0], [1, 1, 1]],
+                                         [[math.nan, 0, 0]]])
+    def test_with_centers_bad_array_rejected(self, centers):
+        scene = Scene(tx=(9, 9, 9), frequency_hz=1e9, scatterers=(unit_cube(),))
+        with pytest.raises(ValueError):
+            scene.with_centers(centers)
 
 
 class TestMirrorPoint:

@@ -9,10 +9,15 @@ linter is a dependency.
 - The CLI restates no library default: `cli.py` holds no
   `<x> if <y> is not None else <literal>`; an unset option is left out
   of the call so that the library's own default applies.
+- Importing the CLI does not import scipy, which only stream alignment
+  needs and which costs every CLI call about half a second.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -118,3 +123,12 @@ def test_default_scanner_finds_literals():
               "e = x if x is not None else None\n"
               "f = x if x is not y else 5\n")
     assert restated_defaults(source) == [1, 2, 5]
+
+
+def test_cli_import_leaves_scipy_out():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    probe = ("import sys, rekpool.cli\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True, timeout=120,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
