@@ -26,7 +26,7 @@ import numpy as np
 from .geometry import Scene, as_vec3, atomic_write_text
 # perfbench's tracer tests expect segment_blocked in this module's namespace
 from .geometry import segment_blocked  # noqa: F401
-from .propagation import Trace, trace
+from .propagation import InsideScatterer, Trace, trace
 
 FEATURE_NAMES = (
     "L_cx", "L_cy", "L_cz", "L_rx", "L_ry", "L_rz",
@@ -125,23 +125,23 @@ def realize(scene: Scene, rx, cfg: RealizationConfig, position_id: int = 0,
     rows = []
     for i in range(cfg.n_realizations):
         if i == 0:
-            sc, rx_i = scene, rx
+            tr = trace(scene, rx)
         else:
             rng = np.random.default_rng(np.random.SeedSequence(
                 [cfg.seed & 0xFFFFFFFFFFFFFFFF, position_id, i]))
             # one (S, 3) draw: the values of S draws of size 3, box by box
             sc = scene.with_centers(scene.box_center + rng.normal(
                 0.0, cfg.scatterer_jitter_sigma, scene.box_center.shape))
-            rx_i = None
+            # `trace` tests each candidate once; one inside a box is drawn again
             for _attempt in range(100):
-                cand = rx + rng.normal(0.0, cfg.rx_jitter_sigma, 3)
-                if sc.point_free(cand):
-                    rx_i = cand
+                try:
+                    tr = trace(sc, rx + rng.normal(0.0, cfg.rx_jitter_sigma, 3))
                     break
-            if rx_i is None:
+                except InsideScatterer:
+                    pass
+            else:
                 raise ValueError(
                     f"could not place jittered RX outside scatterers at position {position_id}")
-        tr = trace(sc, rx_i)
         sample = tr.sample(position_id=position_id)
         rows.append(DatasetRow(position_id=position_id, realization_id=i,
                                features=trace_features(tr),

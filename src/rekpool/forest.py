@@ -15,14 +15,36 @@ node's left child is the next node and its right child follows its left
 subtree.  Fit, out-of-bag R2, prediction, permutation importance and
 persistence all read these arrays; a pool file stores only `feature`,
 the inner nodes' thresholds and the leaves' values.
+
+A forest is grown with all its trees in lockstep.  Each step takes every
+tree to its next node in preorder that is to be split, and scores all
+(node, candidate feature) columns of all trees in one padded pass: one
+stable sort, one cumulative sum and the same (sse, feature, threshold)
+tie-break as a search over one feature at a time.  Each tree draws its
+bootstrap and its candidate features from its own stream in its own
+preorder, exactly as if it were grown alone by recursion, so a tree does
+not depend on the other trees, on their number or on the order of the
+steps, and the trees, thresholds and out-of-bag R2 are those of growing
+each tree on its own.
+
+Prediction and out-of-bag R2 walk all trees at once through a
+`NodeTable`, every tree's nodes stacked in one set of arrays, for as
+many steps as the deepest tree is deep.  Rows go through in blocks of at
+most TREE_ROW_BUDGET (tree, row) pairs, which bounds the memory of a
+walk, and the tree outputs are added in tree order, as one tree at a
+time would add them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
+
+#: Most (tree, row) pairs one block of a `NodeTable` walk holds.
+TREE_ROW_BUDGET = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -61,35 +83,26 @@ class Tree:
     value: np.ndarray       # mean target of a leaf's training rows; 0 at inner nodes
     left: np.ndarray = field(init=False, repr=False)   # derived child indices;
     right: np.ndarray = field(init=False, repr=False)  # a leaf points to itself
+    depth: int = field(init=False, repr=False)         # edges on the longest root-leaf path
 
     def __post_init__(self):
         # node i > 0 is the left child of node i - 1 if that is inner, else
         # the right child of the latest inner node still waiting for one
         n = len(self.feature)
-        left, right = list(range(n)), list(range(n))
+        left, right, depth = list(range(n)), list(range(n)), [0] * n
         waiting = []
         for i, f in enumerate(self.feature[:-1].tolist(), start=1):
             if f >= 0:
-                left[i - 1] = i
-                waiting.append(i - 1)
+                parent = i - 1
+                left[parent] = i
+                waiting.append(parent)
             else:
-                right[waiting.pop()] = i
+                parent = waiting.pop()
+                right[parent] = i
+            depth[i] = depth[parent] + 1
         object.__setattr__(self, "left", np.array(left))
         object.__setattr__(self, "right", np.array(right))
-
-    def apply(self, X) -> np.ndarray:
-        """Leaf index reached by each row of X."""
-        rows = np.arange(len(X))
-        node = np.zeros(len(X), dtype=int)
-        while True:
-            nxt = np.where(X[rows, self.feature[node]] <= self.threshold[node],
-                           self.left[node], self.right[node])
-            if np.array_equal(nxt, node):
-                return node
-            node = nxt
-
-    def predict(self, X) -> np.ndarray:
-        return self.value[self.apply(X)]
+        object.__setattr__(self, "depth", max(depth))
 
     def to_dict(self) -> dict:
         inner = self.feature >= 0
@@ -124,74 +137,150 @@ class Tree:
         return Tree(feature, full_threshold, full_value)
 
 
-def _best_split(X, y, rows, candidates, min_leaf):
-    """Best (feature, threshold, score) by variance reduction, or None.
+@dataclass(frozen=True, eq=False)
+class NodeTable:
+    """The nodes of several trees in one table, for walking them at once.
 
-    Ties are broken by lowest feature index then lowest threshold so the
-    fit is deterministic regardless of candidate order.
+    Tree t's preorder nodes are rows `roots[t]` on; `left` and `right`
+    hold table rows, and a leaf points to itself.  `depth` is the
+    largest tree depth, so that many steps take every row to its leaf.
     """
-    best = None
-    n = len(rows)
-    y_sub = y[rows]
-    total_sum = y_sub.sum()
-    total_sq = (y_sub * y_sub).sum()
-    nl = np.arange(1, n)
-    nr = n - nl
-    for f in sorted(int(c) for c in candidates):
-        x = X[rows, f]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        ys = y_sub[order]
-        csum = np.cumsum(ys)[:-1]
-        csq = np.cumsum(ys * ys)[:-1]
-        # split after index k (left gets k+1 rows); only where the value
-        # actually changes and both sides keep min_leaf rows
-        valid = xs[1:] > xs[:-1]
-        valid[:min_leaf - 1] = False
-        if min_leaf > 1:
-            valid[len(valid) - (min_leaf - 1):] = False
-        if not valid.any():
-            continue
-        sse = np.where(
-            valid,
-            (csq - csum * csum / nl) + ((total_sq - csq) - (total_sum - csum) ** 2 / nr),
-            np.inf)
-        k = int(np.argmin(sse))  # first minimum -> lowest threshold
-        thr = 0.5 * (xs[k] + xs[k + 1])
-        key = (float(sse[k]), f, float(thr))
-        if best is None or key < best:
-            best = key
-    if best is None:
-        return None
-    base_sse = total_sq - total_sum * total_sum / n
-    sse_best, f, thr = best
-    if base_sse - sse_best <= 0.0:
-        return None
-    return f, thr
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    value: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    roots: np.ndarray
+    depth: int
+
+    @staticmethod
+    def of(trees) -> "NodeTable":
+        sizes = [len(t.feature) for t in trees]
+        roots = np.cumsum([0] + sizes[:-1])
+        offset = np.repeat(roots, sizes)
+        return NodeTable(*(np.concatenate([getattr(t, a) for t in trees])
+                           for a in ("feature", "threshold", "value")),
+                         *(np.concatenate([getattr(t, a) for t in trees]) + offset
+                           for a in ("left", "right")),
+                         roots=roots, depth=max(t.depth for t in trees))
+
+    def walk(self, X):
+        """Yield (first row, (trees, rows) leaf values) for each block of
+        at most TREE_ROW_BUDGET // trees rows of X."""
+        step = max(1, TREE_ROW_BUDGET // len(self.roots))
+        for lo in range(0, len(X), step):
+            block = X[lo:lo + step]
+            rows = np.arange(len(block))
+            node = np.repeat(self.roots[:, None], len(block), axis=1)
+            for _ in range(self.depth):
+                node = np.where(block[rows, self.feature[node]] <= self.threshold[node],
+                                self.left[node], self.right[node])
+            yield lo, self.value[node]
 
 
-def _grow(X, y, rows, depth, params, k_features, rng, nodes):
-    """Append the subtree over `rows` to `nodes` in preorder.  Each row is
-    [feature, threshold, value]; a leaf keeps threshold 0 and an inner
-    node value 0."""
-    i = len(nodes)
-    nodes.append([-1, 0.0, float(y[rows].mean())])
-    if depth >= params.max_depth or len(rows) < 2 * params.min_leaf:
-        return
-    p = X.shape[1]
-    candidates = rng.choice(p, size=k_features, replace=False)
-    split = _best_split(X, y, rows, candidates, params.min_leaf)
-    if split is None:
-        return
-    f, thr = split
-    mask = X[rows, f] <= thr
-    left_rows = rows[mask]
-    right_rows = rows[~mask]
-    if len(left_rows) < params.min_leaf or len(right_rows) < params.min_leaf:
-        return
-    nodes[i] = [int(f), float(thr), 0.0]
-    _grow(X, y, left_rows, depth + 1, params, k_features, rng, nodes)
-    _grow(X, y, right_rows, depth + 1, params, k_features, rng, nodes)
+def _best_splits(X_pad, y_pad, nodes, min_leaf):
+    """Best (feature, threshold) by variance reduction of each node, or None.
+
+    `nodes` holds (rows, sorted candidate features, sum of y, sum of y²)
+    per node, every node with the same number of candidates.  All
+    (node, candidate) columns are scored in one pass: each column holds
+    its node's values of its feature, padded by the last row of `X_pad`,
+    which sorts after every value, and of `y_pad`, which adds 0.  Ties are
+    broken by lowest feature index then lowest threshold, so the result
+    does not depend on candidate order.
+    """
+    sizes = [len(rows) for rows, _, _, _ in nodes]
+    k = len(nodes[0][1])
+    width = max(sizes)
+    node_rows = np.full((width, len(nodes)), len(y_pad) - 1)
+    for a, (rows, _, _, _) in enumerate(nodes):
+        node_rows[:len(rows), a] = rows
+    col_node = np.repeat(np.arange(len(nodes)), k)
+    col_feature = np.concatenate([cands for _, cands, _, _ in nodes])
+    col_rows = node_rows[:, col_node]
+    x = X_pad[col_rows, col_feature]
+    order = np.argsort(x, axis=0, kind="stable")
+    xs = np.take_along_axis(x, order, axis=0)
+    ys = y_pad[np.take_along_axis(col_rows, order, axis=0)]
+    csum = np.cumsum(ys, axis=0)[:-1]
+    csq = np.cumsum(ys * ys, axis=0)[:-1]
+    total_sum = np.array([s for _, _, s, _ in nodes])[col_node]
+    total_sq = np.array([q for _, _, _, q in nodes])[col_node]
+    n = np.array(sizes)[col_node]
+    nl = np.arange(1, width)[:, None]
+    nr = np.maximum(n - nl, 1)  # padding positions are never valid; keep them finite
+    # split after sorted position nl - 1 (left gets nl rows); only where the
+    # value actually changes and both sides keep min_leaf rows
+    valid = (xs[1:] > xs[:-1]) & (nl >= min_leaf) & (nl <= n - min_leaf)
+    sse = np.where(
+        valid,
+        (csq - csum * csum / nl) + ((total_sq - csq) - (total_sum - csum) ** 2 / nr),
+        np.inf)
+    at = np.argmin(sse, axis=0)  # first minimum -> lowest threshold
+    cols = np.arange(len(col_node))
+    found = valid.any(axis=0).tolist()
+    col_sse = sse[at, cols].tolist()
+    col_thr = (0.5 * (xs[at, cols] + xs[at + 1, cols])).tolist()
+    col_feature = col_feature.tolist()
+    out = []
+    for a, (rows, _, s, q) in enumerate(nodes):
+        best = None
+        for c in range(a * k, (a + 1) * k):
+            key = (col_sse[c], col_feature[c], col_thr[c])
+            if found[c] and (best is None or key < best):
+                best = key
+        base_sse = q - s * s / len(rows)
+        out.append(None if best is None or base_sse - best[0] <= 0.0 else best[1:])
+    return out
+
+
+def _grow(X, y, params: ForestParams):
+    """Grow every tree of the forest in lockstep; returns (trees, bootstraps).
+
+    Each step takes every tree to its next node in preorder that is to be
+    split, and scores the candidates of all those nodes at once."""
+    n, p = X.shape
+    k = params.resolved_features_per_split(p)
+    rngs, boots = [], []
+    for t in range(params.n_trees):
+        rng = np.random.default_rng(np.random.SeedSequence(
+            [params.seed & 0xFFFFFFFFFFFFFFFF, t]))
+        boots.append(rng.integers(0, n, size=n))
+        rngs.append(rng)
+    nodes = [[] for _ in boots]              # per tree: [feature, threshold, value] rows
+    stacks = [[(boot, 0)] for boot in boots]  # per tree: (rows, depth) still to grow
+    X_pad = np.vstack([X, np.full(p, np.inf)])
+    y_pad = np.append(y, 0.0)
+    while True:
+        splitting = []  # (tree, node, depth) of each node to split this step
+        scored = []     # and its (rows, candidates, sum, square sum)
+        for t, stack in enumerate(stacks):
+            while stack:
+                rows, depth = stack.pop()
+                y_sub = y[rows]
+                total = y_sub.sum()
+                # the mean, as y_sub.mean() computes it
+                nodes[t].append([-1, 0.0, float(total / len(rows))])
+                if depth < params.max_depth and len(rows) >= 2 * params.min_leaf:
+                    candidates = np.sort(rngs[t].choice(p, size=k, replace=False))
+                    splitting.append((t, len(nodes[t]) - 1, depth))
+                    scored.append((rows, candidates, total, (y_sub * y_sub).sum()))
+                    break
+        if not scored:
+            break
+        for (t, i, depth), (rows, *_), split in zip(
+                splitting, scored, _best_splits(X_pad, y_pad, scored, params.min_leaf)):
+            if split is None:
+                continue
+            f, thr = split
+            mask = X[rows, f] <= thr
+            left, right = rows[mask], rows[~mask]
+            if len(left) < params.min_leaf or len(right) < params.min_leaf:
+                continue
+            nodes[t][i] = [f, thr, 0.0]
+            stacks[t] += [(right, depth + 1), (left, depth + 1)]
+    return [Tree(*map(np.array, zip(*tree))) for tree in nodes], boots
 
 
 @dataclass
@@ -202,14 +291,23 @@ class RandomForestModel:
     n_train_rows: int
     oob_r2: float | None             # None when undefined (constant target)
 
+    @cached_property
+    def table(self) -> NodeTable:
+        """All trees' nodes in one table, built from `trees` on first use.
+        A model with other trees is a new model (`dataclasses.replace`);
+        the trees' arrays are not edited once the model has predicted."""
+        return NodeTable.of(self.trees)
+
     def predict(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != len(self.feature_names):
             raise ValueError(
                 f"expected {len(self.feature_names)} features, got {X.shape[1]}")
         preds = np.zeros(len(X))
-        for t in self.trees:
-            preds += t.predict(X)
+        for lo, values in self.table.walk(X):
+            block = preds[lo:lo + values.shape[1]]
+            for v in values:  # tree outputs added in tree order
+                block += v
         return preds / len(self.trees)
 
     def predict_one(self, x) -> float:
@@ -239,29 +337,18 @@ class RandomForestModel:
             oob_r2=d["oob_r2"])
 
 
-def _fit_tree(X, y, params: ForestParams, tree_index: int):
-    n, p = X.shape
-    rng = np.random.default_rng(np.random.SeedSequence(
-        [params.seed & 0xFFFFFFFFFFFFFFFF, tree_index]))
-    boot = rng.integers(0, n, size=n)
-    k = params.resolved_features_per_split(p)
-    nodes = []
-    _grow(X, y, boot.copy(), 0, params, k, rng, nodes)
-    return Tree(*map(np.array, zip(*nodes))), boot
-
-
 def compute_oob_r2(trees, bootstraps, X, y) -> float | None:
+    """R2 of each row's mean prediction over the trees whose bootstrap
+    left it out; None when no row is left out or the target is constant."""
     n = len(y)
+    oob = np.ones((len(trees), n), dtype=bool)
+    oob[np.repeat(np.arange(len(trees)), n), np.concatenate(bootstraps)] = False
     pred_sum = np.zeros(n)
-    pred_cnt = np.zeros(n, dtype=int)
-    for tree, boot in zip(trees, bootstraps):
-        oob = np.ones(n, dtype=bool)
-        oob[boot] = False
-        if not oob.any():
-            continue
-        idx = np.flatnonzero(oob)
-        pred_sum[idx] += tree.predict(X[idx])
-        pred_cnt[idx] += 1
+    for lo, values in NodeTable.of(trees).walk(X):
+        block = pred_sum[lo:lo + values.shape[1]]
+        for left_out, v in zip(oob[:, lo:lo + len(block)], values):
+            block += np.where(left_out, v, 0.0)  # a sum from +0.0 is never -0.0
+    pred_cnt = oob.sum(axis=0)
     covered = pred_cnt > 0
     if not covered.any():
         return None
@@ -285,12 +372,7 @@ def fit(X, y, params: ForestParams, feature_names=None) -> RandomForestModel:
         raise ValueError("feature matrix must be finite")
     if feature_names is None:
         feature_names = tuple(f"x{i}" for i in range(X.shape[1]))
-    trees = []
-    bootstraps = []
-    for t in range(params.n_trees):
-        tree, boot = _fit_tree(X, y, params, t)
-        trees.append(tree)
-        bootstraps.append(boot)
+    trees, bootstraps = _grow(X, y, params)
     oob = compute_oob_r2(trees, bootstraps, X, y)
     return RandomForestModel(trees=trees, params=params,
                              feature_names=tuple(feature_names),
@@ -299,6 +381,15 @@ def fit(X, y, params: ForestParams, feature_names=None) -> RandomForestModel:
 
 #: Permutations of each feature column that `permutation_importance` averages.
 IMPORTANCE_REPEATS = 5
+
+
+@lru_cache(maxsize=1024)
+def _permutation(seed: int, j: int, r: int, n: int) -> np.ndarray:
+    """The permutation of n rows for repeat r of feature j, read-only
+    because every caller with the same key shares it."""
+    order = np.random.default_rng(np.random.SeedSequence([seed, j, r])).permutation(n)
+    order.flags.writeable = False
+    return order
 
 
 def permutation_importance(model: RandomForestModel, X, y, seed: int = 0) -> np.ndarray:
@@ -314,13 +405,11 @@ def permutation_importance(model: RandomForestModel, X, y, seed: int = 0) -> np.
     Xp = np.tile(X, (len(used), IMPORTANCE_REPEATS, 1, 1))  # one copy of X per (feature, repeat)
     for u, j in enumerate(used):
         for r in range(IMPORTANCE_REPEATS):
-            rng = np.random.default_rng(np.random.SeedSequence(
-                [seed & 0xFFFFFFFFFFFFFFFF, j, r]))
-            Xp[u, r, :, j] = X[rng.permutation(n), j]
+            Xp[u, r, :, j] = X[_permutation(seed & 0xFFFFFFFFFFFFFFFF, j, r, n), j]
     # one predict over all the permuted copies, then one MSE per copy
     preds = model.predict(Xp.reshape(-1, p)).reshape(len(used), IMPORTANCE_REPEATS, n)
+    deltas = ((preds - y) ** 2).mean(axis=-1) - base_mse
     importances = np.zeros(p)
-    for j, block in zip(used, preds):
-        deltas = [float(((pr - y) ** 2).mean()) - base_mse for pr in block]
-        importances[j] = max(0.0, float(np.mean(deltas)))
+    for j, delta in zip(used, deltas.mean(axis=-1).tolist()):
+        importances[j] = max(0.0, delta)
     return importances

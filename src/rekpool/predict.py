@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +21,19 @@ DEFAULT_TAU = 0.9
 DEFAULT_KNN_K = 3
 
 
+#: scene -> {id(trajectory): (trajectory, fingerprint)} for as long as the
+#: scene lives; neither a scene nor a trajectory changes once built.  The
+#: trajectory is held so that its id is not reused.
+_FINGERPRINTS = weakref.WeakKeyDictionary()
+
+
 def scene_fingerprint(scene: Scene, trajectory: Trajectory) -> int:
-    return fnv1a_64(canonical_scene_json(scene, trajectory).encode())
+    """FNV-1a hash of the canonical scene JSON, computed once per pair."""
+    known = _FINGERPRINTS.setdefault(scene, {})
+    if id(trajectory) not in known:
+        known[id(trajectory)] = (
+            trajectory, fnv1a_64(canonical_scene_json(scene, trajectory).encode()))
+    return known[id(trajectory)][1]
 
 
 def context_for(scene: Scene, trajectory: Trajectory, rx, position_id: int) -> Context:

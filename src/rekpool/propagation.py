@@ -82,6 +82,10 @@ class Trace:
         return sorted(ids)
 
 
+class InsideScatterer(ValueError):
+    """The receiver lies inside a scatterer."""
+
+
 def _validate_rx(scene: Scene, rx):
     rx = as_vec3(rx)
     lo, hi = scene.bounds()
@@ -89,7 +93,7 @@ def _validate_rx(scene: Scene, rx):
         raise ValueError("rx outside scene bounds")
     inside = scene.ids_containing(rx)
     if inside:
-        raise ValueError(f"rx lies inside scatterer {inside[0]}")
+        raise InsideScatterer(f"rx lies inside scatterer {inside[0]}")
     return rx
 
 

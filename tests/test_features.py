@@ -224,6 +224,39 @@ class TestRealize:
         with pytest.raises(ValueError, match="TX lies inside scatterer 1"):
             realize(scene, (30.0, 0.0, 0.0), cfg)
 
+    def test_each_receiver_tested_once(self, monkeypatch):
+        """One containment test per receiver, in `trace`, plus the TX test
+        of each jittered scene; a receiver drawn inside a box is drawn
+        again, as the reference does."""
+        box = Scatterer(id=1, center=(10.0, 0.0, 1.5), dims=(2.0, 2.0, 3.0))
+        scene = Scene(tx=(0.0, 0.0, 10.0), frequency_hz=28e9, scatterers=(box,))
+        rx = (11.05, 0.0, 1.5)  # 5 cm from the box: many jittered receivers land inside
+        cfg = RealizationConfig(n_realizations=12, scatterer_jitter_sigma=0.0, seed=2)
+        calls, inside = [], []
+        real = Scene.ids_containing
+
+        def counted(self, p):
+            ids = real(self, p)
+            calls.append(1)
+            inside.append(bool(ids))
+            return ids
+        monkeypatch.setattr(Scene, "ids_containing", counted)
+        got = realize(scene, rx, cfg, position_id=3)
+        redrawn = sum(inside)
+        assert redrawn > 0
+        assert len(calls) == 1 + 2 * (cfg.n_realizations - 1) + redrawn
+        monkeypatch.setattr(Scene, "ids_containing", real)
+        assert dataset_to_csv(got) == dataset_to_csv(scalar_realize(scene, rx, cfg, position_id=3))
+
+    def test_unplaceable_receiver_rejected(self):
+        # with no receiver jitter, a box jittered over the receiver keeps every draw inside
+        box = Scatterer(id=1, center=(10.0, 0.0, 1.5), dims=(2.0, 2.0, 3.0))
+        scene = Scene(tx=(0.0, 0.0, 10.0), frequency_hz=28e9, scatterers=(box,))
+        cfg = RealizationConfig(n_realizations=20, scatterer_jitter_sigma=1.0,
+                                rx_jitter_sigma=0.0, seed=0)
+        with pytest.raises(ValueError, match="could not place jittered RX"):
+            realize(scene, (11.05, 0.0, 1.5), cfg, position_id=2)
+
     def test_realization_zero_unperturbed(self):
         scene, traj = canonical_street_scene()
         cfg = RealizationConfig(n_realizations=3, seed=5)

@@ -1,14 +1,16 @@
 import copy
+import dataclasses
 import json
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rekpool import forest, pipeline, predict, propagation
 from rekpool.features import RealizationConfig
-from rekpool.forest import (ForestParams, RandomForestModel, Tree, fit,
+from rekpool.forest import (TREE_ROW_BUDGET, ForestParams, RandomForestModel, Tree, fit,
                             permutation_importance)
 from rekpool.geometry import canonical_street_scene
 from rekpool.pipeline import (FitCache, build_pool, design_matrices, loo_evaluate,
@@ -45,6 +47,18 @@ def reference_children(feature):
     return left, right
 
 
+def tree_leaves(t, X):
+    """Reference walk: the leaf each row of X reaches, one row and one node
+    at a time."""
+    out = []
+    for x in X:
+        node = 0
+        while t.feature[node] >= 0:
+            node = t.left[node] if x[t.feature[node]] <= t.threshold[node] else t.right[node]
+        out.append(node)
+    return np.array(out, dtype=int)
+
+
 def scalar_predict(model, X):
     """Reference predict: one row and one node at a time, trees summed in
     order."""
@@ -72,6 +86,109 @@ def scalar_importance(model, X, y, seed, n_repeats=5):
             deltas.append(float(((scalar_predict(model, Xp) - y) ** 2).mean()) - base_mse)
         importances[j] = max(0.0, float(np.mean(deltas)))
     return importances
+
+
+def reference_best_split(X, y, rows, candidates, min_leaf):
+    """Reference split search: one candidate feature at a time.  Best
+    (feature, threshold) by variance reduction, or None; ties go to the
+    lowest feature index, then the lowest threshold."""
+    best = None
+    n = len(rows)
+    y_sub = y[rows]
+    total_sum = y_sub.sum()
+    total_sq = (y_sub * y_sub).sum()
+    nl = np.arange(1, n)
+    nr = n - nl
+    for f in sorted(int(c) for c in candidates):
+        x = X[rows, f]
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        ys = y_sub[order]
+        csum = np.cumsum(ys)[:-1]
+        csq = np.cumsum(ys * ys)[:-1]
+        valid = xs[1:] > xs[:-1]
+        valid[:min_leaf - 1] = False
+        if min_leaf > 1:
+            valid[len(valid) - (min_leaf - 1):] = False
+        if not valid.any():
+            continue
+        sse = np.where(
+            valid,
+            (csq - csum * csum / nl) + ((total_sq - csq) - (total_sum - csum) ** 2 / nr),
+            np.inf)
+        k = int(np.argmin(sse))
+        thr = 0.5 * (xs[k] + xs[k + 1])
+        key = (float(sse[k]), f, float(thr))
+        if best is None or key < best:
+            best = key
+    if best is None:
+        return None
+    base_sse = total_sq - total_sum * total_sum / n
+    sse_best, f, thr = best
+    if base_sse - sse_best <= 0.0:
+        return None
+    return f, thr
+
+
+def reference_grow(X, y, rows, depth, params, k_features, rng, nodes):
+    """Reference growth: append the subtree over `rows` to `nodes` in
+    preorder by recursion, drawing candidates from the tree's own rng."""
+    i = len(nodes)
+    nodes.append([-1, 0.0, float(y[rows].mean())])
+    if depth >= params.max_depth or len(rows) < 2 * params.min_leaf:
+        return
+    candidates = rng.choice(X.shape[1], size=k_features, replace=False)
+    split = reference_best_split(X, y, rows, candidates, params.min_leaf)
+    if split is None:
+        return
+    f, thr = split
+    mask = X[rows, f] <= thr
+    left_rows, right_rows = rows[mask], rows[~mask]
+    if len(left_rows) < params.min_leaf or len(right_rows) < params.min_leaf:
+        return
+    nodes[i] = [int(f), float(thr), 0.0]
+    reference_grow(X, y, left_rows, depth + 1, params, k_features, rng, nodes)
+    reference_grow(X, y, right_rows, depth + 1, params, k_features, rng, nodes)
+
+
+def reference_fit_tree(X, y, params, tree_index):
+    """Reference: one tree and its bootstrap rows, grown on its own."""
+    n, p = X.shape
+    rng = np.random.default_rng(np.random.SeedSequence(
+        [params.seed & 0xFFFFFFFFFFFFFFFF, tree_index]))
+    boot = rng.integers(0, n, size=n)
+    nodes = []
+    reference_grow(X, y, boot.copy(), 0, params, params.resolved_features_per_split(p),
+                   rng, nodes)
+    return Tree(*map(np.array, zip(*nodes))), boot
+
+
+def reference_oob_r2(trees, bootstraps, X, y):
+    """Reference out-of-bag R2: each tree predicts its left-out rows, in
+    tree order."""
+    n = len(y)
+    pred_sum = np.zeros(n)
+    pred_cnt = np.zeros(n, dtype=int)
+    for tree, boot in zip(trees, bootstraps):
+        oob = np.ones(n, dtype=bool)
+        oob[boot] = False
+        idx = np.flatnonzero(oob)
+        pred_sum[idx] += tree.value[tree_leaves(tree, X[idx])]
+        pred_cnt[idx] += 1
+    covered = pred_cnt > 0
+    if not covered.any():
+        return None
+    resid = y[covered] - pred_sum[covered] / pred_cnt[covered]
+    ss_tot = float(((y[covered] - y[covered].mean()) ** 2).sum())
+    if ss_tot == 0.0:
+        return None
+    return float(1.0 - (resid ** 2).sum() / ss_tot)
+
+
+def reference_fit(X, y, params):
+    """Reference forest: (trees, out-of-bag R2), each tree grown on its own."""
+    trees, boots = zip(*(reference_fit_tree(X, y, params, t) for t in range(params.n_trees)))
+    return list(trees), reference_oob_r2(trees, boots, X, y)
 
 
 def linear_benchmark(n=500, seed=0, noise=0.1):
@@ -122,8 +239,8 @@ class TestFit:
         params = ForestParams(n_trees=10, min_leaf=20, seed=0)
         model = fit(X, y, params)
         for i, t in enumerate(model.trees):
-            _, boot = forest._fit_tree(X, y, params, i)
-            rows_per_node = np.bincount(t.apply(X[boot]), minlength=len(t.feature))
+            _, boot = reference_fit_tree(X, y, params, i)
+            rows_per_node = np.bincount(tree_leaves(t, X[boot]), minlength=len(t.feature))
             assert np.all(rows_per_node[t.feature < 0] >= 20)
 
     def test_prediction_within_target_range(self):
@@ -179,6 +296,74 @@ class TestScalarReference:
                               scalar_importance(model, X, y, seed=4))
 
 
+class TestRecursiveReference:
+    """Lockstep growth across trees equals, bit for bit, growing each tree
+    on its own by recursion; the stacked walk equals the per-row walk
+    for one row, for more rows than one block holds, and for a forest
+    whose trees were swapped by `dataclasses.replace`."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n_trees=st.integers(1, 8), max_depth=st.integers(1, 12),
+           min_leaf=st.integers(1, 6), extra_rows=st.integers(0, 40),
+           p=st.integers(1, 6), per_split=st.sampled_from(["default", "one", "all"]),
+           decimals=st.sampled_from([None, 1, 0]), constant=st.booleans(),
+           duplicate=st.booleans(), y_decimals=st.sampled_from([None, 0]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_fit_equals_reference(self, n_trees, max_depth, min_leaf, extra_rows, p,
+                                  per_split, decimals, constant, duplicate, y_decimals, seed):
+        rng = np.random.default_rng(seed)
+        n = 2 * min_leaf + extra_rows
+        X = rng.normal(size=(n, p))
+        y = X[:, 0] + rng.normal(size=n)
+        if decimals is not None:  # tied feature values
+            X = np.round(X, decimals)
+        if duplicate and p > 1:  # equal scores on two features: the lower index wins
+            X[:, 1] = X[:, 0]
+        if constant:
+            X[:, -1] = 2.5
+        if y_decimals is not None:  # tied targets
+            y = np.round(y, y_decimals)
+        params = ForestParams(n_trees=n_trees, max_depth=max_depth, min_leaf=min_leaf,
+                              features_per_split={"default": None, "one": 1, "all": p}[per_split],
+                              seed=seed)
+        model = fit(X, y, params)
+        trees, oob_r2 = reference_fit(X, y, params)
+        assert model.oob_r2 == oob_r2
+        for got, want in zip(model.trees, trees, strict=True):
+            for a in ("feature", "threshold", "value", "left", "right"):
+                assert getattr(got, a).dtype == getattr(want, a).dtype
+                assert np.array_equal(getattr(got, a), getattr(want, a))
+        Z = rng.normal(size=(7, p))
+        assert np.array_equal(model.predict(Z), scalar_predict(model, Z))
+        assert np.array_equal(permutation_importance(model, X, y, seed=seed),
+                              scalar_importance(model, X, y, seed=seed))
+
+    def test_predict_one_row(self):
+        X, y = linear_benchmark(n=80)
+        model = fit(X, y, ForestParams(n_trees=9, min_leaf=2, seed=3))
+        row = np.array([[0.1, -0.4, 0.3, 0.9]])
+        assert model.predict(row).shape == (1,)
+        assert np.array_equal(model.predict(row), scalar_predict(model, row))
+        assert model.predict_one(row[0]) == scalar_predict(model, row)[0]
+
+    def test_predict_across_blocks(self):
+        X, y = linear_benchmark(n=60)
+        model = fit(X, y, ForestParams(n_trees=64, max_depth=5, min_leaf=3, seed=8))
+        rows_per_block = TREE_ROW_BUDGET // 64
+        grid = np.random.default_rng(4).uniform(-1.2, 1.2, size=(2 * rows_per_block + 5, 4))
+        assert np.array_equal(model.predict(grid), scalar_predict(model, grid))
+
+    def test_transfer_basis_rebuilds_the_table(self):
+        X, y = linear_benchmark(n=90)
+        a = fit(X, y, ForestParams(n_trees=5, seed=1))
+        b = fit(X[::-1], y[::-1], ForestParams(n_trees=4, max_depth=3, seed=2))
+        grid = np.random.default_rng(6).uniform(-1, 1, size=(30, 4))
+        a.predict(grid)  # build a's table first
+        basis = dataclasses.replace(a, trees=a.trees + b.trees)
+        assert np.array_equal(basis.predict(grid), scalar_predict(basis, grid))
+        assert np.array_equal(a.predict(grid), scalar_predict(a, grid))
+
+
 class TestPermutationImportance:
     def test_unused_feature_exactly_zero(self):
         X, y = linear_benchmark(n=200)
@@ -204,6 +389,12 @@ class TestPermutationImportance:
         model = fit(X, y, ForestParams(n_trees=10, seed=2))
         imp = permutation_importance(model, X, y, seed=2)
         assert np.all(imp >= 0.0)
+
+    def test_cached_permutations_read_only(self):
+        order = forest._permutation(3, 1, 0, 20)
+        assert forest._permutation(3, 1, 0, 20) is order
+        with pytest.raises(ValueError):
+            order[0] = 1
 
     def test_deterministic(self):
         X, y = linear_benchmark(n=150)
@@ -329,7 +520,7 @@ class TestSerialization:
         for a in ("feature", "threshold", "value", "left", "right"):
             assert np.array_equal(getattr(back, a), getattr(tree, a))
         X = np.array([[0.0, 0.0, 0.25], [0.0, 0.0, 0.3]])
-        assert np.array_equal(back.predict(X), [1.5, -3.0])
+        assert np.array_equal(back.value[tree_leaves(back, X)], [1.5, -3.0])
 
     def test_children_derived_from_preorder(self):
         # root splits on x2, its left child on x0; nodes 2, 3 and 4 are leaves

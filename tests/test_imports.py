@@ -9,6 +9,8 @@ linter is a dependency.
 - The CLI restates no library default: `cli.py` holds no
   `<x> if <y> is not None else <literal>`; an unset option is left out
   of the call so that the library's own default applies.
+- Every private top-level function and every private method is named
+  somewhere in the package's code, so no dead helper is left behind.
 - Importing the CLI does not import scipy, which only stream alignment
   needs and which costs every CLI call about half a second.
 """
@@ -123,6 +125,44 @@ def test_default_scanner_finds_literals():
               "e = x if x is not None else None\n"
               "f = x if x is not y else 5\n")
     assert restated_defaults(source) == [1, 2, 5]
+
+
+def unreferenced_private_functions(sources: dict) -> list:
+    """(module, name) of each private top-level function and private method
+    in `sources` ({module: source}) that no module's code names."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    def functions(body):
+        return [n.name for n in body
+                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and private(n.name)]
+    defined, named = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [(module, f) for f in functions(tree.body)]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                defined += [(module, f) for f in functions(cls.body)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    return sorted(d for d in defined if d[1] not in named)
+
+
+def test_no_dead_private_functions():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_functions(sources) == []
+
+
+def test_dead_function_scanner_finds_unused_helpers():
+    a = ("def _used():\n    pass\n\ndef _dead():\n    pass\n\n"
+         "class C:\n    def _method(self):\n        return _used()\n"
+         "    def _dead_method(self):\n        pass\n    def __init__(self):\n        pass\n")
+    b = "import a\na.C()._method()\n"
+    assert unreferenced_private_functions({"a.py": a, "b.py": b}) == [
+        ("a.py", "_dead"), ("a.py", "_dead_method")]
 
 
 def test_cli_import_leaves_scipy_out():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rekpool import predict
 from rekpool.features import FEATURE_NAMES, GROUP_MEMBER_INDEX
 from rekpool.forest import ForestParams
 from rekpool.geometry import canonical_street_scene
@@ -180,6 +181,23 @@ class TestPredictRekp:
         pool = Pool(forest_params=ForestParams(n_trees=4, min_leaf=2, seed=0))
         with pytest.raises(NoKnowledgeError):
             predict_rekp(pool, scene, traj, traj.positions[0], 1)
+
+    def test_scene_hashed_once_per_pair(self, monkeypatch):
+        hashed = []
+        real = predict.fnv1a_64
+
+        def counted(data):
+            hashed.append(data)
+            return real(data)
+        monkeypatch.setattr(predict, "fnv1a_64", counted)
+        scene, traj = canonical_street_scene()
+        pool = Pool(forest_params=ForestParams(n_trees=4, min_leaf=2, seed=0))
+        for pid in (1, 2, 1):
+            predict_rekp(pool, scene, traj, traj.positions[pid - 1], pid,
+                         fallback=lambda d: 99.0)
+        other = canonical_street_scene()[1]  # an equal trajectory is another pair
+        assert scene_fingerprint(scene, other) == scene_fingerprint(scene, traj)
+        assert len(hashed) == 2 and hashed[0] == hashed[1]
 
     def test_fingerprint_sensitive_to_geometry(self):
         a = canonical_street_scene()
