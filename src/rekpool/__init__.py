@@ -6,8 +6,8 @@ __version__ = "0.1.0"
 from .geometry import (Scatterer, Scene, Trajectory, canonical_street_scene,
                        load_scene, mirror_point, ray_box_intersect, save_scene,
                        segment_blocked)
-from .propagation import (ChannelSample, OUTAGE_CAP_DB, Path,
-                          effective_scatterers, fspl_db, path_loss, trace_paths)
+from .propagation import (ChannelSample, OUTAGE_CAP_DB, Path, fspl_db, path_loss,
+                          trace_paths)
 from .features import (FEATURE_NAMES, GROUPS, RealizationConfig, align_streams,
                        extract_features, realize)
 from .forest import ForestParams, RandomForestModel, fit, permutation_importance

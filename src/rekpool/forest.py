@@ -6,15 +6,17 @@ importance.  Every random stream is derived from (seed, index) so a
 refit with the same data and parameters is bit-identical, and trees
 can be trained in any order.
 
-Each tree is one `Tree`: three parallel node arrays in preorder,
-`feature`, `threshold` and `value`.  Node 0 is the root and a leaf has
-`feature == -1`.  The child arrays `left` and `right` (the layout of
-scikit-learn's `children_left`/`children_right`; a leaf points to
-itself) are derived from `feature` alone, because in preorder an inner
-node's left child is the next node and its right child follows its left
-subtree.  Fit, out-of-bag R2, prediction, permutation importance and
-persistence all read these arrays; a pool file stores only `feature`,
-the inner nodes' thresholds and the leaves' values.
+A forest is one `Trees` table: every tree's nodes in preorder, stacked
+tree after tree, as three parallel arrays `feature`, `threshold` and
+`value`; a leaf has `feature == -1`.  The child rows `left` and `right`
+(the layout of scikit-learn's `children_left`/`children_right`; a leaf
+points to itself), each tree's root row and the largest depth are
+derived from `feature` alone: in preorder an inner node's left child is
+the next node, its right child follows its left subtree, and a leaf that
+leaves no inner node waiting for a right child ends its tree.  Fit emits
+this table; prediction, out-of-bag R2, permutation importance and
+persistence read it, and a pool file stores only `feature`, the inner
+nodes' thresholds and the leaves' values.
 
 A forest is grown with all its trees in lockstep.  Each step takes every
 tree to its next node in preorder that is to be split, and scores all
@@ -27,23 +29,23 @@ not depend on the other trees, on their number or on the order of the
 steps, and the trees, thresholds and out-of-bag R2 are those of growing
 each tree on its own.
 
-Prediction and out-of-bag R2 walk all trees at once through a
-`NodeTable`, every tree's nodes stacked in one set of arrays, for as
-many steps as the deepest tree is deep.  Rows go through in blocks of at
-most TREE_ROW_BUDGET (tree, row) pairs, which bounds the memory of a
-walk, and the tree outputs are added in tree order, as one tree at a
+Prediction and out-of-bag R2 walk all trees of the table at once, for
+as many steps as the deepest tree is deep.  Rows go through in blocks
+of at most TREE_ROW_BUDGET (tree, row) pairs, which bounds the memory of
+a walk, and the tree outputs are added in tree order, as one tree at a
 time would add them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from functools import cached_property, lru_cache
+import numbers
+from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
-#: Most (tree, row) pairs one block of a `NodeTable` walk holds.
+#: Most (tree, row) pairs one block of a `Trees` walk holds.
 TREE_ROW_BUDGET = 1 << 14
 
 
@@ -56,6 +58,10 @@ class ForestParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name, v in self.to_dict().items():
+            if (v is not None or name != "features_per_split") and (
+                    isinstance(v, bool) or not isinstance(v, numbers.Integral)):
+                raise TypeError(f"forest parameter {name} must be an integer: {v!r}")
         if self.n_trees < 1 or self.max_depth < 1 or self.min_leaf < 1:
             raise ValueError("n_trees, max_depth and min_leaf must be >= 1")
         if self.features_per_split is not None and self.features_per_split < 1:
@@ -67,9 +73,9 @@ class ForestParams:
 
     @staticmethod
     def from_dict(d: dict) -> "ForestParams":
-        return ForestParams(n_trees=int(d["n_trees"]), max_depth=int(d["max_depth"]),
-                            min_leaf=int(d["min_leaf"]),
-                            features_per_split=d["features_per_split"], seed=int(d["seed"]))
+        return ForestParams(n_trees=d["n_trees"], max_depth=d["max_depth"],
+                            min_leaf=d["min_leaf"],
+                            features_per_split=d["features_per_split"], seed=d["seed"])
 
     def resolved_features_per_split(self, p: int) -> int:
         k = self.features_per_split if self.features_per_split is not None else math.ceil(p / 3)
@@ -77,93 +83,60 @@ class ForestParams:
 
 
 @dataclass(frozen=True, eq=False)
-class Tree:
+class Trees:
+    """Every tree of a forest in one table of preorder nodes.
+
+    Tree t's nodes are rows `roots[t]` up to the next tree's root.
+    `left` and `right` hold table rows, and a leaf points to itself.
+    `depth` is the largest tree depth, so that many steps take every row
+    to its leaf.  `len` gives the number of trees.
+    """
+
     feature: np.ndarray     # split feature per node; -1 marks a leaf
     threshold: np.ndarray   # go left when x[feature] <= threshold; 0 at leaves
     value: np.ndarray       # mean target of a leaf's training rows; 0 at inner nodes
-    left: np.ndarray = field(init=False, repr=False)   # derived child indices;
-    right: np.ndarray = field(init=False, repr=False)  # a leaf points to itself
-    depth: int = field(init=False, repr=False)         # edges on the longest root-leaf path
-
-    def __post_init__(self):
-        # node i > 0 is the left child of node i - 1 if that is inner, else
-        # the right child of the latest inner node still waiting for one
-        n = len(self.feature)
-        left, right, depth = list(range(n)), list(range(n)), [0] * n
-        waiting = []
-        for i, f in enumerate(self.feature[:-1].tolist(), start=1):
-            if f >= 0:
-                parent = i - 1
-                left[parent] = i
-                waiting.append(parent)
-            else:
-                parent = waiting.pop()
-                right[parent] = i
-            depth[i] = depth[parent] + 1
-        object.__setattr__(self, "left", np.array(left))
-        object.__setattr__(self, "right", np.array(right))
-        object.__setattr__(self, "depth", max(depth))
-
-    def to_dict(self) -> dict:
-        inner = self.feature >= 0
-        return {"feature": self.feature.tolist(),
-                "threshold": self.threshold[inner].tolist(),
-                "value": self.value[~inner].tolist()}
-
-    @staticmethod
-    def from_dict(d: dict, n_features: int) -> "Tree":
-        """Rebuild a tree from its stored preorder `feature` sequence, the
-        inner nodes' thresholds and the leaves' values, rejecting any that
-        do not form one binary tree over `n_features` features."""
-        feature = np.array(d["feature"])
-        if feature.ndim != 1 or len(feature) == 0 or feature.dtype.kind != "i":
-            raise ValueError("tree feature must be a nonempty list of integers")
-        if feature.min() < -1 or feature.max() >= n_features:
-            raise ValueError(f"tree feature index outside [-1, {n_features})")
-        inner = feature >= 0
-        # open child slots after each node: the root fills the one slot, an
-        # inner node opens two and a leaf none; the tree ends when none is open
-        slots = 1 + np.cumsum(np.where(inner, 1, -1))
-        if np.any(slots[:-1] <= 0) or slots[-1] != 0:
-            raise ValueError("tree feature sequence is not one preorder binary tree")
-        threshold, value = (np.array(d[k], dtype=float) for k in ("threshold", "value"))
-        if threshold.shape != (inner.sum(),) or value.shape != ((~inner).sum(),):
-            raise ValueError("tree needs one threshold per inner node and one value per leaf")
-        if not (np.all(np.isfinite(threshold)) and np.all(np.isfinite(value))):
-            raise ValueError("tree thresholds and values must be finite")
-        full_threshold, full_value = np.zeros(len(feature)), np.zeros(len(feature))
-        full_threshold[inner] = threshold
-        full_value[~inner] = value
-        return Tree(feature, full_threshold, full_value)
-
-
-@dataclass(frozen=True, eq=False)
-class NodeTable:
-    """The nodes of several trees in one table, for walking them at once.
-
-    Tree t's preorder nodes are rows `roots[t]` on; `left` and `right`
-    hold table rows, and a leaf points to itself.  `depth` is the
-    largest tree depth, so that many steps take every row to its leaf.
-    """
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    value: np.ndarray
     left: np.ndarray
     right: np.ndarray
     roots: np.ndarray
-    depth: int
+    depth: int              # edges on the longest root-leaf path of any tree
 
     @staticmethod
-    def of(trees) -> "NodeTable":
-        sizes = [len(t.feature) for t in trees]
-        roots = np.cumsum([0] + sizes[:-1])
-        offset = np.repeat(roots, sizes)
-        return NodeTable(*(np.concatenate([getattr(t, a) for t in trees])
-                           for a in ("feature", "threshold", "value")),
-                         *(np.concatenate([getattr(t, a) for t in trees]) + offset
-                           for a in ("left", "right")),
-                         roots=roots, depth=max(t.depth for t in trees))
+    def parse(feature, threshold, value) -> "Trees":
+        """The table of the trees that the stacked preorder sequence
+        `feature` holds; ValueError unless it ends on a whole tree."""
+        # the child slots still to fill, the next on top: an inner node opens
+        # its right then its left one, and a node that finds none open is
+        # the root of the next tree
+        n = len(feature)
+        left, right, depth = list(range(n)), list(range(n)), [0] * n
+        roots, slots = [], []
+        for i, f in enumerate(feature.tolist()):
+            if slots:
+                parent, children = slots.pop()
+                children[parent] = i
+                depth[i] = depth[parent] + 1
+            else:
+                roots.append(i)
+            if f >= 0:
+                slots += [(i, right), (i, left)]
+        if not roots or slots:
+            raise ValueError("tree feature sequence does not end on a whole preorder tree")
+        return Trees(feature, threshold, value, np.array(left), np.array(right),
+                     np.array(roots), max(depth))
+
+    def __len__(self) -> int:
+        return len(self.roots)
+
+    def __add__(self, other: "Trees") -> "Trees":
+        """These trees followed by `other`'s, in one table."""
+        shift = len(self.feature)
+        return Trees(np.concatenate([self.feature, other.feature]),
+                     np.concatenate([self.threshold, other.threshold]),
+                     np.concatenate([self.value, other.value]),
+                     np.concatenate([self.left, other.left + shift]),
+                     np.concatenate([self.right, other.right + shift]),
+                     np.concatenate([self.roots, other.roots + shift]),
+                     max(self.depth, other.depth))
 
     def walk(self, X):
         """Yield (first row, (trees, rows) leaf values) for each block of
@@ -177,6 +150,33 @@ class NodeTable:
                 node = np.where(block[rows, self.feature[node]] <= self.threshold[node],
                                 self.left[node], self.right[node])
             yield lo, self.value[node]
+
+    def to_dict(self) -> dict:
+        inner = self.feature >= 0
+        return {"feature": self.feature.tolist(),
+                "threshold": self.threshold[inner].tolist(),
+                "value": self.value[~inner].tolist()}
+
+    @staticmethod
+    def from_dict(d: dict, n_features: int) -> "Trees":
+        """Rebuild the table from its stored preorder `feature` sequence,
+        the inner nodes' thresholds and the leaves' values, rejecting any
+        that do not form whole binary trees over `n_features` features."""
+        feature = np.array(d["feature"])
+        if feature.ndim != 1 or len(feature) == 0 or feature.dtype.kind != "i":
+            raise ValueError("tree feature must be a nonempty list of integers")
+        if feature.min() < -1 or feature.max() >= n_features:
+            raise ValueError(f"tree feature index outside [-1, {n_features})")
+        inner = feature >= 0
+        threshold, value = (np.array(d[k], dtype=float) for k in ("threshold", "value"))
+        if threshold.shape != (inner.sum(),) or value.shape != ((~inner).sum(),):
+            raise ValueError("tree needs one threshold per inner node and one value per leaf")
+        if not (np.all(np.isfinite(threshold)) and np.all(np.isfinite(value))):
+            raise ValueError("tree thresholds and values must be finite")
+        full_threshold, full_value = np.zeros(len(feature)), np.zeros(len(feature))
+        full_threshold[inner] = threshold
+        full_value[~inner] = value
+        return Trees.parse(feature, full_threshold, full_value)
 
 
 def _best_splits(X_pad, y_pad, nodes, min_leaf):
@@ -236,7 +236,7 @@ def _best_splits(X_pad, y_pad, nodes, min_leaf):
 
 
 def _grow(X, y, params: ForestParams):
-    """Grow every tree of the forest in lockstep; returns (trees, bootstraps).
+    """Grow every tree of the forest in lockstep; returns (`Trees`, bootstraps).
 
     Each step takes every tree to its next node in preorder that is to be
     split, and scores the candidates of all those nodes at once."""
@@ -280,23 +280,16 @@ def _grow(X, y, params: ForestParams):
                 continue
             nodes[t][i] = [f, thr, 0.0]
             stacks[t] += [(right, depth + 1), (left, depth + 1)]
-    return [Tree(*map(np.array, zip(*tree))) for tree in nodes], boots
+    stacked = (node for tree in nodes for node in tree)
+    return Trees.parse(*map(np.array, zip(*stacked))), boots
 
 
 @dataclass
 class RandomForestModel:
-    trees: list
+    trees: Trees
     params: ForestParams
     feature_names: tuple
-    n_train_rows: int
     oob_r2: float | None             # None when undefined (constant target)
-
-    @cached_property
-    def table(self) -> NodeTable:
-        """All trees' nodes in one table, built from `trees` on first use.
-        A model with other trees is a new model (`dataclasses.replace`);
-        the trees' arrays are not edited once the model has predicted."""
-        return NodeTable.of(self.trees)
 
     def predict(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -304,7 +297,7 @@ class RandomForestModel:
             raise ValueError(
                 f"expected {len(self.feature_names)} features, got {X.shape[1]}")
         preds = np.zeros(len(X))
-        for lo, values in self.table.walk(X):
+        for lo, values in self.trees.walk(X):
             block = preds[lo:lo + values.shape[1]]
             for v in values:  # tree outputs added in tree order
                 block += v
@@ -314,37 +307,35 @@ class RandomForestModel:
         return float(self.predict(np.asarray(x, dtype=float)[None, :])[0])
 
     def features_used(self) -> set:
-        return {int(f) for t in self.trees for f in t.feature[t.feature >= 0]}
+        return set(self.trees.feature[self.trees.feature >= 0].tolist())
 
     def to_dict(self) -> dict:
-        return {
-            "params": self.params.to_dict(),
-            "feature_names": list(self.feature_names),
-            "n_train_rows": self.n_train_rows,
-            "oob_r2": self.oob_r2,
-            "trees": [t.to_dict() for t in self.trees],
-        }
+        """The out-of-bag R2 and the stored trees; the parameters and
+        feature names are the caller's to store."""
+        return {"oob_r2": self.oob_r2, **self.trees.to_dict()}
 
     @staticmethod
-    def from_dict(d: dict) -> "RandomForestModel":
-        if not d["trees"]:
-            raise ValueError("a forest needs at least one tree")
-        return RandomForestModel(
-            trees=[Tree.from_dict(t, len(d["feature_names"])) for t in d["trees"]],
-            params=ForestParams.from_dict(d["params"]),
-            feature_names=tuple(d["feature_names"]),
-            n_train_rows=int(d["n_train_rows"]),
-            oob_r2=d["oob_r2"])
+    def from_dict(d: dict, params: ForestParams, feature_names) -> "RandomForestModel":
+        """Rebuild a model fit with `params` over `feature_names`,
+        rejecting one that does not hold `params.n_trees` trees."""
+        trees = Trees.from_dict(d, len(feature_names))
+        if len(trees) != params.n_trees:
+            raise ValueError(f"forest holds {len(trees)} trees, not n_trees = {params.n_trees}")
+        oob_r2 = d["oob_r2"]
+        if oob_r2 is not None and not (isinstance(oob_r2, float) and math.isfinite(oob_r2)):
+            raise ValueError(f"oob_r2 must be a finite float or null: {oob_r2!r}")
+        return RandomForestModel(trees=trees, params=params,
+                                 feature_names=tuple(feature_names), oob_r2=oob_r2)
 
 
-def compute_oob_r2(trees, bootstraps, X, y) -> float | None:
+def compute_oob_r2(trees: Trees, bootstraps, X, y) -> float | None:
     """R2 of each row's mean prediction over the trees whose bootstrap
     left it out; None when no row is left out or the target is constant."""
     n = len(y)
     oob = np.ones((len(trees), n), dtype=bool)
     oob[np.repeat(np.arange(len(trees)), n), np.concatenate(bootstraps)] = False
     pred_sum = np.zeros(n)
-    for lo, values in NodeTable.of(trees).walk(X):
+    for lo, values in trees.walk(X):
         block = pred_sum[lo:lo + values.shape[1]]
         for left_out, v in zip(oob[:, lo:lo + len(block)], values):
             block += np.where(left_out, v, 0.0)  # a sum from +0.0 is never -0.0
@@ -375,8 +366,7 @@ def fit(X, y, params: ForestParams, feature_names=None) -> RandomForestModel:
     trees, bootstraps = _grow(X, y, params)
     oob = compute_oob_r2(trees, bootstraps, X, y)
     return RandomForestModel(trees=trees, params=params,
-                             feature_names=tuple(feature_names),
-                             n_train_rows=len(y), oob_r2=oob)
+                             feature_names=tuple(feature_names), oob_r2=oob)
 
 
 #: Permutations of each feature column that `permutation_importance` averages.

@@ -78,9 +78,9 @@ class FitCache:
         self._fits[(X.tobytes(), y.tobytes(), model.params)] = model
 
     def importance(self, model, X, y, seed=0):
-        trees = tuple(a.tobytes() for t in model.trees
-                      for a in (t.feature, t.threshold, t.value))
-        key = (trees, X.tobytes(), y.tobytes(), seed)
+        t = model.trees
+        key = (t.feature.tobytes(), t.threshold.tobytes(), t.value.tobytes(),
+               X.tobytes(), y.tobytes(), seed)
         if key not in self._imps:
             self._imps[key] = rf.permutation_importance(model, X, y, seed=seed)
         return self._imps[key]

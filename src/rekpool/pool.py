@@ -27,7 +27,7 @@ from .geometry import as_vec3, atomic_write_text, load_json
 from .spectrum import (SUM_TOL, GroupWeights, KnowledgeSpectrum, group_weights,
                        spectrum as knowledge_spectrum)
 
-POOL_FORMAT_VERSION = 4
+POOL_FORMAT_VERSION = 5
 
 FNV64_OFFSET = 0xCBF29CE484222325
 FNV64_PRIME = 0x100000001B3
@@ -277,6 +277,18 @@ def _weights_from_dict(d: dict) -> GroupWeights:
     return GroupWeights(*values)
 
 
+def _check_realizations(X, y):
+    """An entry's realizations as `Pool.ingest` stores them: n >= 1 finite
+    rows of every feature, and one finite target per row."""
+    if X.ndim != 2 or X.shape[1] != len(FEATURE_NAMES):  # no rows: shape (0,)
+        raise ValueError(f"train_X must have shape (n >= 1, {len(FEATURE_NAMES)}), "
+                         f"not {X.shape}")
+    if y.shape != (len(X),):
+        raise ValueError(f"train_y must hold {len(X)} targets, not shape {y.shape}")
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+        raise ValueError("train_X and train_y must be finite")
+
+
 def pool_to_dict(pool: Pool) -> dict:
     entries = []
     for eid in sorted(pool.entries):
@@ -322,14 +334,21 @@ def pool_from_dict(doc: dict) -> Pool:
                 entry_id=int(ed["entry_id"]),
                 context=_context_from_dict(ed["context"]),
                 weights=_weights_from_dict(ed["weights"]),
-                model=rf.RandomForestModel.from_dict(ed["model"]),
+                model=rf.RandomForestModel.from_dict(ed["model"], pool.forest_params,
+                                                     FEATURE_NAMES),
                 train_X=np.array(ed["train_X"], dtype=float),
                 train_y=np.array(ed["train_y"], dtype=float),
                 created_at=float(ed["created_at"]),
                 updated_at=float(ed["updated_at"]),
                 utilization_count=int(ed["utilization_count"]))
+            _check_realizations(entry.train_X, entry.train_y)
+            if entry.entry_id in pool.entries:
+                raise ValueError(f"entry_id {entry.entry_id} is stored twice")
             pool.entries[entry.entry_id] = entry
-    except (KeyError, TypeError, ValueError) as exc:
+        if pool.entries and pool.next_entry_id <= max(pool.entries):
+            raise ValueError(f"next_entry_id {pool.next_entry_id} is not above every "
+                             f"stored entry_id (largest {max(pool.entries)})")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PoolFileError(f"malformed pool file: {type(exc).__name__}: {exc}") from exc
     return pool
 

@@ -163,8 +163,3 @@ def trace_paths(scene: Scene, rx) -> list:
 def path_loss(scene: Scene, rx, position_id: int = 0) -> ChannelSample:
     """Strongest-path channel sample; outage capped at OUTAGE_CAP_DB."""
     return trace(scene, rx).sample(position_id)
-
-
-def effective_scatterers(scene: Scene, rx) -> list:
-    """Ids of scatterers that produce paths or occlude the direct segment."""
-    return trace(scene, rx).effective_scatterers()

@@ -1,16 +1,24 @@
+import contextlib
 import csv
+import functools
 import hashlib
+import io
 import json
 import math
 import os
 import signal
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rekpool import cli
 from rekpool.cli import main
+from rekpool.features import FEATURE_NAMES
+from rekpool.forest import ForestParams
 from rekpool.pipeline import SPECTRUM_HEADER
-from rekpool.pool import POOL_FORMAT_VERSION, load_pool
+from rekpool.pool import POOL_FORMAT_VERSION, Context, Pool, load_pool, pool_to_dict
 
 
 def run(*argv):
@@ -156,7 +164,7 @@ class TestGolden:
     DIGESTS = {
         "dataset.csv": "49d02848761a1c0a98b1b6f60d629d06062107919b608df454286f5fa28b31f7",
         "spectrum.csv": "8336fc9291975b642169db2dbbd2f2f57bdba60fee40976665c8b101ccf087bb",
-        "pool.json": "28b4cfd735c96a10b9e683af5a1ec611d9ee6b34253312fca98b5f64c011e16f",
+        "pool.json": "6a4654e2a67e94aff500d6af4796650dbd609b599260ec5f78288bd088d486b1",
         "summary.csv": "7de504d0b3727837665a81429820b0ac143df3ffd8ce8eb9f0c0325caa01b039",
     }
 
@@ -193,24 +201,28 @@ class TestMalformedInput:
     @pytest.mark.parametrize("command", ["pool", "predict"])
     @pytest.mark.parametrize("case", ["child out of range", "trailing nodes",
                                       "unequal lengths", "feature >= 16", "no trees",
-                                      "version 2", "version 3"])
+                                      "one tree more", "version 2", "version 3",
+                                      "version 4"])
     def test_malformed_tree(self, workdir, tmp_path, capsys, command, case):
         doc = json.loads((workdir / "pool.json").read_text())
-        tree = next(t for e in doc["entries"] for t in e["model"]["trees"]
-                    if sum(f >= 0 for f in t["feature"]) >= 2)
+        model = doc["entries"][0]["model"]
         if case == "child out of range":  # the last right child lies past the end
-            tree["feature"].pop()
-            tree["value"].pop()
-        elif case == "trailing nodes":  # a leaf root followed by a whole tree's worth
-            tree["feature"][:0] = [-1, 0]
-            tree["threshold"].insert(0, 0.5)
-            tree["value"].insert(0, 0.0)
+            model["feature"].pop()
+            model["value"].pop()
+        elif case == "trailing nodes":  # an inner node and its left leaf end the sequence
+            model["feature"] += [0, -1]
+            model["threshold"].append(0.5)
+            model["value"].append(0.0)
         elif case == "unequal lengths":  # one value more than there are leaves
-            tree["value"].append(0.0)
+            model["value"].append(0.0)
         elif case == "feature >= 16":
-            tree["feature"][0] = 16
+            model["feature"][0] = 16
         elif case == "no trees":
-            doc["entries"][0]["model"]["trees"] = []
+            for key in ("feature", "threshold", "value"):
+                model[key] = []
+        elif case == "one tree more":  # a whole leaf tree beyond n_trees
+            model["feature"].append(-1)
+            model["value"].append(0.0)
         else:
             doc["version"] = int(case[-1])
         path = tmp_path / "pool.json"
@@ -230,6 +242,35 @@ class TestMalformedInput:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("case", ["duplicate entry_id", "next_entry_id not above",
+                                      "narrow train_X", "no rows", "train_y length",
+                                      "features_per_split 2.5", "n_trees 2.7",
+                                      "integer too large for a float"])
+    def test_pool_invariants(self, workdir, tmp_path, capsys, case):
+        doc = json.loads((workdir / "pool.json").read_text())
+        first, second = doc["entries"][:2]
+        if case == "duplicate entry_id":
+            second["entry_id"] = first["entry_id"]
+        elif case == "next_entry_id not above":
+            doc["next_entry_id"] = max(e["entry_id"] for e in doc["entries"])
+        elif case == "narrow train_X":
+            first["train_X"] = [row[:-1] for row in first["train_X"]]
+        elif case == "no rows":
+            first["train_X"], first["train_y"] = [], []
+        elif case == "train_y length":
+            first["train_y"].pop()
+        elif case == "integer too large for a float":
+            doc["thresholds"]["theta_high"] = 10 ** 400
+        else:  # loading coerced these, and a fit later raised TypeError
+            name, value = case.split()
+            doc["forest_params"][name] = float(value)
+        path = tmp_path / "pool.json"
+        path.write_text(json.dumps(doc))
+        self.assert_one_error_line(capsys, ["pool", "show", str(path)])
+        self.assert_one_error_line(capsys, ["pool", "merge", str(workdir / "pool.json"),
+                                            "--into", str(path)])
+        assert json.loads(path.read_text()) == doc
 
     def test_non_finite_pool_value(self, workdir, tmp_path, capsys):
         doc = json.loads((workdir / "pool.json").read_text())
@@ -315,6 +356,86 @@ class TestMalformedInput:
         self.assert_one_error_line(capsys, argv)
         assert not (tmp_path / "pool.json").exists()
         assert not (tmp_path / "summary.csv").exists()
+
+
+@functools.cache
+def fuzz_pools():
+    """(target, source) pool files as text.  The target holds a generated
+    and a transferred entry; the source's one entry is far from both, so
+    merging it into the target fits a forest."""
+    rng = np.random.default_rng(0)
+
+    def pool_text(*contexts):
+        pool = Pool(capacity=4, forest_params=ForestParams(n_trees=2, max_depth=2,
+                                                           min_leaf=2, seed=1))
+        for t, c in enumerate(contexts, start=1):
+            X = rng.uniform(-1, 1, size=(6, len(FEATURE_NAMES)))
+            pool.ingest(c, X, 2.0 * X[:, 0], now=float(t))
+        return json.dumps(pool_to_dict(pool))
+    return (pool_text(Context(1, 1, (0, 0, 1.5), True, 28e9),
+                      Context(1, 2, (40, 0, 1.5), True, 28e9)),
+            pool_text(Context(2, 3, (500, 0, 1.5), False, 3.5e9)))
+
+
+def leaf_paths(doc, prefix=()):
+    """Path of every value in a JSON document that is no object or list."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for k, v in items:
+        if isinstance(v, (dict, list)):
+            yield from leaf_paths(v, prefix + (k,))
+        else:
+            yield prefix + (k,)
+
+
+@functools.cache
+def fuzz_leaves():
+    """{leaf path with list indices as "*": the target's leaf paths of that
+    shape}, so that each key is as likely as each row of train_X."""
+    shapes = {}
+    for path in leaf_paths(json.loads(fuzz_pools()[0])):
+        shapes.setdefault(tuple("*" if isinstance(k, int) else k for k in path), []).append(path)
+    return shapes
+
+
+DELETE = "<delete>"
+
+
+class TestPoolFileFuzz:
+    """A pool file with one value of another JSON type, or one key or item
+    fewer, is shown or merged into, or rejected with one `error:` line;
+    no command raises."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(shape=st.deferred(lambda: st.sampled_from(sorted(fuzz_leaves()))),
+           pick=st.integers(0, 1000),
+           new=st.one_of(st.integers(-3, 40), st.floats(-100, 100), st.sampled_from(
+               ["", "x", "1.5"]), st.booleans(), st.none(), st.just(DELETE)))
+    @example(shape=("forest_params", "features_per_split"), pick=0, new=2.5)
+    def test_mutated_target(self, shape, pick, new):
+        target_text, source_text = fuzz_pools()
+        paths = fuzz_leaves()[shape]
+        *parents, key = paths[pick % len(paths)]
+        doc = json.loads(target_text)
+        parent = functools.reduce(lambda d, k: d[k], parents, doc)
+        if new == DELETE:
+            del parent[key]
+        else:
+            parent[key] = new
+        with tempfile.TemporaryDirectory() as d:
+            target, source = os.path.join(d, "target.json"), os.path.join(d, "source.json")
+            with open(target, "w") as f:
+                json.dump(doc, f)
+            with open(source, "w") as f:
+                f.write(source_text)
+            for argv in (["pool", "show", target],
+                         ["pool", "merge", source, "--into", target]):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(err):
+                    code = main(argv)
+                lines = err.getvalue().splitlines()
+                assert (code, lines) == (0, []) or (
+                    code == 1 and len(lines) == 1 and lines[0].startswith("error: "))
 
 
 def assert_usage_error(capsys, argv):

@@ -2,7 +2,7 @@ import copy
 import dataclasses
 import json
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from rekpool import forest, pipeline, predict, propagation
 from rekpool.features import RealizationConfig
-from rekpool.forest import (TREE_ROW_BUDGET, ForestParams, RandomForestModel, Tree, fit,
+from rekpool.forest import (TREE_ROW_BUDGET, ForestParams, RandomForestModel, Trees, fit,
                             permutation_importance)
 from rekpool.geometry import canonical_street_scene
 from rekpool.pipeline import (FitCache, build_pool, design_matrices, loo_evaluate,
@@ -20,11 +20,18 @@ from rekpool.predict import trajectory_contexts
 
 
 def tree_depth(t):
-    """Depth of a tree, from its child arrays (children follow parents)."""
+    """Largest depth of the trees of a table, from its child arrays
+    (children follow parents, roots have none)."""
     depth = np.zeros(len(t.feature), dtype=int)
     for i in np.flatnonzero(t.feature >= 0):
         depth[t.left[i]] = depth[t.right[i]] = depth[i] + 1
     return depth.max()
+
+
+def tree_rows(trees):
+    """The rows of each tree of a `Trees` table, in tree order."""
+    bounds = [*trees.roots.tolist(), len(trees.feature)]
+    return [np.arange(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 #: Root splits on x2, its left child on x0; nodes 2, 3 and 4 are leaves.
@@ -47,12 +54,12 @@ def reference_children(feature):
     return left, right
 
 
-def tree_leaves(t, X):
-    """Reference walk: the leaf each row of X reaches, one row and one node
-    at a time."""
+def tree_leaves(t, X, root=0):
+    """Reference walk: the leaf each row of X reaches from the root at row
+    `root`, one row and one node at a time."""
     out = []
     for x in X:
-        node = 0
+        node = root
         while t.feature[node] >= 0:
             node = t.left[node] if x[t.feature[node]] <= t.threshold[node] else t.right[node]
         out.append(node)
@@ -60,17 +67,18 @@ def tree_leaves(t, X):
 
 
 def scalar_predict(model, X):
-    """Reference predict: one row and one node at a time, trees summed in
-    order."""
+    """Reference predict: one row and one node at a time, each tree walked
+    from its root, trees summed in order."""
+    t = model.trees
     out = np.zeros(len(X))
     for i, x in enumerate(X):
-        for t in model.trees:
-            node = 0
+        for root in t.roots:
+            node = root
             while t.feature[node] >= 0:
                 go_left = x[t.feature[node]] <= t.threshold[node]
                 node = t.left[node] if go_left else t.right[node]
             out[i] += t.value[node]
-    return out / len(model.trees)
+    return out / len(t.roots)
 
 
 def scalar_importance(model, X, y, seed, n_repeats=5):
@@ -151,6 +159,17 @@ def reference_grow(X, y, rows, depth, params, k_features, rng, nodes):
     reference_grow(X, y, right_rows, depth + 1, params, k_features, rng, nodes)
 
 
+#: One tree of the reference: its preorder node arrays and the child
+#: arrays `reference_children` gives them.
+RefTree = namedtuple("RefTree", "feature threshold value left right")
+
+
+def reference_tree(nodes):
+    feature, threshold, value = map(np.array, zip(*nodes))
+    return RefTree(feature, threshold, value,
+                   *map(np.array, reference_children(feature.tolist())))
+
+
 def reference_fit_tree(X, y, params, tree_index):
     """Reference: one tree and its bootstrap rows, grown on its own."""
     n, p = X.shape
@@ -160,7 +179,7 @@ def reference_fit_tree(X, y, params, tree_index):
     nodes = []
     reference_grow(X, y, boot.copy(), 0, params, params.resolved_features_per_split(p),
                    rng, nodes)
-    return Tree(*map(np.array, zip(*nodes))), boot
+    return reference_tree(nodes), boot
 
 
 def reference_oob_r2(trees, bootstraps, X, y):
@@ -232,16 +251,18 @@ class TestFit:
     def test_depth_bound(self):
         X, y = linear_benchmark(n=300)
         model = fit(X, y, ForestParams(n_trees=10, max_depth=3, seed=0))
-        assert all(tree_depth(t) <= 3 for t in model.trees)
+        assert tree_depth(model.trees) <= 3
 
     def test_min_leaf_respected(self):
         X, y = linear_benchmark(n=200)
         params = ForestParams(n_trees=10, min_leaf=20, seed=0)
         model = fit(X, y, params)
-        for i, t in enumerate(model.trees):
+        t = model.trees
+        for i, rows in enumerate(tree_rows(t)):
             _, boot = reference_fit_tree(X, y, params, i)
-            rows_per_node = np.bincount(tree_leaves(t, X[boot]), minlength=len(t.feature))
-            assert np.all(rows_per_node[t.feature < 0] >= 20)
+            rows_per_node = np.bincount(tree_leaves(t, X[boot], root=rows[0]),
+                                        minlength=len(t.feature))
+            assert np.all(rows_per_node[rows][t.feature[rows] < 0] >= 20)
 
     def test_prediction_within_target_range(self):
         X, y = linear_benchmark(n=200)
@@ -274,6 +295,15 @@ class TestFit:
         with pytest.raises(ValueError):
             ForestParams(features_per_split=0)
 
+    @pytest.mark.parametrize("name", ["n_trees", "max_depth", "min_leaf", "seed",
+                                      "features_per_split"])
+    @pytest.mark.parametrize("value", [2.7, 2.0, True, "3"])
+    def test_non_integer_params_rejected(self, name, value):
+        d = {**ForestParams().to_dict(), name: value}
+        with pytest.raises(TypeError):
+            ForestParams.from_dict(d)
+        assert ForestParams.from_dict({**d, name: np.int64(3)}).to_dict()[name] == 3
+
 
 class TestScalarReference:
     """The array walk and the batched importance equal, bit for bit, a
@@ -286,8 +316,9 @@ class TestScalarReference:
         model = fit(X, y, ForestParams(n_trees=12, min_leaf=3, seed=5))
         grid = np.random.default_rng(2).uniform(-1.2, 1.2, size=(60, 4))
         # rows that sit exactly on split thresholds pin the <= comparison
-        on_split = [(t.feature[i], t.threshold[i]) for t in model.trees
-                    for i in np.flatnonzero(t.feature >= 0)[:3]]
+        t = model.trees
+        on_split = [(t.feature[i], t.threshold[i]) for rows in tree_rows(t)
+                    for i in rows[t.feature[rows] >= 0][:3]]
         for row, (f, thr) in zip(grid, on_split):
             row[f] = thr
         for Z in (X, grid):
@@ -329,10 +360,16 @@ class TestRecursiveReference:
         model = fit(X, y, params)
         trees, oob_r2 = reference_fit(X, y, params)
         assert model.oob_r2 == oob_r2
-        for got, want in zip(model.trees, trees, strict=True):
-            for a in ("feature", "threshold", "value", "left", "right"):
-                assert getattr(got, a).dtype == getattr(want, a).dtype
-                assert np.array_equal(getattr(got, a), getattr(want, a))
+        got = model.trees
+        roots = np.cumsum([0] + [len(t.feature) for t in trees[:-1]])
+        assert got.roots.tolist() == roots.tolist()
+        for a in ("feature", "threshold", "value", "left", "right"):
+            # each tree's child rows are its own children shifted by its root
+            want = np.concatenate([getattr(t, a) + root if a in ("left", "right")
+                                   else getattr(t, a) for t, root in zip(trees, roots)])
+            assert getattr(got, a).dtype == want.dtype
+            assert np.array_equal(getattr(got, a), want)
+        assert got.depth == max(tree_depth(t) for t in trees)
         Z = rng.normal(size=(7, p))
         assert np.array_equal(model.predict(Z), scalar_predict(model, Z))
         assert np.array_equal(permutation_importance(model, X, y, seed=seed),
@@ -362,6 +399,72 @@ class TestRecursiveReference:
         basis = dataclasses.replace(a, trees=a.trees + b.trees)
         assert np.array_equal(basis.predict(grid), scalar_predict(basis, grid))
         assert np.array_equal(a.predict(grid), scalar_predict(a, grid))
+
+    def test_predict_follows_edits_to_a_copy(self):
+        X, y = linear_benchmark(n=90)
+        model = fit(X, y, ForestParams(n_trees=5, seed=1))
+        grid = np.random.default_rng(6).uniform(-1, 1, size=(30, 4))
+        before = model.predict(grid)
+        edited = copy.deepcopy(model)
+        edited.trees.value[edited.trees.feature < 0] = 0.0
+        assert np.array_equal(edited.predict(grid), np.zeros(len(grid)))
+        assert np.array_equal(model.predict(grid), before)
+
+
+@st.composite
+def preorder_tree(draw, depth=0):
+    """The preorder feature sequence of a random binary tree over 4
+    features, at most 5 deep."""
+    if depth == 5 or not draw(st.booleans()):
+        return [-1]
+    return [draw(st.integers(0, 3)), *draw(preorder_tree(depth + 1)),
+            *draw(preorder_tree(depth + 1))]
+
+
+def parse(feature, first=0):
+    """`Trees.parse` of a feature sequence whose first node is row `first`
+    of a table, each node's row as its threshold and value."""
+    rows = np.arange(first, first + len(feature), dtype=float)
+    return Trees.parse(np.array(feature, dtype=int), rows, rows.copy())
+
+
+class TestTable:
+    """`Trees.parse` splits a stacked sequence into whole trees exactly as
+    recursive descent does, and joining two tables shifts their rows."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(trees=st.lists(preorder_tree(), min_size=1, max_size=6), data=st.data())
+    def test_parse_equals_recursive_descent(self, trees, data):
+        feature = [f for tree in trees for f in tree]
+        table = parse(feature)
+        roots = np.cumsum([0] + [len(tree) for tree in trees[:-1]]).tolist()
+        left, right, depth = [], [], 0
+        for root, tree in zip(roots, trees):
+            ref = reference_tree([(f, 0.0, 0.0) for f in tree])
+            left += (ref.left + root).tolist()
+            right += (ref.right + root).tolist()
+            depth = max(depth, tree_depth(ref))
+        assert len(table) == len(trees)
+        assert table.roots.tolist() == roots
+        assert table.left.tolist() == left and table.right.tolist() == right
+        assert table.depth == depth
+        # one node more, an inner one, leaves the last tree partial
+        with pytest.raises(ValueError):
+            parse(feature + [0])
+        # so does one node less, unless the last tree is a lone leaf
+        if len(trees[-1]) > 1 or len(trees) == 1:
+            with pytest.raises(ValueError):
+                parse(feature[:-1])
+        else:
+            assert len(parse(feature[:-1])) == len(trees) - 1
+        if len(trees) > 1:
+            k = data.draw(st.integers(1, len(trees) - 1))
+            head = [f for tree in trees[:k] for f in tree]
+            joined = parse(head) + parse(feature[len(head):], first=len(head))
+            for a in ("feature", "threshold", "value", "left", "right", "roots"):
+                assert getattr(joined, a).dtype == getattr(table, a).dtype
+                assert np.array_equal(getattr(joined, a), getattr(table, a))
+            assert joined.depth == table.depth
 
 
 class TestPermutationImportance:
@@ -409,9 +512,8 @@ class TestFitCache:
         X, y = linear_benchmark(n=120)
         a = fit(X, y, ForestParams(n_trees=5, seed=4))
         b = copy.deepcopy(a)
-        for tree in b.trees:
-            assert tree.feature[0] >= 0
-            tree.value[tree.feature < 0] = 0.0
+        assert np.all(b.trees.feature[b.trees.roots] >= 0)
+        b.trees.value[b.trees.feature < 0] = 0.0
         cache = FitCache()
         imp_a = cache.importance(a, X, y, seed=1)
         imp_b = cache.importance(b, X, y, seed=1)
@@ -504,42 +606,59 @@ class TestSerialization:
         X, y = linear_benchmark(n=120)
         model = fit(X, y, ForestParams(n_trees=8, seed=6))
         blob = json.dumps(model.to_dict())
-        back = RandomForestModel.from_dict(json.loads(blob))
+        assert list(json.loads(blob)) == ["oob_r2", "feature", "threshold", "value"]
+        back = RandomForestModel.from_dict(json.loads(blob), model.params,
+                                           model.feature_names)
         grid = np.random.default_rng(1).uniform(-1, 1, size=(40, 4))
         assert np.array_equal(model.predict(grid), back.predict(grid))
         assert back.oob_r2 == model.oob_r2
         assert back.params == model.params
 
+    @pytest.mark.parametrize("oob_r2, ok", [(0.5, True), (None, True), ("0.5", False),
+                                            (True, False), (math.nan, False)])
+    def test_stored_oob_r2_checked(self, oob_r2, ok):
+        d = {"oob_r2": oob_r2, **VALID_TREE}
+        params, names = ForestParams(n_trees=1), ("a", "b", "c")
+        if ok:
+            assert RandomForestModel.from_dict(d, params, names).oob_r2 == oob_r2
+        else:
+            with pytest.raises(ValueError):
+                RandomForestModel.from_dict(d, params, names)
+
     def test_tree_round_trip(self):
-        tree = Tree(feature=np.array([2, -1, -1]), threshold=np.array([0.25, 0.0, 0.0]),
-                    value=np.array([0.0, 1.5, -3.0]))
+        tree = Trees.parse(np.array([2, -1, -1]), np.array([0.25, 0.0, 0.0]),
+                           np.array([0.0, 1.5, -3.0]))
         d = json.loads(json.dumps(tree.to_dict()))
         assert d == {"feature": [2, -1, -1], "threshold": [0.25], "value": [1.5, -3.0]}
-        back = Tree.from_dict(d, n_features=3)
+        back = Trees.from_dict(d, n_features=3)
         assert back.to_dict() == tree.to_dict()
-        for a in ("feature", "threshold", "value", "left", "right"):
+        for a in ("feature", "threshold", "value", "left", "right", "roots"):
             assert np.array_equal(getattr(back, a), getattr(tree, a))
         X = np.array([[0.0, 0.0, 0.25], [0.0, 0.0, 0.3]])
         assert np.array_equal(back.value[tree_leaves(back, X)], [1.5, -3.0])
 
     def test_children_derived_from_preorder(self):
         # root splits on x2, its left child on x0; nodes 2, 3 and 4 are leaves
-        t = Tree.from_dict(VALID_TREE, n_features=3)
+        t = Trees.from_dict(VALID_TREE, n_features=3)
         assert t.left.tolist() == [1, 2, 2, 3, 4]
         assert t.right.tolist() == [4, 3, 2, 3, 4]
+        assert t.roots.tolist() == [0] and t.depth == 2
         X, y = linear_benchmark(n=150)
-        for t in fit(X, y, ForestParams(n_trees=8, seed=3)).trees:
-            left, right = reference_children(t.feature.tolist())
-            assert t.left.tolist() == left and t.right.tolist() == right
+        t = fit(X, y, ForestParams(n_trees=8, seed=3)).trees
+        for rows in tree_rows(t):
+            left, right = reference_children(t.feature[rows].tolist())
+            assert (t.left[rows] - rows[0]).tolist() == left
+            assert (t.right[rows] - rows[0]).tolist() == right
 
     def test_fitted_inner_values_and_leaf_thresholds_zero(self):
         X, y = linear_benchmark(n=150)
-        for t in fit(X, y, ForestParams(n_trees=5, seed=3)).trees:
-            assert np.all(t.value[t.feature >= 0] == 0.0)
-            assert np.all(t.threshold[t.feature < 0] == 0.0)
-            back = Tree.from_dict(json.loads(json.dumps(t.to_dict())), n_features=4)
-            for a in ("feature", "threshold", "value"):
-                assert getattr(back, a).tobytes() == getattr(t, a).tobytes()
+        t = fit(X, y, ForestParams(n_trees=5, seed=3)).trees
+        assert np.all(t.value[t.feature >= 0] == 0.0)
+        assert np.all(t.threshold[t.feature < 0] == 0.0)
+        back = Trees.from_dict(json.loads(json.dumps(t.to_dict())), n_features=4)
+        for a in ("feature", "threshold", "value", "left", "right", "roots"):
+            assert getattr(back, a).tobytes() == getattr(t, a).tobytes()
+        assert back.depth == t.depth
 
     @pytest.mark.parametrize("field, index, value", [
         ("feature", 1, 3),             # feature >= n_features
@@ -552,10 +671,10 @@ class TestSerialization:
     ])
     def test_malformed_tree_rejected(self, field, index, value):
         d = copy.deepcopy(VALID_TREE)
-        Tree.from_dict(d, n_features=3)
+        Trees.from_dict(d, n_features=3)
         d[field][index] = value
         with pytest.raises(ValueError):
-            Tree.from_dict(d, n_features=3)
+            Trees.from_dict(d, n_features=3)
 
     @pytest.mark.parametrize("feature", [
         [-1, 0, -1, -1],               # leaf first, with trailing nodes
@@ -564,11 +683,14 @@ class TestSerialization:
         [2, 0, -1, -1, -1, -1],        # one leaf too many
     ], ids=["trailing nodes", "closed early", "truncated", "extra leaf"])
     def test_unparsable_sequence_rejected(self, feature):
+        """None of these is one tree: a model of one tree rejects them all.
+        Trailing nodes and an extra leaf parse as a second tree, which the
+        tree count rejects."""
         inner = sum(f >= 0 for f in feature)
-        d = {"feature": feature, "threshold": [0.5] * inner,
+        d = {"oob_r2": None, "feature": feature, "threshold": [0.5] * inner,
              "value": [1.0] * (len(feature) - inner)}
         with pytest.raises(ValueError):
-            Tree.from_dict(d, n_features=3)
+            RandomForestModel.from_dict(d, ForestParams(n_trees=1), ("a", "b", "c"))
 
     def test_unequal_or_empty_arrays_rejected(self):
         for key in ("threshold", "value"):
@@ -576,6 +698,6 @@ class TestSerialization:
                 d = copy.deepcopy(VALID_TREE)
                 grow(d[key])
                 with pytest.raises(ValueError):
-                    Tree.from_dict(d, n_features=3)
+                    Trees.from_dict(d, n_features=3)
         with pytest.raises(ValueError):
-            Tree.from_dict({k: [] for k in VALID_TREE}, n_features=3)
+            Trees.from_dict({k: [] for k in VALID_TREE}, n_features=3)

@@ -33,8 +33,8 @@ def data(seed=0, n=20):
 
 def key_paths(doc, prefix=()):
     """Path of every object key in a JSON document, list indices included.
-    Of each list only the first item is walked: entries and trees all
-    share one set of keys."""
+    Of each list only the first item is walked: entries all share one set
+    of keys."""
     items = doc.items() if isinstance(doc, dict) else enumerate(doc[:1])
     for k, v in items:
         if isinstance(doc, dict):
@@ -145,7 +145,11 @@ class TestIngest:
         entry = pool.entries[1]
         assert entry.train_X.shape[0] == len(X) + len(X2)
         assert entry.updated_at == 2.0
-        assert entry.model.n_train_rows == len(X) + len(X2)
+        assert len(entry.train_y) == len(X) + len(X2)
+        # the model is refit on the stored rows followed by the new ones
+        refit = fit(np.vstack([X, X2]), np.concatenate([y, y2]), SMALL_PARAMS,
+                    feature_names=FEATURE_NAMES)
+        assert entry.model.to_dict() == refit.to_dict()
 
     def test_intermediate_similarity_transfers(self):
         pool = small_pool()
@@ -330,12 +334,12 @@ class TestPersistence:
         save_pool(path, self.build())  # includes a transferred entry
         text = path.read_text()
         for key in ("warm_trees", "bootstrap_indices", "left", "right", "spectrum",
-                    "degenerate"):
+                    "degenerate", "params", "feature_names", "n_train_rows", "trees"):
             assert f'"{key}"' not in text
         # every key that is stored is read back: without it loading fails
         doc = json.loads(text)
         paths = list(key_paths(doc))
-        assert len(paths) > 40
+        assert len(paths) == 17 + 22  # the pool's keys and one entry's
         for path in paths:
             broken = json.loads(text)
             parent = broken
@@ -346,7 +350,7 @@ class TestPersistence:
                 pool_from_dict(broken)
 
     def test_v1_and_keyless_files_rejected(self):
-        for version in (1, 2, 3):
+        for version in (1, 2, 3, 4):
             with pytest.raises(PoolVersionError):
                 pool_from_dict({"version": version})
         with pytest.raises(PoolFileError):
@@ -354,9 +358,9 @@ class TestPersistence:
 
     def test_malformed_tree_is_pool_file_error(self):
         doc = json.loads(json.dumps(pool_to_dict(self.build())))
-        tree = doc["entries"][0]["model"]["trees"][0]
-        tree["feature"].pop()  # truncated: the last right child is missing
-        tree["value"].pop()
+        model = doc["entries"][0]["model"]
+        model["feature"].pop()  # truncated: the last right child is missing
+        model["value"].pop()
         with pytest.raises(PoolFileError):
             pool_from_dict(doc)
 

@@ -6,8 +6,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from rekpool.geometry import (EPS_EXACT, Scatterer, Scene, canonical_street_scene,
                               mirror_point, segment_blocked)
-from rekpool.propagation import (OUTAGE_CAP_DB, SPEED_OF_LIGHT, effective_scatterers,
-                                 fspl_db, path_loss, trace_paths)
+from rekpool.propagation import (OUTAGE_CAP_DB, SPEED_OF_LIGHT, fspl_db, path_loss,
+                                 trace, trace_paths)
 
 
 def one_wall_scene():
@@ -139,21 +139,21 @@ class TestPathLoss:
 class TestEffectiveScatterers:
     def test_empty_scene(self):
         scene = Scene(tx=(0, 0, 10), frequency_hz=1e9)
-        assert effective_scatterers(scene, (30, 0, 10)) == []
+        assert trace(scene, (30, 0, 10)).effective_scatterers() == []
 
     def test_reflector_counts(self):
         scene = one_wall_scene()
-        assert effective_scatterers(scene, (4, 0, 1)) == [1]
+        assert trace(scene, (4, 0, 1)).effective_scatterers() == [1]
 
     def test_blocker_counts_even_without_path(self):
         wall = Scatterer(id=7, center=(10, 0, 0), dims=(2, 50, 50))
         scene = Scene(tx=(0, 0, 0), frequency_hz=1e9, scatterers=(wall,))
-        assert effective_scatterers(scene, (20, 0, 0)) == [7]
+        assert trace(scene, (20, 0, 0)).effective_scatterers() == [7]
 
     def test_sorted_ids(self):
         scene, traj = canonical_street_scene()
         for rx in traj.positions:
-            ids = effective_scatterers(scene, rx)
+            ids = trace(scene, rx).effective_scatterers()
             assert ids == sorted(ids)
 
 
