@@ -13,8 +13,8 @@ import sys
 
 from .features import RealizationConfig, load_dataset, save_dataset
 from .forest import ForestParams
-from .geometry import (atomic_write_text, canonical_street_scene, load_json, load_scene,
-                       save_scene)
+from .geometry import (atomic_write_text, canonical_street_scene, json_field, load_json,
+                       load_scene, save_scene)
 from .pipeline import (FitCache, build_pool, cdf_csv, learn_positions,
                        loo_evaluate, simulate_trajectory,
                        spectrum_csv, summary_csv, trace_trajectory)
@@ -26,15 +26,6 @@ from .propagation import path_loss
 def _fail(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return 1
-
-
-def _config_type_ok(value, kind) -> bool:
-    """Whether a JSON config value can stand for an option of type
-    `kind` (bool for a flag, int, float, or None for a string)."""
-    if kind is bool or isinstance(value, bool):
-        # a flag takes only true or false, and neither stands for a number
-        return kind is bool and isinstance(value, bool)
-    return isinstance(value, (int, float) if kind is float else kind or str)
 
 
 def _apply_config(args, parser):
@@ -60,10 +51,10 @@ def _apply_config(args, parser):
             parser.error(f"config key {key!r} names no option")
         if value is None or not hasattr(args, attr) or getattr(args, attr) is not None:
             continue
-        kind = kinds.get(attr)
-        if not _config_type_ok(value, kind):
-            parser.error(f"config value {key!r} has the wrong type: {value!r}")
-        setattr(args, attr, float(value) if kind is float else value)
+        try:  # a flag's kind is bool, a string option's None
+            setattr(args, attr, json_field(cfg, key, kinds.get(attr) or str))
+        except ValueError as exc:
+            parser.error(f"config value {exc}")
     return args
 
 

@@ -45,6 +45,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .geometry import json_field
+
 #: Most (tree, row) pairs one block of a `Trees` walk holds.
 TREE_ROW_BUDGET = 1 << 14
 
@@ -162,13 +164,14 @@ class Trees:
         """Rebuild the table from its stored preorder `feature` sequence,
         the inner nodes' thresholds and the leaves' values, rejecting any
         that do not form whole binary trees over `n_features` features."""
+        json_field(d, "feature", np.ndarray)  # numbers only: no true among the integers
         feature = np.array(d["feature"])
         if feature.ndim != 1 or len(feature) == 0 or feature.dtype.kind != "i":
             raise ValueError("tree feature must be a nonempty list of integers")
         if feature.min() < -1 or feature.max() >= n_features:
             raise ValueError(f"tree feature index outside [-1, {n_features})")
         inner = feature >= 0
-        threshold, value = (np.array(d[k], dtype=float) for k in ("threshold", "value"))
+        threshold, value = (json_field(d, k, np.ndarray) for k in ("threshold", "value"))
         if threshold.shape != (inner.sum(),) or value.shape != ((~inner).sum(),):
             raise ValueError("tree needs one threshold per inner node and one value per leaf")
         if not (np.all(np.isfinite(threshold)) and np.all(np.isfinite(value))):

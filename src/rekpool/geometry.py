@@ -196,6 +196,24 @@ class Blockage:
     blocker_ids: tuple
     blocked_fraction: float
 
+    @staticmethod
+    def from_slab(hit, enter, leave, ids) -> Blockage:
+        """One segment's blockage from its `_slab_test` row and the box ids:
+        the boxes `hit` marks and the measure of their intervals' union."""
+        if not hit.any():
+            return Blockage(False, (), 0.0)
+        intervals = sorted(zip(enter[hit].tolist(), leave[hit].tolist()))
+        total = 0.0
+        cur_a, cur_b = intervals[0]
+        for a, b in intervals[1:]:
+            if a > cur_b:
+                total += cur_b - cur_a
+                cur_a, cur_b = a, b
+            else:
+                cur_b = max(cur_b, b)
+        total += cur_b - cur_a
+        return Blockage(True, tuple(ids[hit].tolist()), float(min(total, 1.0)))
+
 
 def _slab_test(p, q, scene: Scene):
     """Slab test of the segments p[m]-q[m] (M, 3) against every box at once
@@ -236,28 +254,7 @@ def segment_blocked(p, q, scene: Scene, exclude_ids=()) -> Blockage:
     hit, enter, leave = (a[0] for a in _slab_test(p[None], q[None], scene))
     for sid in exclude_ids:
         hit &= scene.box_ids != sid
-    if not hit.any():
-        return Blockage(False, (), 0.0)
-    intervals = sorted(zip(enter[hit].tolist(), leave[hit].tolist()))
-    total = 0.0
-    cur_a, cur_b = intervals[0]
-    for a, b in intervals[1:]:
-        if a > cur_b:
-            total += cur_b - cur_a
-            cur_a, cur_b = a, b
-        else:
-            cur_b = max(cur_b, b)
-    total += cur_b - cur_a
-    return Blockage(True, tuple(scene.box_ids[hit].tolist()), float(min(total, 1.0)))
-
-
-def segments_blocked(p, q, scene: Scene, exclude_ids) -> np.ndarray:
-    """Whether each open segment p[m]-q[m] (M, 3) is blocked by a scatterer
-    other than the one with id exclude_ids[m]: for every m at once,
-    `segment_blocked(p[m], q[m], scene, exclude_ids=(exclude_ids[m],)).blocked`.
-    The endpoints of each segment must differ."""
-    hit, _, _ = _slab_test(p, q, scene)
-    return (hit & (scene.box_ids != np.asarray(exclude_ids)[:, None])).any(axis=1)
+    return Blockage.from_slab(hit, enter, leave, scene.box_ids)
 
 
 def mirror_point(p, axis: int, value: float) -> np.ndarray:
@@ -342,21 +339,21 @@ def scene_from_dict(doc: dict):
     if not isinstance(doc, dict):
         raise ValueError("not a scene file")
     version = doc.get("version")
-    if version != SCENE_FORMAT_VERSION:
+    if type(version) is not int or version != SCENE_FORMAT_VERSION:
         raise ValueError(f"unsupported scene format version: {version!r}")
     try:
         scatterers = tuple(
-            Scatterer(id=int(s["id"]), center=s["center"], dims=s["dims"],
-                      reflection_loss_db=float(s["reflection_loss_db"]))
+            Scatterer(id=json_field(s, "id", int), center=json_field(s, "center", np.ndarray),
+                      dims=json_field(s, "dims", np.ndarray),
+                      reflection_loss_db=json_field(s, "reflection_loss_db", float))
             for s in doc["scatterers"]
         )
-        scene = Scene(tx=doc["tx"], frequency_hz=float(doc["frequency_hz"]),
-                      scatterers=scatterers)
-        positions = tuple(doc["trajectory"])
+        scene = Scene(tx=json_field(doc, "tx", np.ndarray),
+                      frequency_hz=json_field(doc, "frequency_hz", float), scatterers=scatterers)
+        positions = tuple(json_field(doc, "trajectory", np.ndarray))
         spacing = 0.0
         if len(positions) >= 2:
-            spacing = float(np.linalg.norm(
-                np.asarray(positions[1]) - np.asarray(positions[0])))
+            spacing = float(np.linalg.norm(positions[1] - positions[0]))
         traj = Trajectory(positions=positions, spacing_m=spacing)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed scene file: {type(exc).__name__}: {exc}") from exc
@@ -402,6 +399,41 @@ def load_json(path):
     Python's json accepts and numbers that overflow to infinity."""
     with open(path) as f:
         return json.load(f, parse_float=_finite_float, parse_constant=_reject_constant)
+
+
+#: What each kind that `json_field` reads is written as in a JSON file.
+_JSON_TYPES = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
+               np.ndarray: "a list of numbers"}
+
+
+def _json_numbers(value) -> bool:
+    """Whether value is a list, nested to any depth, of JSON numbers only."""
+    if not isinstance(value, list):
+        return False
+    types = set(map(type, value))  # bool is its own type, not int
+    return all(map(_json_numbers, value)) if types == {list} else types <= {int, float}
+
+
+def json_field(doc: dict, key: str, kind):
+    """doc[key], parsed from a JSON file, as a `kind` (bool, int, float, str
+    or np.ndarray): ValueError unless the file wrote it as one.  Only true
+    and false are booleans and only integers are ints; a float may be any
+    number, and an array any nested list of numbers, read as float64.  So
+    no reader takes 2.7 for 2, "no" for True or "3" for 3.0."""
+    value = doc[key]
+    if kind is np.ndarray:
+        ok = _json_numbers(value)
+    elif kind is bool or isinstance(value, bool):
+        ok = kind is bool and isinstance(value, bool)
+    else:
+        ok = isinstance(value, (int, float) if kind is float else kind)
+    if not ok:
+        raise ValueError(f"{key} must be {_JSON_TYPES[kind]}, not {value!r}")
+    try:
+        return (float(value) if kind is float
+                else np.array(value, dtype=float) if kind is np.ndarray else value)
+    except (OverflowError, ValueError) as exc:  # an integer beyond float range; ragged lists
+        raise ValueError(f"{key} is not {_JSON_TYPES[kind]}: {exc}") from None
 
 
 def load_scene(path):

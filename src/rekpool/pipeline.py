@@ -96,8 +96,7 @@ def learn_positions(scene: Scene, trajectory: Trajectory, rows,
         X, y = design_matrices(by_pos[pid])
         los = by_pos[pid][0].los  # realization 0 is unperturbed
         model = cache.fit(X, y, params, feature_names=FEATURE_NAMES)
-        w, sp = derive(cache.importance(model, X, y, seed=params.seed),
-                       position_id=pid, los=los)
+        w, sp = derive(cache.importance(model, X, y, seed=params.seed))
         out.append(PositionKnowledge(position_id=pid, los=los, weights=w,
                                      spectrum=sp, model=model))
     return out

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import forest as rf
 from .features import FEATURE_NAMES
-from .geometry import as_vec3, atomic_write_text, load_json
+from .geometry import as_vec3, atomic_write_text, json_field, load_json
 from .spectrum import (SUM_TOL, GroupWeights, KnowledgeSpectrum, group_weights,
                        spectrum as knowledge_spectrum)
 
@@ -102,7 +102,7 @@ class KnowledgeEntry:
     source trees are used only for that derivation and are never
     stored, so transfer never biases the predictive path toward the
     source's position.  The knowledge spectrum is not stored: it is a
-    function of the weights and the context.
+    function of the weights.
     """
 
     entry_id: int
@@ -117,11 +117,8 @@ class KnowledgeEntry:
 
     @property
     def spectrum(self) -> KnowledgeSpectrum | None:
-        """The weights' spectrum, tagged with this entry's position; None
-        when the weights are degenerate."""
-        if self.weights.degenerate:
-            return None
-        return knowledge_spectrum(self.weights, self.context.position_id, self.context.los)
+        """The weights' spectrum; None when the weights are degenerate."""
+        return None if self.weights.degenerate else knowledge_spectrum(self.weights)
 
 
 @dataclass
@@ -253,14 +250,15 @@ class Pool:
 
 def _context_to_dict(c: Context) -> dict:
     return {"scene_fingerprint": c.scene_fingerprint, "position_id": c.position_id,
-            "rx": [float(x) for x in c.rx], "los": c.los,
+            "rx": c.rx.tolist(), "los": c.los,
             "frequency_hz": c.frequency_hz}
 
 
 def _context_from_dict(d: dict) -> Context:
-    return Context(scene_fingerprint=int(d["scene_fingerprint"]),
-                   position_id=int(d["position_id"]), rx=d["rx"],
-                   los=bool(d["los"]), frequency_hz=float(d["frequency_hz"]))
+    return Context(scene_fingerprint=json_field(d, "scene_fingerprint", int),
+                   position_id=json_field(d, "position_id", int),
+                   rx=json_field(d, "rx", np.ndarray), los=json_field(d, "los", bool),
+                   frequency_hz=json_field(d, "frequency_hz", float))
 
 
 def _weights_to_dict(w: GroupWeights) -> dict:
@@ -269,7 +267,7 @@ def _weights_to_dict(w: GroupWeights) -> dict:
 
 def _weights_from_dict(d: dict) -> GroupWeights:
     """Weights as `group_weights` makes them: finite, >= 0, all 0 or summing to 1."""
-    values = [float(d[k]) for k in ("w_L", "w_V", "w_B", "w_D")]
+    values = [json_field(d, k, float) for k in ("w_L", "w_V", "w_B", "w_D")]
     if not all(math.isfinite(v) and v >= 0.0 for v in values):
         raise ValueError(f"group weights must be finite and >= 0: {values}")
     if any(values) and abs(sum(values) - 1.0) > SUM_TOL:
@@ -298,8 +296,8 @@ def pool_to_dict(pool: Pool) -> dict:
             "context": _context_to_dict(e.context),
             "weights": _weights_to_dict(e.weights),
             "model": e.model.to_dict(),
-            "train_X": [[float(v) for v in row] for row in e.train_X],
-            "train_y": [float(v) for v in e.train_y],
+            "train_X": e.train_X.tolist(),
+            "train_y": e.train_y.tolist(),
             "created_at": e.created_at,
             "updated_at": e.updated_at,
             "utilization_count": e.utilization_count,
@@ -318,33 +316,38 @@ def pool_to_dict(pool: Pool) -> dict:
 def pool_from_dict(doc: dict) -> Pool:
     if not isinstance(doc, dict) or "version" not in doc:
         raise PoolFileError("not a pool file")
-    if doc["version"] != POOL_FORMAT_VERSION:
+    if type(doc["version"]) is not int or doc["version"] != POOL_FORMAT_VERSION:
         raise PoolVersionError(f"unsupported pool format version: {doc['version']!r}")
     try:
-        pool = Pool(capacity=int(doc["capacity"]),
-                    theta_high=float(doc["thresholds"]["theta_high"]),
-                    theta_low=float(doc["thresholds"]["theta_low"]),
-                    alpha=float(doc["coefficients"]["alpha"]),
-                    beta=float(doc["coefficients"]["beta"]),
-                    gamma=float(doc["coefficients"]["gamma"]),
+        thresholds, coefficients = doc["thresholds"], doc["coefficients"]
+        pool = Pool(capacity=json_field(doc, "capacity", int),
+                    theta_high=json_field(thresholds, "theta_high", float),
+                    theta_low=json_field(thresholds, "theta_low", float),
+                    alpha=json_field(coefficients, "alpha", float),
+                    beta=json_field(coefficients, "beta", float),
+                    gamma=json_field(coefficients, "gamma", float),
                     forest_params=rf.ForestParams.from_dict(doc["forest_params"]),
-                    next_entry_id=int(doc["next_entry_id"]))
+                    next_entry_id=json_field(doc, "next_entry_id", int))
         for ed in doc["entries"]:
             entry = KnowledgeEntry(
-                entry_id=int(ed["entry_id"]),
+                entry_id=json_field(ed, "entry_id", int),
                 context=_context_from_dict(ed["context"]),
                 weights=_weights_from_dict(ed["weights"]),
                 model=rf.RandomForestModel.from_dict(ed["model"], pool.forest_params,
                                                      FEATURE_NAMES),
-                train_X=np.array(ed["train_X"], dtype=float),
-                train_y=np.array(ed["train_y"], dtype=float),
-                created_at=float(ed["created_at"]),
-                updated_at=float(ed["updated_at"]),
-                utilization_count=int(ed["utilization_count"]))
+                train_X=json_field(ed, "train_X", np.ndarray),
+                train_y=json_field(ed, "train_y", np.ndarray),
+                created_at=json_field(ed, "created_at", float),
+                updated_at=json_field(ed, "updated_at", float),
+                utilization_count=json_field(ed, "utilization_count", int))
             _check_realizations(entry.train_X, entry.train_y)
+            if entry.utilization_count < 0:
+                raise ValueError(f"utilization_count must be >= 0: {entry.utilization_count}")
             if entry.entry_id in pool.entries:
                 raise ValueError(f"entry_id {entry.entry_id} is stored twice")
             pool.entries[entry.entry_id] = entry
+        if len(pool.entries) > pool.capacity:
+            raise ValueError(f"{len(pool.entries)} entries exceed capacity {pool.capacity}")
         if pool.entries and pool.next_entry_id <= max(pool.entries):
             raise ValueError(f"next_entry_id {pool.next_entry_id} is not above every "
                              f"stored entry_id (largest {max(pool.entries)})")

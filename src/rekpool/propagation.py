@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import EPS_EXACT, Blockage, Scene, as_vec3, segment_blocked, segments_blocked
+from .geometry import EPS_EXACT, Blockage, Scene, _slab_test, as_vec3
+# perfbench's tracer tests expect segment_blocked in this module's namespace
+from .geometry import segment_blocked  # noqa: F401
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -97,8 +99,9 @@ def _validate_rx(scene: Scene, rx):
     return rx
 
 
-def _reflections(scene: Scene, rx) -> list:
-    """Valid image-method single bounces, in scatterer-then-face order."""
+def _bounces(scene: Scene, rx):
+    """Candidate single bounces at rx, legs untested, in scatterer-then-face
+    order: each bouncing box's row, the TX image -> rx vector and the point."""
     tx = scene.tx
     # face plane values (S, 6); a face can reflect only if TX and RX both
     # lie on its outward side
@@ -121,35 +124,33 @@ def _reflections(scene: Scene, rx) -> list:
     on_face = np.all(on_axis | ((p >= scene.box_lo[box] - EPS_EXACT)
                                 & (p <= scene.box_hi[box] + EPS_EXACT)), axis=1)
     valid = (np.abs(denom) >= EPS_EXACT) & (t > EPS_EXACT) & (t < 1.0 - EPS_EXACT) & on_face
-    box, d, p = box[valid], d[valid], p[valid]
-    n = len(box)
-    if not n:
-        return []
-    # Both legs of every bounce, TX -> p then p -> RX, must be clear of all
-    # geometry but the bouncing box, which only touches them at p.
-    starts, ends = np.concatenate([p, p]), np.concatenate([p, p])
-    starts[:n], ends[n:] = tx, rx
-    ids = scene.box_ids[box]
-    blocked = segments_blocked(starts, ends, scene, np.concatenate([ids, ids]))
-    paths = []
-    for i in np.flatnonzero(~(blocked[:n] | blocked[n:])):
-        length = float(np.linalg.norm(d[i]))
-        loss = fspl_db(length, scene.frequency_hz) + float(scene.box_loss_db[box[i]])
-        paths.append(Path(kind="Reflection", length_m=length, loss_db=loss,
-                          via_scatterer=int(ids[i]), reflection_point=p[i]))
-    return paths
+    return box[valid], d[valid], p[valid]
 
 
 def trace(scene: Scene, rx) -> Trace:
-    """Validate rx, test the direct segment and find every valid path, once."""
+    """Validate rx, then test the direct segment and every bounce's legs in one slab pass."""
     rx = _validate_rx(scene, rx)
-    direct = segment_blocked(scene.tx, rx, scene)
+    length = float(np.linalg.norm(rx - scene.tx))
+    if length == 0.0:
+        raise ValueError("rx must differ from the TX")
+    box, d, p = _bounces(scene, rx)
+    n = len(box)
+    # Row 0 is TX -> RX, rows 1..n are TX -> p and rows n+1..2n p -> RX; a leg
+    # must clear all geometry but its bouncing box, which touches it only at p.
+    starts = np.vstack([scene.tx, np.broadcast_to(scene.tx, p.shape), p])
+    ends = np.vstack([rx, p, np.broadcast_to(rx, p.shape)])
+    hit, enter, leave = _slab_test(starts, ends, scene)
+    hit &= np.arange(len(scene.box_ids)) != np.concatenate([[-1], box, box])[:, None]
+    direct = Blockage.from_slab(hit[0], enter[0], leave[0], scene.box_ids)
     paths = []
     if not direct.blocked:
-        length = float(np.linalg.norm(rx - scene.tx))
         paths.append(Path(kind="LOS", length_m=length,
                           loss_db=fspl_db(length, scene.frequency_hz)))
-    paths.extend(_reflections(scene, rx))
+    for i in np.flatnonzero(~(hit[1:n + 1] | hit[n + 1:]).any(axis=1)):
+        length = float(np.linalg.norm(d[i]))
+        loss = fspl_db(length, scene.frequency_hz) + float(scene.box_loss_db[box[i]])
+        paths.append(Path(kind="Reflection", length_m=length, loss_db=loss,
+                          via_scatterer=int(scene.box_ids[box[i]]), reflection_point=p[i]))
     paths.sort(key=lambda p: (p.loss_db, p.kind,
                               -1 if p.via_scatterer is None else p.via_scatterer))
     return Trace(scene=scene, rx=rx, direct=direct, paths=tuple(paths))

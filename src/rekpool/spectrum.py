@@ -54,8 +54,6 @@ class GroupWeights:
 @dataclass(frozen=True)
 class KnowledgeSpectrum:
     values: tuple  # K(S) for SUBSETS, in canonical order
-    position_id: int = 0
-    los: bool = True
 
     def value(self, subset: str) -> float:
         return self.values[SUBSETS.index(subset)]
@@ -82,19 +80,19 @@ def group_weights(importances) -> GroupWeights:
                         w_B=raw["B"] / total, w_D=raw["D"] / total)
 
 
-def spectrum(w: GroupWeights, position_id: int = 0, los: bool = True) -> KnowledgeSpectrum:
+def spectrum(w: GroupWeights) -> KnowledgeSpectrum:
     """K(S) = sum of group weights over S, for all 15 nonempty subsets."""
     if w.degenerate:
         raise DegenerateWeightsError("no learnable knowledge at this position")
     values = tuple(float(sum(w[g] for g in s)) for s in SUBSETS)
-    return KnowledgeSpectrum(values=values, position_id=position_id, los=los)
+    return KnowledgeSpectrum(values=values)
 
 
-def derive(importances, position_id: int = 0, los: bool = True):
+def derive(importances):
     """Group weights from member importances, and the spectrum built on
     them; the spectrum is None when the weights are degenerate."""
     w = group_weights(importances)
-    return w, None if w.degenerate else spectrum(w, position_id=position_id, los=los)
+    return w, None if w.degenerate else spectrum(w)
 
 
 def build_graph(w: GroupWeights) -> RelationshipGraph:

@@ -246,7 +246,9 @@ class TestMalformedInput:
     @pytest.mark.parametrize("case", ["duplicate entry_id", "next_entry_id not above",
                                       "narrow train_X", "no rows", "train_y length",
                                       "features_per_split 2.5", "n_trees 2.7",
-                                      "integer too large for a float"])
+                                      "integer too large for a float", "capacity 2.7",
+                                      "scene_fingerprint 1.9", "los no", "created_at string",
+                                      "utilization_count -5", "more entries than capacity"])
     def test_pool_invariants(self, workdir, tmp_path, capsys, case):
         doc = json.loads((workdir / "pool.json").read_text())
         first, second = doc["entries"][:2]
@@ -262,6 +264,18 @@ class TestMalformedInput:
             first["train_y"].pop()
         elif case == "integer too large for a float":
             doc["thresholds"]["theta_high"] = 10 ** 400
+        elif case == "capacity 2.7":  # loaded as 2
+            doc["capacity"] = 2.7
+        elif case == "scene_fingerprint 1.9":  # loaded as 1
+            first["context"]["scene_fingerprint"] = 1.9
+        elif case == "los no":  # loaded as True
+            first["context"]["los"] = "no"
+        elif case == "created_at string":  # loaded as 3.0
+            first["created_at"] = "3"
+        elif case == "utilization_count -5":  # an evicting merge hit log1p(-5)
+            first["utilization_count"] = -5
+        elif case == "more entries than capacity":
+            doc["capacity"] = len(doc["entries"]) - 1
         else:  # loading coerced these, and a fit later raised TypeError
             name, value = case.split()
             doc["forest_params"][name] = float(value)
@@ -318,6 +332,24 @@ class TestMalformedInput:
         path.write_text(json.dumps(doc))
         self.assert_one_error_line(capsys, [
             "--seed", "1", "--out-dir", str(tmp_path), "simulate", "--scene", str(path)])
+
+    @pytest.mark.parametrize("case", ["id 1.9", "center strings", "tx true", "version true"])
+    def test_scene_json_types(self, workdir, tmp_path, capsys, case):
+        """A scene field must have the JSON type that `save_scene` writes."""
+        doc = json.loads((workdir / "scene.json").read_text())
+        if case == "id 1.9":
+            doc["scatterers"][0]["id"] = 1.9
+        elif case == "center strings":
+            doc["scatterers"][1]["center"] = ["22.5", "-14", "8"]
+        elif case == "tx true":
+            doc["tx"][0] = True
+        else:
+            doc["version"] = True
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(doc))
+        self.assert_one_error_line(capsys, [
+            "--seed", "1", "--out-dir", str(tmp_path), "simulate", "--scene", str(path)])
+        assert not (tmp_path / "dataset.csv").exists()
 
     @pytest.mark.parametrize("case", ["empty", "short row"])
     def test_dataset(self, workdir, tmp_path, capsys, case):
@@ -451,7 +483,9 @@ def assert_usage_error(capsys, argv):
 class TestUsage:
     @pytest.mark.parametrize("config", ["[1, 2]", '"seed"', '{"n_trees": "5"}',
                                         '{"n_trees": 1.5}', '{"theta_high": true}',
-                                        '{"theta_high": "0.9"}', '{"n-tres": 5}'])
+                                        '{"theta_high": "0.9"}', '{"n-tres": 5}',
+                                        pytest.param('{"theta_high": 1%s}' % ("0" * 400),
+                                                     id="integer too large for a float")])
     def test_bad_config_is_usage_error(self, workdir, tmp_path, capsys, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(config)

@@ -664,6 +664,8 @@ class TestSerialization:
         ("feature", 1, 3),             # feature >= n_features
         ("feature", 4, -2),            # feature < -1
         ("feature", 0, 1.5),           # not an index
+        ("feature", 1, False),         # equals 0, but is not an integer
+        ("threshold", 0, "0.25"),      # a string, not a number
         ("threshold", 0, math.nan),
         ("threshold", 1, math.inf),
         ("value", 0, math.nan),

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rekpool.geometry import (EPS_EXACT, Blockage, Scatterer, Scene, Trajectory,
-                              canonical_scene_json, canonical_street_scene, load_json,
-                              load_scene,
+                              canonical_scene_json, canonical_street_scene, json_field,
+                              load_json, load_scene,
                               mirror_point, ray_box_intersect, save_scene,
-                              scene_from_dict, scene_to_dict, segment_blocked,
-                              segments_blocked)
+                              scene_from_dict, scene_to_dict, segment_blocked)
 
 
 def unit_cube(sid=1, center=(0, 0, 0)):
@@ -188,49 +187,6 @@ class TestBatchedSegmentBlocked:
             scalar_segment_blocked(p, q, scene, exclude_ids=tuple(exclude))
 
 
-def legs_match(boxes, legs):
-    """`segments_blocked` over all legs == one `segment_blocked` per leg."""
-    legs = [(p, q, sid) for p, q, sid in legs if np.linalg.norm(np.subtract(q, p)) > 0.0]
-    scene = grid_scene(boxes)
-    p = np.array([leg[0] for leg in legs], dtype=float).reshape(-1, 3)
-    q = np.array([leg[1] for leg in legs], dtype=float).reshape(-1, 3)
-    got = segments_blocked(p, q, scene, [sid for _, _, sid in legs])
-    assert got.tolist() == [segment_blocked(a, b, scene, exclude_ids=(sid,)).blocked
-                            for a, b, sid in legs]
-
-
-class TestSegmentsBlocked:
-    """Batched leg test == `segment_blocked` with the leg's box excluded."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(boxes=st.lists(box, max_size=5),
-           legs=st.lists(st.tuples(point, point, st.integers(1, 6)), max_size=8))
-    # empty scene
-    @example(boxes=[], legs=[((0, 0, 0), (1, 2, 3), 1), ((0, 0, 0), (4, 0, 0), 2)])
-    # axis-parallel: through a box, along its face, along its edge
-    @example(boxes=[((0, 0, 0), (2, 2, 2))],
-             legs=[((-1, 1, 1), (3, 1, 1), 2), ((-1, 2, 1), (3, 2, 1), 2),
-                   ((-1, 2, 2), (3, 2, 2), 2), ((1, 1, -1), (1, 1, 4), 2)])
-    # ending on a face, from outside and from the face's own plane
-    @example(boxes=[((0, 0, 0), (2, 2, 2))],
-             legs=[((-1, 1, 1), (0, 1, 1), 2), ((-2, -1, 1), (0, 1, 1), 2),
-                   ((0, 1, 1), (-3, 4, 1), 2)])
-    # the leg's own box excluded, another box still blocking
-    @example(boxes=[((0, 0, 0), (2, 2, 2)), ((1, 0, 0), (2, 1, 1))],
-             legs=[((-1, 0, 0), (4, 1, 1), 1), ((-1, 0, 0), (4, 1, 1), 2),
-                   ((-1, 1, 1), (4, 1, 1), 1)])
-    def test_grid_legs(self, boxes, legs):
-        legs_match(boxes, legs)
-
-    @settings(max_examples=200, deadline=None)
-    @given(boxes=st.lists(box, max_size=5),
-           legs=st.lists(st.tuples(st.tuples(coord, coord, coord),
-                                   st.tuples(coord, coord, coord), st.integers(1, 6)),
-                         max_size=8))
-    def test_general_legs(self, boxes, legs):
-        legs_match(boxes, legs)
-
-
 class TestSceneArrays:
     def test_arrays_in_id_order(self):
         scene = Scene(tx=(9, 9, 9), frequency_hz=1e9, scatterers=(
@@ -330,6 +286,27 @@ class TestScenePersistence:
             load_json(path)
         path.write_text('{"a": [1.5, -2, 1e300]}')
         assert load_json(path) == {"a": [1.5, -2, 1e300]}
+
+    @pytest.mark.parametrize("kind, good, bad", [
+        (int, [3, -2], [2.7, 2.0, True, "3", None]),
+        (float, [3, 2.5], [True, "3", None, [1.0]]),
+        (bool, [True, False], [1, 0.0, "no", None]),
+        (str, ["out"], [3, True, None]),
+        (np.ndarray, [[1, 2.5], [[1], [2]], []], [["1"], [1, True], [1, None], 1.5, [[1], 2]]),
+    ])
+    def test_json_field_takes_only_its_json_type(self, kind, good, bad):
+        for value in good:
+            got = json_field({"k": value}, "k", kind)
+            if kind is np.ndarray:
+                assert got.dtype == float and got.tolist() == value
+            else:
+                assert got == value and type(got) is (float if kind is float else type(value))
+        for value in bad:
+            with pytest.raises(ValueError, match="^k (must be|is not) "):
+                json_field({"k": value}, "k", kind)
+        for value, kind in (([10 ** 400], np.ndarray), (10 ** 400, float)):
+            with pytest.raises(ValueError, match="^k is not .*too large"):
+                json_field({"k": value}, "k", kind)
 
     def test_version_rejected(self):
         scene, traj = canonical_street_scene()

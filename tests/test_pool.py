@@ -169,7 +169,7 @@ class TestIngest:
         combined = dataclasses.replace(entry.model, trees=entry.model.trees + source.trees)
         imp = permutation_importance(combined, X2, y2, seed=SMALL_PARAMS.seed)
         assert entry.weights == group_weights(imp)
-        assert entry.spectrum == spectrum(entry.weights, position_id=2, los=True)
+        assert entry.spectrum == spectrum(entry.weights)
         fresh_only = permutation_importance(entry.model, X2, y2, seed=SMALL_PARAMS.seed)
         assert entry.weights != group_weights(fresh_only)
 

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from rekpool import geometry, propagation
 from rekpool.geometry import (EPS_EXACT, Scatterer, Scene, canonical_street_scene,
                               mirror_point, segment_blocked)
 from rekpool.propagation import (OUTAGE_CAP_DB, SPEED_OF_LIGHT, fspl_db, path_loss,
@@ -201,6 +202,32 @@ class TestTrace:
     @settings(max_examples=300, deadline=None)
     @given(boxes=st.lists(box, max_size=5), tx=st.tuples(half, half, half),
            rx=st.tuples(half, half, half))
+    @example(boxes=[], tx=(0.0, 0.0, 0.0), rx=(1.0, 2.0, 3.0))
+    # TX, RX and the bounce point on the x = 2 face of box 1 lie on one
+    # axis-parallel line, clear or meeting box 2 on both the direct segment
+    # and the TX -> p leg: across it, along a face of it, along an edge
+    @example(boxes=[((0, 0, 0), (2, 2, 2))], tx=(7.0, 1.0, 1.0), rx=(2.5, 1.0, 1.0))
+    @example(boxes=[((0, 0, 0), (2, 2, 2)), ((4, 0, 0), (1, 2, 2))],
+             tx=(7.0, 1.0, 1.0), rx=(2.5, 1.0, 1.0))
+    @example(boxes=[((0, 0, 0), (2, 2, 2)), ((4, 1, 0), (1, 1, 2))],
+             tx=(7.0, 1.0, 1.0), rx=(2.5, 1.0, 1.0))
+    @example(boxes=[((0, 0, 0), (2, 2, 2)), ((4, 1, 1), (1, 1, 1))],
+             tx=(7.0, 1.0, 1.0), rx=(2.5, 1.0, 1.0))
+    # the same along z, off the top face
+    @example(boxes=[((0, 0, 0), (2, 2, 2)), ((0, 0, 4), (2, 2, 1))],
+             tx=(1.0, 1.0, 7.0), rx=(1.0, 1.0, 3.0))
+    # only the p -> RX leg meets box 2, then only the TX -> p leg
+    @example(boxes=[((0, 0, 0), (2, 3, 2)), ((4, 0, 0), (1, 1, 2))],
+             tx=(6.0, 3.0, 1.0), rx=(6.0, 0.0, 1.0))
+    @example(boxes=[((0, 0, 0), (2, 3, 2)), ((4, 0, 0), (1, 1, 2))],
+             tx=(6.0, 0.0, 1.0), rx=(6.0, 3.0, 1.0))
+    # legs ending on another box's face: the bounce point (2, 2, 1) lies on
+    # the edge that two stacked boxes share
+    @example(boxes=[((0, 0, 0), (2, 2, 2)), ((0, 2, 0), (2, 2, 2))],
+             tx=(4.0, 3.0, 1.0), rx=(4.0, 1.0, 1.0))
+    # and on the face both overlapping boxes have in the x = 2 plane
+    @example(boxes=[((0, 0, 0), (2, 2, 2)), ((0, 1, 0), (2, 2, 2))],
+             tx=(4.0, 2.5, 1.0), rx=(4.0, 0.5, 1.0))
     def test_batched_faces_match_scalar_reference(self, boxes, tx, rx):
         scats = tuple(Scatterer(id=i + 1, center=np.add(lo, np.divide(dims, 2.0)), dims=dims,
                                 reflection_loss_db=float(i))
@@ -213,3 +240,27 @@ class TestTrace:
                 None if p.reflection_point is None else tuple(p.reflection_point))
                for p in trace_paths(scene, rx)]
         assert got == scalar_trace_paths(scene, rx)
+        assert trace(scene, rx).direct == segment_blocked(scene.tx, rx, scene)
+
+    def test_one_slab_pass_per_trace(self, monkeypatch):
+        """The direct segment and every leg go through one `_slab_test`."""
+        calls = []
+        slab_test = geometry._slab_test
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return slab_test(*args)
+        monkeypatch.setattr(geometry, "_slab_test", counted)
+        monkeypatch.setattr(propagation, "_slab_test", counted, raising=False)
+        scene, traj = canonical_street_scene()
+        for rx in traj.positions:
+            before = len(calls)
+            tr = trace(scene, rx)
+            assert len(calls) == before + 1
+            # one row for the direct segment, two per bounce tested
+            assert calls[-1] >= 1 + 2 * sum(p.kind == "Reflection" for p in tr.paths)
+
+    def test_rx_at_tx_rejected(self):
+        scene = one_wall_scene()
+        with pytest.raises(ValueError, match="differ"):
+            trace(scene, scene.tx.copy())
