@@ -10,6 +10,7 @@ from rekpool.geometry import (EPS_EXACT, Blockage, Scatterer, Scene, Trajectory,
                               load_json, load_scene,
                               mirror_point, ray_box_intersect, save_scene,
                               scene_from_dict, scene_to_dict, segment_blocked)
+from rekpool.geometry import _slab_test
 
 
 def unit_cube(sid=1, center=(0, 0, 0)):
@@ -185,6 +186,51 @@ class TestBatchedSegmentBlocked:
         scene = grid_scene(boxes)
         assert segment_blocked(p, q, scene, exclude_ids=tuple(exclude)) == \
             scalar_segment_blocked(p, q, scene, exclude_ids=tuple(exclude))
+
+
+def legs_match(boxes, legs):
+    """One `_slab_test` pass over all legs, each masked by its own box as
+    `trace` masks a bounce's legs, == one `segment_blocked` per leg."""
+    legs = [(p, q, sid) for p, q, sid in legs if np.linalg.norm(np.subtract(q, p)) > 0.0]
+    scene = grid_scene(boxes)
+    p = np.array([leg[0] for leg in legs], dtype=float).reshape(-1, 3)
+    q = np.array([leg[1] for leg in legs], dtype=float).reshape(-1, 3)
+    hit, enter, leave = _slab_test(p, q, scene)
+    hit &= scene.box_ids != np.array([sid for _, _, sid in legs], dtype=int)[:, None]
+    got = [Blockage.from_slab(*row, scene.box_ids) for row in zip(hit, enter, leave)]
+    assert got == [segment_blocked(a, b, scene, exclude_ids=(sid,)) for a, b, sid in legs]
+
+
+class TestSegmentsBlocked:
+    """Batched legs, each with its own box excluded == `segment_blocked`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(boxes=st.lists(box, max_size=5),
+           legs=st.lists(st.tuples(point, point, st.integers(1, 6)), max_size=8))
+    # empty scene
+    @example(boxes=[], legs=[((0, 0, 0), (1, 2, 3), 1), ((0, 0, 0), (4, 0, 0), 2)])
+    # axis-parallel: through a box, along its face, along its edge
+    @example(boxes=[((0, 0, 0), (2, 2, 2))],
+             legs=[((-1, 1, 1), (3, 1, 1), 2), ((-1, 2, 1), (3, 2, 1), 2),
+                   ((-1, 2, 2), (3, 2, 2), 2), ((1, 1, -1), (1, 1, 4), 2)])
+    # ending on a face, from outside and from the face's own plane
+    @example(boxes=[((0, 0, 0), (2, 2, 2))],
+             legs=[((-1, 1, 1), (0, 1, 1), 2), ((-2, -1, 1), (0, 1, 1), 2),
+                   ((0, 1, 1), (-3, 4, 1), 2)])
+    # the leg's own box excluded, another box still blocking
+    @example(boxes=[((0, 0, 0), (2, 2, 2)), ((1, 0, 0), (2, 1, 1))],
+             legs=[((-1, 0, 0), (4, 1, 1), 1), ((-1, 0, 0), (4, 1, 1), 2),
+                   ((-1, 1, 1), (4, 1, 1), 1)])
+    def test_grid_legs(self, boxes, legs):
+        legs_match(boxes, legs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(boxes=st.lists(box, max_size=5),
+           legs=st.lists(st.tuples(st.tuples(coord, coord, coord),
+                                   st.tuples(coord, coord, coord), st.integers(1, 6)),
+                         max_size=8))
+    def test_general_legs(self, boxes, legs):
+        legs_match(boxes, legs)
 
 
 class TestSceneArrays:
