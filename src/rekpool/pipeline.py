@@ -2,8 +2,8 @@
 
 Shared by the CLI and the evaluation harness.  The leave-one-position-
 out evaluation rebuilds a pool per held-out position from the remaining
-positions' realizations; per-position forest fits and importance runs
-are memoized so the rebuilds stay cheap.
+positions' realizations; the rebuilt pools share one memo (`FitCache`),
+so each position's forest is fit and its importances run only once.
 """
 
 from __future__ import annotations
@@ -15,13 +15,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import forest as rf
-from .features import FEATURE_NAMES, RealizationConfig, realize
+from .features import RealizationConfig, realize
 from .geometry import Scene, Trajectory
-from .pool import Pool
+from .pool import FitCache, Pool, derive_knowledge
 from .predict import (Prediction, fit_logdistance, predict_knn, predict_rekp,
                       trajectory_contexts, evaluate, DEFAULT_KNN_K, DEFAULT_TAU)
 from .propagation import trace
-from .spectrum import SUBSETS, derive
+from .spectrum import SUBSETS, GroupWeights, KnowledgeSpectrum
 
 SPECTRUM_HEADER = ("position_id", "los", "w_L", "w_V", "w_B", "w_D") + tuple(
     f"K_{s}" for s in SUBSETS)
@@ -55,50 +55,24 @@ def design_matrices(rows):
 class PositionKnowledge:
     position_id: int
     los: bool
-    weights: object
-    spectrum: object | None
-    model: rf.RandomForestModel
+    weights: GroupWeights
 
-
-class FitCache:
-    """Memoizes forest fits and permutation-importance runs by content."""
-
-    def __init__(self):
-        self._fits = {}
-        self._imps = {}
-
-    def fit(self, X, y, params, feature_names=None):
-        key = (X.tobytes(), y.tobytes(), params)
-        if key not in self._fits:
-            self._fits[key] = rf.fit(X, y, params, feature_names=feature_names)
-        return self._fits[key]
-
-    def add(self, X, y, model):
-        """Record `model` as the fit of (X, y) under its own params."""
-        self._fits[(X.tobytes(), y.tobytes(), model.params)] = model
-
-    def importance(self, model, X, y, seed=0):
-        t = model.trees
-        key = (t.feature.tobytes(), t.threshold.tobytes(), t.value.tobytes(),
-               X.tobytes(), y.tobytes(), seed)
-        if key not in self._imps:
-            self._imps[key] = rf.permutation_importance(model, X, y, seed=seed)
-        return self._imps[key]
+    @property
+    def spectrum(self) -> KnowledgeSpectrum | None:
+        return self.weights.spectrum
 
 
 def learn_positions(scene: Scene, trajectory: Trajectory, rows,
                     params: rf.ForestParams, cache: FitCache | None = None) -> list:
-    """Cold per-position fit + importances + weights + spectrum."""
+    """Cold per-position knowledge: the derivation a pool's new entry gets."""
     cache = cache or FitCache()
     by_pos = rows_by_position(rows)
     out = []
     for pid in sorted(by_pos):
         X, y = design_matrices(by_pos[pid])
         los = by_pos[pid][0].los  # realization 0 is unperturbed
-        model = cache.fit(X, y, params, feature_names=FEATURE_NAMES)
-        w, sp = derive(cache.importance(model, X, y, seed=params.seed))
-        out.append(PositionKnowledge(position_id=pid, los=los, weights=w,
-                                     spectrum=sp, model=model))
+        _, weights = derive_knowledge(cache, X, y, params)
+        out.append(PositionKnowledge(position_id=pid, los=los, weights=weights))
     return out
 
 
@@ -127,11 +101,8 @@ def spectrum_csv(knowledge) -> str:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(SPECTRUM_HEADER)
     for k in knowledge:
-        gw = k.weights
-        if gw.degenerate:
-            vals = [""] * len(SUBSETS)
-        else:
-            vals = [repr(v) for v in k.spectrum.values]
+        gw, sp = k.weights, k.spectrum
+        vals = [""] * len(SUBSETS) if sp is None else [repr(v) for v in sp.values]
         w.writerow([k.position_id, int(k.los),
                     repr(gw.w_L), repr(gw.w_V), repr(gw.w_B), repr(gw.w_D)] + vals)
     return buf.getvalue()
@@ -145,11 +116,11 @@ def loo_evaluate(scene: Scene, trajectory: Trajectory, rows,
     For each held-out position a fresh pool with `pool_template`'s
     capacity, thresholds, coefficients and forest parameters is built
     from the remaining positions' realizations; the held-out position's
-    data never enters that pool.  The template's entries seed the fit
-    cache, so a loaded pool's forests are not fit again.  Returns
-    (predictions, reports-by-method).
+    data never enters that pool.  The pools share `cache` (by default the
+    template's memo), seeded with the template's entries so that a loaded
+    pool's forests are not fit again.  Returns (predictions, reports-by-method).
     """
-    cache = cache or FitCache()
+    cache = cache or pool_template.cache
     for e in pool_template.entries.values():
         cache.add(e.train_X, e.train_y, e.model)
     traces = trace_trajectory(scene, trajectory)

@@ -24,8 +24,7 @@ import numpy as np
 from . import forest as rf
 from .features import FEATURE_NAMES
 from .geometry import as_vec3, atomic_write_text, json_field, load_json
-from .spectrum import (SUM_TOL, GroupWeights, KnowledgeSpectrum, group_weights,
-                       spectrum as knowledge_spectrum)
+from .spectrum import SUM_TOL, GroupWeights, KnowledgeSpectrum, group_weights
 
 POOL_FORMAT_VERSION = 5
 
@@ -117,8 +116,45 @@ class KnowledgeEntry:
 
     @property
     def spectrum(self) -> KnowledgeSpectrum | None:
-        """The weights' spectrum; None when the weights are degenerate."""
-        return None if self.weights.degenerate else knowledge_spectrum(self.weights)
+        return self.weights.spectrum
+
+
+class FitCache:
+    """Memoizes forest fits and permutation-importance runs by content.
+
+    A memo may hand one model to two entries fit on the same rows, so a
+    model is never changed in place."""
+
+    def __init__(self):
+        self._fits = {}
+        self._imps = {}
+
+    def fit(self, X, y, params, feature_names=None):
+        key = (X.tobytes(), y.tobytes(), params)
+        if key not in self._fits:
+            self._fits[key] = rf.fit(X, y, params, feature_names=feature_names)
+        return self._fits[key]
+
+    def add(self, X, y, model):
+        """Record `model` as the fit of (X, y) under its own params."""
+        self._fits[(X.tobytes(), y.tobytes(), model.params)] = model
+
+    def importance(self, model, X, y, seed=0):
+        t = model.trees
+        key = (t.feature.tobytes(), t.threshold.tobytes(), t.value.tobytes(),
+               X.tobytes(), y.tobytes(), seed)
+        if key not in self._imps:
+            self._imps[key] = rf.permutation_importance(model, X, y, seed=seed)
+        return self._imps[key]
+
+
+def derive_knowledge(cache: FitCache, X, y, params: rf.ForestParams, source=None):
+    """(model, weights): the forest fit on (X, y) and the group weights of its
+    permutation importances, both through `cache`; on a transfer the importances
+    are taken over the fresh trees followed by the `source` model's trees."""
+    model = cache.fit(X, y, params, feature_names=FEATURE_NAMES)
+    basis = model if source is None else replace(model, trees=model.trees + source.trees)
+    return model, group_weights(cache.importance(basis, X, y, seed=params.seed))
 
 
 @dataclass
@@ -132,9 +168,9 @@ class Pool:
     forest_params: rf.ForestParams = field(default_factory=rf.ForestParams)
     entries: dict = field(default_factory=dict)  # entry_id -> KnowledgeEntry
     next_entry_id: int = 1
-    #: `pipeline.FitCache` memoizing the pool's fits and importance runs, set
-    #: when the pool is built (None: fit afresh); never persisted
-    cache: object = field(default=None, repr=False, compare=False)
+    #: memo of the pool's fits and importance runs for as long as it lives;
+    #: `dataclasses.replace` shares it, and it is never persisted
+    cache: FitCache = field(default_factory=FitCache, repr=False, compare=False)
 
     def __post_init__(self):
         if self.capacity < 1:
@@ -166,15 +202,6 @@ class Pool:
 
     # -- write side --------------------------------------------------------
 
-    def _fit(self, X, y):
-        fn = self.cache.fit if self.cache is not None else rf.fit
-        return fn(X, y, self.forest_params, feature_names=FEATURE_NAMES)
-
-    def _derive(self, model, X, y):
-        """Group weights from `model`'s importances on (X, y)."""
-        fn = self.cache.importance if self.cache is not None else rf.permutation_importance
-        return group_weights(fn(model, X, y, seed=self.forest_params.seed))
-
     def ingest(self, ctx: Context, X, y, now: float = 0.0, force_refresh: bool = False):
         """Dual interaction flow; returns (Outcome, entry_id)."""
         X = np.asarray(X, dtype=float)
@@ -190,24 +217,22 @@ class Pool:
             # Refine: retrain on stored provenance plus the new data.
             X2 = np.vstack([entry.train_X, X])
             y2 = np.concatenate([entry.train_y, y])
-            entry.model = self._fit(X2, y2)
-            entry.weights = self._derive(entry.model, X2, y2)
+            entry.model, entry.weights = derive_knowledge(self.cache, X2, y2,
+                                                          self.forest_params)
             entry.train_X = X2
             entry.train_y = y2
             entry.updated_at = now
             return Outcome.REFINED, entry.entry_id
-        model = self._fit(X, y)
         if best is not None and best[1] >= self.theta_low:
             # Warm start (knowledge completion): derive weights over the
             # fresh trees plus the source's own trees.
             # Only the fresh trees are kept, so only they vote.
-            source = self.entries[best[0]].model
-            outcome, basis = Outcome.TRANSFERRED, replace(
-                model, trees=model.trees + source.trees)
+            outcome, source = Outcome.TRANSFERRED, self.entries[best[0]].model
         else:
-            outcome, basis = Outcome.GENERATED_NEW, model
+            outcome, source = Outcome.GENERATED_NEW, None
+        model, weights = derive_knowledge(self.cache, X, y, self.forest_params, source)
         entry = KnowledgeEntry(entry_id=self.next_entry_id, context=ctx,
-                               weights=self._derive(basis, X, y), model=model,
+                               weights=weights, model=model,
                                train_X=X, train_y=y, created_at=now, updated_at=now)
         self.next_entry_id += 1
         self.entries[entry.entry_id] = entry

@@ -44,6 +44,11 @@ class GroupWeights:
         """No group carried any importance: all four weights are 0."""
         return self.w_L == self.w_V == self.w_B == self.w_D == 0.0
 
+    @property
+    def spectrum(self) -> KnowledgeSpectrum | None:
+        """The spectrum built on these weights; None when they are degenerate."""
+        return None if self.degenerate else spectrum(self)
+
     def as_dict(self) -> dict:
         return {"L": self.w_L, "V": self.w_V, "B": self.w_B, "D": self.w_D}
 
@@ -86,13 +91,6 @@ def spectrum(w: GroupWeights) -> KnowledgeSpectrum:
         raise DegenerateWeightsError("no learnable knowledge at this position")
     values = tuple(float(sum(w[g] for g in s)) for s in SUBSETS)
     return KnowledgeSpectrum(values=values)
-
-
-def derive(importances):
-    """Group weights from member importances, and the spectrum built on
-    them; the spectrum is None when the weights are degenerate."""
-    w = group_weights(importances)
-    return w, None if w.degenerate else spectrum(w)
 
 
 def build_graph(w: GroupWeights) -> RelationshipGraph:

@@ -9,8 +9,12 @@ import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from rekpool.features import FEATURE_NAMES
+from rekpool import forest
+from rekpool.features import FEATURE_NAMES, RealizationConfig
 from rekpool.forest import ForestParams, fit, permutation_importance
+from rekpool.geometry import canonical_street_scene
+from rekpool.pipeline import (design_matrices, learn_positions, rows_by_position,
+                              simulate_trajectory)
 from rekpool.pool import (POOL_FORMAT_VERSION, Context, Outcome, Pool, PoolFileError,
                           PoolVersionError, fnv1a_64, load_pool, pool_from_dict,
                           pool_to_dict, save_pool, similarity)
@@ -209,6 +213,61 @@ class TestIngest:
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
             small_pool().ingest(ctx(), np.zeros((0, 16)), np.zeros(0))
+
+
+class TestKnowledgeMemo:
+    """Every pool memoizes its fits and importance runs by content, and a
+    position's knowledge is derived the same way wherever it is made."""
+
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        fitted = []
+
+        def counted(X, y, params, feature_names=None):
+            fitted.append((X.tobytes(), y.tobytes()))
+            return fit(X, y, params, feature_names=feature_names)
+        monkeypatch.setattr(forest, "fit", counted)
+        return fitted
+
+    def test_pool_fits_repeated_rows_once(self, fits):
+        pool = small_pool()
+        X, y = data()
+        pool.ingest(ctx(fp=1), X, y, now=1.0)
+        # another scene, far away: generated new, on the same rows
+        outcome, eid = pool.ingest(ctx(fp=2, rx=(500, 0, 1.5), los=False), X, y, now=2.0)
+        assert outcome is Outcome.GENERATED_NEW
+        assert len(fits) == 1
+        assert pool.entries[eid].model is pool.entries[1].model
+        assert pool.entries[eid].weights == pool.entries[1].weights
+
+    def test_replace_shares_the_memo_and_load_starts_afresh(self, fits, tmp_path):
+        pool = small_pool()
+        X, y = data()
+        pool.ingest(ctx(), X, y, now=1.0)
+        copy = dataclasses.replace(pool, entries={}, next_entry_id=1)
+        assert copy.cache is pool.cache
+        copy.ingest(ctx(), X, y, now=1.0)
+        assert len(fits) == 1
+        save_pool(tmp_path / "pool.json", pool)
+        loaded = load_pool(tmp_path / "pool.json")
+        assert loaded.cache is not pool.cache
+        loaded.ingest(ctx(fp=2, rx=(500, 0, 1.5), los=False), X, y, now=2.0)
+        assert len(fits) == 2
+
+    def test_learn_positions_matches_a_new_entry(self):
+        scene, traj = canonical_street_scene()
+        rows = simulate_trajectory(scene, traj, RealizationConfig(n_realizations=10, seed=3))
+        params = ForestParams(n_trees=3, max_depth=4, min_leaf=2, seed=3)
+        knowledge = learn_positions(scene, traj, rows, params)
+        by_pos = rows_by_position(rows)
+        assert [k.position_id for k in knowledge] == sorted(by_pos)
+        for k in knowledge:
+            pool = Pool(forest_params=params)
+            outcome, eid = pool.ingest(ctx(pid=k.position_id),
+                                       *design_matrices(by_pos[k.position_id]))
+            assert outcome is Outcome.GENERATED_NEW
+            assert k.weights == pool.entries[eid].weights
+            assert k.spectrum == pool.entries[eid].spectrum
 
 
 class TestEviction:
