@@ -176,14 +176,23 @@ def load_dataset(path) -> list:
         header = tuple(next(reader, ()))
         if header != DATASET_HEADER:
             raise ValueError("unexpected dataset header")
+        seen = set()
         for rec in reader:
+            where = f"dataset line {reader.line_num}"
             if len(rec) != len(DATASET_HEADER):
-                raise ValueError(f"dataset line {reader.line_num}: expected "
-                                 f"{len(DATASET_HEADER)} fields, got {len(rec)}")
+                raise ValueError(f"{where}: expected {len(DATASET_HEADER)} fields, "
+                                 f"got {len(rec)}")
+            if rec[-2] not in ("0", "1"):
+                raise ValueError(f"{where}: los must be 0 or 1, not {rec[-2]!r}")
+            key = (int(rec[0]), int(rec[1]))
+            if key in seen:
+                raise ValueError(f"{where}: position {key[0]} realization {key[1]} "
+                                 "is listed twice")
+            seen.add(key)
             rows.append(DatasetRow(
-                position_id=int(rec[0]), realization_id=int(rec[1]),
+                position_id=key[0], realization_id=key[1],
                 features=np.array([float(x) for x in rec[2:2 + len(FEATURE_NAMES)]]),
-                path_loss_db=float(rec[-3]), los=bool(int(rec[-2])),
+                path_loss_db=float(rec[-3]), los=rec[-2] == "1",
                 timestamp=float(rec[-1])))
     if not rows:
         raise ValueError("dataset has no rows")

@@ -64,6 +64,15 @@ class Context:
     frequency_hz: float
 
     def __post_init__(self):
+        # only the types a pool file holds, so that every pool saves and loads
+        for name in ("scene_fingerprint", "position_id"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+            object.__setattr__(self, name, int(value))
+        if not isinstance(self.los, (bool, np.bool_)):
+            raise ValueError(f"los must be a bool, not {self.los!r}")
+        object.__setattr__(self, "los", bool(self.los))
         object.__setattr__(self, "rx", as_vec3(self.rx))
         if not (np.isfinite(self.frequency_hz) and self.frequency_hz > 0):
             raise ValueError("frequency_hz must be finite and positive")

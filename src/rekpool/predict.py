@@ -74,7 +74,10 @@ class NoKnowledgeError(RuntimeError):
 
 
 def top_weight_groups(weights, tau: float) -> set:
-    """Smallest group set (by descending weight) with cumulative weight >= tau."""
+    """Smallest group set (by descending weight) with cumulative weight >= tau,
+    for 0 < tau <= 1."""
+    if not 0.0 < tau <= 1.0:  # also NaN
+        raise ValueError(f"tau must be in (0, 1], not {tau!r}")
     order = sorted(GROUPS, key=lambda g: (-weights[g], GROUPS.index(g)))
     chosen = set()
     acc = 0.0
@@ -163,6 +166,8 @@ def predict_knn(train, rx, k: int = DEFAULT_KNN_K) -> float:
     """
     if not train:
         raise ValueError("train set must be nonempty")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, not {k!r}")
     rx = as_vec3(rx)
     dists = [(float(np.linalg.norm(as_vec3(p) - rx)), i, v) for i, (p, v) in enumerate(train)]
     dists.sort(key=lambda t: (t[0], t[1]))

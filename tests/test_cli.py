@@ -116,6 +116,17 @@ class TestPredict:
                    "--dataset", str(workdir / "dataset.csv"),
                    "--pool", str(tmp_path / "nope.json")) == 1
 
+    @pytest.mark.parametrize("flag,value", [("--k", "0"), ("--k", "-2"), ("--tau", "nan"),
+                                            ("--tau", "5"), ("--tau", "-1"), ("--tau", "0")])
+    def test_bad_k_or_tau_exit_1(self, workdir, tmp_path, capsys, flag, value):
+        assert run("--out-dir", str(tmp_path), "predict",
+                   "--scene", str(workdir / "scene.json"),
+                   "--dataset", str(workdir / "dataset.csv"),
+                   "--pool", str(workdir / "pool.json"), flag, value) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "summary.csv").exists()
+
 
 class TestPoolCommand:
     def test_show(self, workdir, capsys):
@@ -351,12 +362,21 @@ class TestMalformedInput:
             "--seed", "1", "--out-dir", str(tmp_path), "simulate", "--scene", str(path)])
         assert not (tmp_path / "dataset.csv").exists()
 
-    @pytest.mark.parametrize("case", ["empty", "short row"])
+    @pytest.mark.parametrize("case", ["empty", "short row", "los 2", "los -1",
+                                      "repeated row"])
     def test_dataset(self, workdir, tmp_path, capsys, case):
         text = ""
+        lines = (workdir / "dataset.csv").read_text().splitlines(keepends=True)
         if case == "short row":
-            lines = (workdir / "dataset.csv").read_text().splitlines(keepends=True)
             text = lines[0] + ",".join(lines[1].split(",")[:5]) + "\n"
+        elif case.startswith("los"):
+            # position 1's realization 0; the los field is second to last
+            fields = lines[1].split(",")
+            assert fields[:2] == ["1", "0"]
+            fields[-2] = case.split()[1]
+            text = "".join([lines[0], ",".join(fields)] + lines[2:])
+        elif case == "repeated row":
+            text = "".join(lines[:2] + lines[1:])
         path = tmp_path / "dataset.csv"
         path.write_text(text)
         self.assert_one_error_line(capsys, [

@@ -470,6 +470,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             ctx(f=f)
 
+    @pytest.mark.parametrize("field,value", [
+        ("scene_fingerprint", 1.5), ("scene_fingerprint", True), ("scene_fingerprint", "1"),
+        ("position_id", True), ("position_id", np.float64(2.0)), ("position_id", None),
+        ("los", 1), ("los", "yes"), ("los", None)])
+    def test_context_takes_only_what_a_pool_file_holds(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Context(**{"scene_fingerprint": 1, "position_id": 1, "rx": (0, 0, 1.5),
+                       "los": True, "frequency_hz": 28e9, field: value})
+
+    def test_numpy_scalars_become_python_values(self, tmp_path):
+        c = Context(scene_fingerprint=np.int64(3), position_id=np.int32(2),
+                    rx=(0, 0, 1.5), los=np.True_, frequency_hz=28e9)
+        assert [type(v) for v in (c.scene_fingerprint, c.position_id, c.los)] == \
+            [int, int, bool]
+        pool = small_pool()
+        pool.ingest(c, *data(), now=1.0)
+        save_pool(tmp_path / "pool.json", pool)
+        back = load_pool(tmp_path / "pool.json").entries[1].context
+        assert (back.scene_fingerprint, back.position_id, back.los) == (3, 2, True)
+
 
 # ---------------------------------------------------------------------------
 # Stateful property test

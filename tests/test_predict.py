@@ -29,6 +29,14 @@ class TestTopWeightGroups:
         w = GroupWeights(0.25, 0.25, 0.25, 0.25)
         assert top_weight_groups(w, 1.0) == {"L", "V", "B", "D"}
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0, 1.0 + 1e-12, 5.0, math.nan])
+    def test_tau_outside_unit_interval_rejected(self, tau):
+        w = GroupWeights(0.4, 0.3, 0.2, 0.1)
+        with pytest.raises(ValueError, match="tau"):
+            top_weight_groups(w, tau)
+        with pytest.raises(ValueError, match="tau"):
+            mask_features(np.ones(16), w, tau)
+
 
 class TestMaskFeatures:
     def test_masks_excluded_groups(self):
@@ -112,6 +120,12 @@ class TestKnn:
     def test_empty_train_rejected(self):
         with pytest.raises(ValueError):
             predict_knn([], (0, 0, 0))
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_k_below_one_rejected(self, k):
+        train = [((0, 0, 0), 90.0), ((10, 0, 0), 100.0)]
+        with pytest.raises(ValueError, match="k must be"):
+            predict_knn(train, (5, 0, 0), k=k)
 
 
 class TestErrorReport:
