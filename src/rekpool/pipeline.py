@@ -18,7 +18,7 @@ from . import forest as rf
 from .features import RealizationConfig, realize
 from .geometry import Scene, Trajectory
 from .pool import FitCache, Pool, derive_knowledge
-from .predict import (Prediction, fit_logdistance, predict_knn, predict_rekp,
+from .predict import (Prediction, fit_logdistance, predict_knn, serve,
                       trajectory_contexts, evaluate, DEFAULT_KNN_K, DEFAULT_TAU)
 from .propagation import trace
 from .spectrum import SUBSETS, GroupWeights, KnowledgeSpectrum
@@ -114,11 +114,12 @@ def loo_evaluate(scene: Scene, trajectory: Trajectory, rows,
     """Leave-one-position-out comparison of REKP vs the two baselines.
 
     For each held-out position a fresh pool with `pool_template`'s
-    capacity, thresholds, coefficients and forest parameters is built
-    from the remaining positions' realizations; the held-out position's
-    data never enters that pool.  The pools share `cache` (by default the
-    template's memo), seeded with the template's entries so that a loaded
-    pool's forests are not fit again.  Returns (predictions, reports-by-method).
+    capacity, thresholds and forest parameters is built from the
+    remaining positions' realizations; the held-out position's data never
+    enters that pool.  One trace per position serves every round.  The
+    pools share `cache` (by default the template's memo), seeded with the
+    template's entries so that a loaded pool's forests are not fit again.
+    Returns (predictions, reports-by-method).
     """
     cache = cache or pool_template.cache
     for e in pool_template.entries.values():
@@ -126,22 +127,17 @@ def loo_evaluate(scene: Scene, trajectory: Trajectory, rows,
     traces = trace_trajectory(scene, trajectory)
     contexts = trajectory_contexts(scene, trajectory, traces)
     truths = {pid: tr.sample(pid).path_loss_db for pid, tr in traces.items()}
-    n = len(trajectory.positions)
     predictions = []
-    for q in range(1, n + 1):
-        rx = trajectory.positions[q - 1]
-        others = [(pid, trajectory.positions[pid - 1]) for pid in range(1, n + 1)
-                  if pid != q]
-        ld = fit_logdistance([(float(np.linalg.norm(p - scene.tx)), truths[pid])
-                              for pid, p in others])
+    for q, tr in traces.items():
+        others = [(traces[pid].rx, truths[pid]) for pid in traces if pid != q]
+        ld = fit_logdistance([(float(np.linalg.norm(p - scene.tx)), pl) for p, pl in others])
         pool = replace(pool_template, entries={}, next_entry_id=1, cache=cache)
         build_pool(rows, contexts, pool, skip_positions={q})
-        predictions.append(predict_rekp(pool, scene, trajectory, rx, q,
-                                        tau=tau, fallback=ld))
-        d = float(np.linalg.norm(rx - scene.tx))
+        predictions.append(serve(pool, contexts[q], tr, tau=tau, fallback=ld))
+        d = float(np.linalg.norm(tr.rx - scene.tx))
         predictions.append(Prediction(position_id=q, predicted_db=ld(d),
                                       truth_db=truths[q], method="logdistance"))
-        knn = predict_knn([(p, truths[pid]) for pid, p in others], rx, k=knn_k)
+        knn = predict_knn(others, tr.rx, k=knn_k)
         predictions.append(Prediction(position_id=q, predicted_db=knn,
                                       truth_db=truths[q], method="knn"))
     return predictions, evaluate(predictions)

@@ -26,7 +26,7 @@ from .features import FEATURE_NAMES
 from .geometry import as_vec3, atomic_write_text, json_field, load_json
 from .spectrum import SUM_TOL, GroupWeights, KnowledgeSpectrum, group_weights
 
-POOL_FORMAT_VERSION = 5
+POOL_FORMAT_VERSION = 6
 
 FNV64_OFFSET = 0xCBF29CE484222325
 FNV64_PRIME = 0x100000001B3
@@ -80,6 +80,10 @@ class Context:
 
 #: Distance scale of the RX-proximity similarity term [m].
 SIMILARITY_RX_SCALE_M = 10.0
+
+#: Eviction score weights (see `Pool.sort_and_evict`): redundancy,
+#: utilization discount and age discount.
+ALPHA, BETA, GAMMA = 1.0, 0.5, 0.25
 
 
 def similarity(a: Context, b: Context) -> float:
@@ -171,9 +175,6 @@ class Pool:
     capacity: int = 32
     theta_high: float = 0.95
     theta_low: float = 0.40
-    alpha: float = 1.0   # redundancy (max similarity to another entry)
-    beta: float = 0.5    # utilization discount
-    gamma: float = 0.25  # age discount
     forest_params: rf.ForestParams = field(default_factory=rf.ForestParams)
     entries: dict = field(default_factory=dict)  # entry_id -> KnowledgeEntry
     next_entry_id: int = 1
@@ -252,9 +253,9 @@ class Pool:
     def sort_and_evict(self) -> list:
         """Evict highest-scoring entries until within capacity.
 
-        score = alpha * (max similarity to any other entry)
-              - beta * log(1 + utilization)
-              - gamma * normalized age rank (oldest -> 0)
+        score = ALPHA * (max similarity to any other entry)
+              - BETA * log(1 + utilization)
+              - GAMMA * normalized age rank (oldest -> 0)
         """
         removed = []
         while len(self.entries) > self.capacity:
@@ -267,9 +268,8 @@ class Pool:
                 e = self.entries[eid]
                 max_sim = max((similarity(e.context, self.entries[o].context)
                                for o in ids if o != eid), default=0.0)
-                score = (self.alpha * max_sim
-                         - self.beta * math.log1p(e.utilization_count)
-                         - self.gamma * age_rank[eid])
+                score = (ALPHA * max_sim - BETA * math.log1p(e.utilization_count)
+                         - GAMMA * age_rank[eid])
                 scored.append((score, eid))
             # highest score evicted; ties broken by highest entry id
             _, victim = max(scored, key=lambda se: (se[0], se[1]))
@@ -340,7 +340,6 @@ def pool_to_dict(pool: Pool) -> dict:
         "version": POOL_FORMAT_VERSION,
         "capacity": pool.capacity,
         "thresholds": {"theta_high": pool.theta_high, "theta_low": pool.theta_low},
-        "coefficients": {"alpha": pool.alpha, "beta": pool.beta, "gamma": pool.gamma},
         "forest_params": pool.forest_params.to_dict(),
         "next_entry_id": pool.next_entry_id,
         "entries": entries,
@@ -353,13 +352,10 @@ def pool_from_dict(doc: dict) -> Pool:
     if type(doc["version"]) is not int or doc["version"] != POOL_FORMAT_VERSION:
         raise PoolVersionError(f"unsupported pool format version: {doc['version']!r}")
     try:
-        thresholds, coefficients = doc["thresholds"], doc["coefficients"]
+        thresholds = doc["thresholds"]
         pool = Pool(capacity=json_field(doc, "capacity", int),
                     theta_high=json_field(thresholds, "theta_high", float),
                     theta_low=json_field(thresholds, "theta_low", float),
-                    alpha=json_field(coefficients, "alpha", float),
-                    beta=json_field(coefficients, "beta", float),
-                    gamma=json_field(coefficients, "gamma", float),
                     forest_params=rf.ForestParams.from_dict(doc["forest_params"]),
                     next_entry_id=json_field(doc, "next_entry_id", int))
         for ed in doc["entries"]:

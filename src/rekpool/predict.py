@@ -69,10 +69,6 @@ class Prediction:
         return (self.truth_db >= OUTAGE_CAP_DB) and (self.predicted_db >= OUTAGE_CAP_DB)
 
 
-class NoKnowledgeError(RuntimeError):
-    """Pool had no usable entry and fallback was disabled."""
-
-
 def top_weight_groups(weights, tau: float) -> set:
     """Smallest group set (by descending weight) with cumulative weight >= tau,
     for 0 < tau <= 1."""
@@ -99,19 +95,17 @@ def mask_features(features, weights, tau: float) -> np.ndarray:
     return out
 
 
-def predict_rekp(pool: Pool, scene: Scene, trajectory: Trajectory, rx,
-                 position_id: int, tau: float = DEFAULT_TAU,
-                 fallback=None):
-    """Knowledge-pool prediction at one position.
+def serve(pool: Pool, ctx: Context, tr: Trace, *, fallback,
+          tau: float = DEFAULT_TAU) -> Prediction:
+    """Knowledge-pool prediction at the position `ctx` describes, traced as `tr`.
 
     On a pool hit the entry's forest is evaluated on the masked feature
     vector.  On a miss (or degenerate entry), `fallback` - a callable
     distance -> dB, typically a fitted log-distance model - is used and
-    the prediction tagged as fallback.  Returns a Prediction.
+    the prediction tagged as fallback.
     """
-    tr = trace(scene, rx)
+    position_id = ctx.position_id
     truth = tr.sample(position_id).path_loss_db
-    ctx = _context(scene_fingerprint(scene, trajectory), tr, position_id)
     hit = pool.query(ctx)
     if hit is not None and not hit[0].weights.degenerate:
         entry, _sim = hit
@@ -119,11 +113,17 @@ def predict_rekp(pool: Pool, scene: Scene, trajectory: Trajectory, rx,
         pred = entry.model.predict_one(feats)
         return Prediction(position_id=position_id, predicted_db=pred,
                           truth_db=truth, method="rekp")
-    if fallback is None:
-        raise NoKnowledgeError(f"no usable knowledge for position {position_id}")
-    d = float(np.linalg.norm(tr.rx - scene.tx))
+    d = float(np.linalg.norm(tr.rx - tr.scene.tx))
     return Prediction(position_id=position_id, predicted_db=float(fallback(d)),
                       truth_db=truth, method="rekp", fallback=True)
+
+
+def predict_rekp(pool: Pool, scene: Scene, trajectory: Trajectory, rx,
+                 position_id: int, *, fallback, tau: float = DEFAULT_TAU) -> Prediction:
+    """`serve` at receiver `rx`, trajectory position `position_id`, traced here."""
+    tr = trace(scene, rx)
+    ctx = _context(scene_fingerprint(scene, trajectory), tr, position_id)
+    return serve(pool, ctx, tr, fallback=fallback, tau=tau)
 
 
 # ---------------------------------------------------------------------------

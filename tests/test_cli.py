@@ -175,7 +175,7 @@ class TestGolden:
     DIGESTS = {
         "dataset.csv": "49d02848761a1c0a98b1b6f60d629d06062107919b608df454286f5fa28b31f7",
         "spectrum.csv": "8336fc9291975b642169db2dbbd2f2f57bdba60fee40976665c8b101ccf087bb",
-        "pool.json": "6a4654e2a67e94aff500d6af4796650dbd609b599260ec5f78288bd088d486b1",
+        "pool.json": "53c863c3011dcb7b7048701b33d7df7f14feeb6f73477e948af262b03da7aadd",
         "summary.csv": "7de504d0b3727837665a81429820b0ac143df3ffd8ce8eb9f0c0325caa01b039",
     }
 

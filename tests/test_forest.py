@@ -550,34 +550,33 @@ class TestFitCache:
         assert seeded == cold
 
     def test_held_out_pools_take_the_template_settings(self, monkeypatch):
-        """Every held-out pool carries the template's capacity, thresholds,
-        eviction coefficients and forest parameters, none of its entries,
-        and never the held-out position."""
+        """Every held-out pool carries the template's capacity, thresholds
+        and forest parameters, none of its entries, and never the held-out
+        position."""
         scene, traj = canonical_street_scene()
         rows = simulate_trajectory(scene, traj, RealizationConfig(n_realizations=10, seed=3))
-        template = Pool(capacity=5, theta_high=0.9, theta_low=0.3, alpha=2.0, beta=0.1,
-                        gamma=0.75, forest_params=ForestParams(n_trees=3, max_depth=4,
-                                                               min_leaf=2, seed=3))
-        settings = ("capacity", "theta_high", "theta_low", "alpha", "beta", "gamma",
-                    "forest_params")
+        template = Pool(capacity=5, theta_high=0.9, theta_low=0.3,
+                        forest_params=ForestParams(n_trees=3, max_depth=4, min_leaf=2,
+                                                   seed=3))
+        settings = ("capacity", "theta_high", "theta_low", "forest_params")
         seen = []
-        real = pipeline.predict_rekp
+        real = pipeline.serve
 
-        def record(pool, scene, trajectory, rx, position_id, **kw):
-            seen.append(position_id)
+        def record(pool, ctx, tr, **kw):
+            seen.append(ctx.position_id)
             assert all(getattr(pool, s) == getattr(template, s) for s in settings)
             assert len(pool.entries) == 5
-            assert position_id not in {e.context.position_id for e in pool.entries.values()}
-            return real(pool, scene, trajectory, rx, position_id, **kw)
-        monkeypatch.setattr(pipeline, "predict_rekp", record)
+            assert ctx.position_id not in {e.context.position_id
+                                           for e in pool.entries.values()}
+            return real(pool, ctx, tr, **kw)
+        monkeypatch.setattr(pipeline, "serve", record)
         loo_evaluate(scene, traj, rows, pool_template=template)
         assert seen == list(range(1, 16))
         assert template.entries == {} and template.next_entry_id == 1
 
-    def test_traces_each_position_twice(self, monkeypatch):
-        """One trace per position gives its context and its truth for every
-        held-out round; predicting the held-out position traces it once
-        more."""
+    def test_traces_each_position_once(self, monkeypatch):
+        """One trace per position gives its context, its truth and its
+        features for every held-out round."""
         scene, traj = canonical_street_scene()
         rows = simulate_trajectory(scene, traj, RealizationConfig(n_realizations=10, seed=3))
         traced = Counter()
@@ -590,7 +589,7 @@ class TestFitCache:
             monkeypatch.setattr(module, "trace", counted)
         params = ForestParams(n_trees=3, max_depth=4, min_leaf=2, seed=3)
         loo_evaluate(scene, traj, rows, pool_template=Pool(forest_params=params))
-        assert traced == Counter({tuple(rx): 2 for rx in traj.positions})
+        assert traced == Counter({tuple(rx): 1 for rx in traj.positions})
 
 
 class TestSerialization:

@@ -398,7 +398,7 @@ class TestPersistence:
         # every key that is stored is read back: without it loading fails
         doc = json.loads(text)
         paths = list(key_paths(doc))
-        assert len(paths) == 17 + 22  # the pool's keys and one entry's
+        assert len(paths) == 13 + 22  # the pool's keys and one entry's
         for path in paths:
             broken = json.loads(text)
             parent = broken
@@ -409,7 +409,7 @@ class TestPersistence:
                 pool_from_dict(broken)
 
     def test_v1_and_keyless_files_rejected(self):
-        for version in (1, 2, 3, 4):
+        for version in (1, 2, 3, 4, 5):
             with pytest.raises(PoolVersionError):
                 pool_from_dict({"version": version})
         with pytest.raises(PoolFileError):

@@ -8,7 +8,7 @@ from rekpool.features import FEATURE_NAMES, GROUP_MEMBER_INDEX
 from rekpool.forest import ForestParams
 from rekpool.geometry import canonical_street_scene
 from rekpool.pool import Pool
-from rekpool.predict import (ErrorReport, NoKnowledgeError, Prediction, evaluate,
+from rekpool.predict import (ErrorReport, Prediction, evaluate,
                              fit_logdistance, mask_features, predict_knn,
                              predict_rekp, scene_fingerprint, top_weight_groups)
 from rekpool.propagation import OUTAGE_CAP_DB
@@ -189,12 +189,6 @@ class TestPredictRekp:
         assert pred.fallback
         assert pred.predicted_db == 99.0
         assert pred.method == "rekp"
-
-    def test_empty_pool_without_fallback_raises(self):
-        scene, traj = canonical_street_scene()
-        pool = Pool(forest_params=ForestParams(n_trees=4, min_leaf=2, seed=0))
-        with pytest.raises(NoKnowledgeError):
-            predict_rekp(pool, scene, traj, traj.positions[0], 1)
 
     def test_scene_hashed_once_per_pair(self, monkeypatch):
         hashed = []
