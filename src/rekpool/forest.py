@@ -366,6 +366,8 @@ def fit(X, y, params: ForestParams, feature_names=None) -> RandomForestModel:
         raise ValueError("feature matrix must be finite")
     if feature_names is None:
         feature_names = tuple(f"x{i}" for i in range(X.shape[1]))
+    if len(feature_names) != X.shape[1]:
+        raise ValueError(f"{len(feature_names)} feature names for {X.shape[1]} columns")
     trees, bootstraps = _grow(X, y, params)
     oob = compute_oob_r2(trees, bootstraps, X, y)
     return RandomForestModel(trees=trees, params=params,

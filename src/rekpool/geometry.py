@@ -36,6 +36,13 @@ def as_vec3(p) -> np.ndarray:
     return v
 
 
+def as_int(value, name: str) -> int:
+    """`value`, a Python or NumPy integer but not a bool, as an int."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Scatterer:
     """Axis-aligned box obstacle/reflector."""
@@ -46,6 +53,7 @@ class Scatterer:
     reflection_loss_db: float = 10.0
 
     def __post_init__(self):
+        object.__setattr__(self, "id", as_int(self.id, "scatterer id"))
         object.__setattr__(self, "center", as_vec3(self.center))
         object.__setattr__(self, "dims", as_vec3(self.dims))
         if np.any(self.dims <= 0):
@@ -70,8 +78,7 @@ class Scene:
     id, so that every point and segment test runs over all boxes at once.
     The padded bounds are derived once per scene.  `scatterers` holds the
     same boxes as `Scatterer` objects, for scene files and
-    `scatterer_by_id`; a scene made by `with_centers` builds them only
-    when asked.
+    `scatterer_by_id`, built from the arrays when first asked.
     """
 
     def __init__(self, tx, frequency_hz: float, scatterers=()):
@@ -82,12 +89,10 @@ class Scene:
         ids = [s.id for s in scatterers]
         if len(ids) != len(set(ids)):
             raise ValueError("scatterer ids must be unique")
-        self.frequency_hz = frequency_hz
+        self.frequency_hz = float(frequency_hz)
         self.box_ids = np.array(ids, dtype=int)
         self.box_dims = np.array([s.dims for s in scatterers]).reshape(-1, 3)
         self.box_loss_db = np.array([s.reflection_loss_db for s in scatterers], dtype=float)
-        # the cached `scatterers` are the given objects, so scene files keep their values
-        self.__dict__["scatterers"] = scatterers
         self._place(np.array([s.center for s in scatterers]).reshape(-1, 3))
 
     def with_centers(self, centers) -> Scene:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import forest as rf
 from .features import FEATURE_NAMES
-from .geometry import as_vec3, atomic_write_text, json_field, load_json
+from .geometry import as_int, as_vec3, atomic_write_text, json_field, load_json
 from .spectrum import SUM_TOL, GroupWeights, KnowledgeSpectrum, group_weights
 
 POOL_FORMAT_VERSION = 6
@@ -66,16 +66,14 @@ class Context:
     def __post_init__(self):
         # only the types a pool file holds, so that every pool saves and loads
         for name in ("scene_fingerprint", "position_id"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if not isinstance(self.los, (bool, np.bool_)):
             raise ValueError(f"los must be a bool, not {self.los!r}")
         object.__setattr__(self, "los", bool(self.los))
         object.__setattr__(self, "rx", as_vec3(self.rx))
         if not (np.isfinite(self.frequency_hz) and self.frequency_hz > 0):
             raise ValueError("frequency_hz must be finite and positive")
+        object.__setattr__(self, "frequency_hz", float(self.frequency_hz))
 
 
 #: Distance scale of the RX-proximity similarity term [m].
@@ -183,10 +181,12 @@ class Pool:
     cache: FitCache = field(default_factory=FitCache, repr=False, compare=False)
 
     def __post_init__(self):
+        self.capacity = as_int(self.capacity, "capacity")
         if self.capacity < 1:
             raise ValueError("capacity must be >= 1")
         if not (0.0 <= self.theta_low < self.theta_high <= 1.0):
             raise ValueError("need 0 <= theta_low < theta_high <= 1")
+        self.theta_low, self.theta_high = float(self.theta_low), float(self.theta_high)
 
     # -- read side ---------------------------------------------------------
 
@@ -218,6 +218,9 @@ class Pool:
         y = np.asarray(y, dtype=float)
         if len(X) == 0:
             raise ValueError("realizations must be nonempty")
+        if not math.isfinite(now):
+            raise ValueError(f"now must be finite, not {now!r}")
+        now = float(now)
         best = self._best_match(ctx)
         if best is not None and best[1] >= self.theta_high:
             entry = self.entries[best[0]]

@@ -69,11 +69,16 @@ class Prediction:
         return (self.truth_db >= OUTAGE_CAP_DB) and (self.predicted_db >= OUTAGE_CAP_DB)
 
 
+def check_tau(tau: float):
+    """Reject a masking coverage outside (0, 1], NaN included."""
+    if not 0.0 < tau <= 1.0:
+        raise ValueError(f"tau must be in (0, 1], not {tau!r}")
+
+
 def top_weight_groups(weights, tau: float) -> set:
     """Smallest group set (by descending weight) with cumulative weight >= tau,
     for 0 < tau <= 1."""
-    if not 0.0 < tau <= 1.0:  # also NaN
-        raise ValueError(f"tau must be in (0, 1], not {tau!r}")
+    check_tau(tau)
     order = sorted(GROUPS, key=lambda g: (-weights[g], GROUPS.index(g)))
     chosen = set()
     acc = 0.0
@@ -102,8 +107,10 @@ def serve(pool: Pool, ctx: Context, tr: Trace, *, fallback,
     On a pool hit the entry's forest is evaluated on the masked feature
     vector.  On a miss (or degenerate entry), `fallback` - a callable
     distance -> dB, typically a fitted log-distance model - is used and
-    the prediction tagged as fallback.
+    the prediction tagged as fallback.  `tau` is checked before the pool
+    is queried, so it is checked on a miss too.
     """
+    check_tau(tau)
     position_id = ctx.position_id
     truth = tr.sample(position_id).path_loss_db
     hit = pool.query(ctx)

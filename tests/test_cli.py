@@ -15,9 +15,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from rekpool import cli
 from rekpool.cli import main
-from rekpool.features import FEATURE_NAMES
+from rekpool.features import FEATURE_NAMES, load_dataset
 from rekpool.forest import ForestParams
-from rekpool.pipeline import SPECTRUM_HEADER
+from rekpool.geometry import load_scene
+from rekpool.pipeline import SPECTRUM_HEADER, loo_evaluate
 from rekpool.pool import POOL_FORMAT_VERSION, Context, Pool, load_pool, pool_to_dict
 
 
@@ -123,6 +124,31 @@ class TestPredict:
                    "--scene", str(workdir / "scene.json"),
                    "--dataset", str(workdir / "dataset.csv"),
                    "--pool", str(workdir / "pool.json"), flag, value) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "summary.csv").exists()
+
+    @pytest.fixture(scope="class")
+    def fallback_pool(self, workdir, tmp_path_factory):
+        """A pool that answers no held-out position: every prediction falls back."""
+        out = tmp_path_factory.mktemp("fallback")
+        assert run("--seed", "3", "--out-dir", str(out), "--quiet", "learn",
+                   "--scene", str(workdir / "scene.json"),
+                   "--dataset", str(workdir / "dataset.csv"), "--n-trees", "3",
+                   "--theta-low", "0.99", "--theta-high", "1.0") == 0
+        scene, traj = load_scene(workdir / "scene.json")
+        preds, _ = loo_evaluate(scene, traj, load_dataset(workdir / "dataset.csv"),
+                                pool_template=load_pool(out / "pool.json"))
+        assert all(p.fallback for p in preds if p.method == "rekp")
+        return out / "pool.json"
+
+    @pytest.mark.parametrize("tau", ["5", "nan"])
+    def test_bad_tau_exit_1_when_every_prediction_falls_back(self, workdir, fallback_pool,
+                                                              tmp_path, capsys, tau):
+        assert run("--out-dir", str(tmp_path), "predict",
+                   "--scene", str(workdir / "scene.json"),
+                   "--dataset", str(workdir / "dataset.csv"),
+                   "--pool", str(fallback_pool), "--tau", tau) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not (tmp_path / "summary.csv").exists()

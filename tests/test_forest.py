@@ -289,6 +289,12 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(X, y, ForestParams(n_trees=2))
 
+    @pytest.mark.parametrize("n_names", [2, 16])
+    def test_feature_names_must_match_columns(self, n_names):
+        X, y = linear_benchmark(n=20)
+        with pytest.raises(ValueError, match="feature names"):
+            fit(X, y, ForestParams(n_trees=2), feature_names=[f"f{i}" for i in range(n_names)])
+
     def test_bad_params_rejected(self):
         with pytest.raises(ValueError):
             ForestParams(n_trees=0)

@@ -324,6 +324,19 @@ class TestScenePersistence:
         save_scene(p2, scene2, traj2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("frequency_hz, loss_db", [(28_000_000_000, 10.0), (28e9, 10)])
+    def test_integer_values_replay_byte_exactly(self, tmp_path, frequency_hz, loss_db):
+        """A scene built from integers writes the floats its file reads back,
+        so its file and its fingerprint input survive load -> save."""
+        scene, traj = canonical_street_scene(frequency_hz=frequency_hz,
+                                             reflection_loss_db=loss_db)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_scene(first, scene, traj)
+        loaded = load_scene(first)
+        save_scene(second, *loaded)
+        assert first.read_bytes() == second.read_bytes()
+        assert canonical_scene_json(scene, traj) == canonical_scene_json(*loaded)
+
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
     def test_non_finite_numbers_rejected(self, tmp_path, literal):
         path = tmp_path / "doc.json"
@@ -372,6 +385,11 @@ class TestInvariants:
         with pytest.raises(ValueError):
             Scene(tx=(9, 9, 9), frequency_hz=1e9,
                   scatterers=(unit_cube(1), unit_cube(1, center=(3, 3, 3))))
+
+    @pytest.mark.parametrize("sid", [1.5, True, "1"])
+    def test_scatterer_id_must_be_an_integer(self, sid):
+        with pytest.raises(ValueError, match="id"):
+            Scatterer(id=sid, center=(0, 0, 0), dims=(1, 1, 1))
 
     @pytest.mark.parametrize("loss", [-1.0, math.nan, math.inf])
     def test_bad_reflection_loss_rejected(self, loss):

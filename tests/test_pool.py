@@ -461,9 +461,36 @@ class TestValidation:
         with pytest.raises(ValueError):
             Pool(capacity=0)
 
+    @pytest.mark.parametrize("capacity", [2.5, True])
+    def test_capacity_must_be_an_integer(self, capacity):
+        with pytest.raises(ValueError, match="capacity"):
+            small_pool(capacity=capacity)
+
     def test_bad_thresholds(self):
         with pytest.raises(ValueError):
             Pool(theta_low=0.9, theta_high=0.5)
+
+    def test_ingest_time_must_be_finite(self):
+        pool = small_pool()
+        with pytest.raises(ValueError, match="now"):
+            pool.ingest(ctx(), *data(), now=math.nan)
+        assert pool.entries == {}
+
+    @pytest.mark.parametrize("pool_kw, ctx_kw, now", [
+        ({}, {"f": 28_000_000_000}, 1.0),
+        ({}, {}, 1),
+        ({"theta_high": 1, "theta_low": 0}, {}, 1.0),
+        ({"capacity": np.int64(3)}, {}, 1.0),
+    ])
+    def test_integer_values_replay_byte_exactly(self, tmp_path, pool_kw, ctx_kw, now):
+        """Integers enter as the type the pool file reads back (floats for
+        times, thresholds and frequencies), so save -> load -> save holds."""
+        pool = small_pool(**pool_kw)
+        pool.ingest(ctx(**ctx_kw), *data(), now=now)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_pool(first, pool)
+        save_pool(second, load_pool(first))
+        assert first.read_bytes() == second.read_bytes()
 
     @pytest.mark.parametrize("f", [0.0, -28e9, math.nan, math.inf])
     def test_bad_frequency(self, f):

@@ -8,7 +8,7 @@ from rekpool.features import FEATURE_NAMES, GROUP_MEMBER_INDEX
 from rekpool.forest import ForestParams
 from rekpool.geometry import canonical_street_scene
 from rekpool.pool import Pool
-from rekpool.predict import (ErrorReport, Prediction, evaluate,
+from rekpool.predict import (ErrorReport, Prediction, context_for, evaluate,
                              fit_logdistance, mask_features, predict_knn,
                              predict_rekp, scene_fingerprint, top_weight_groups)
 from rekpool.propagation import OUTAGE_CAP_DB
@@ -189,6 +189,17 @@ class TestPredictRekp:
         assert pred.fallback
         assert pred.predicted_db == 99.0
         assert pred.method == "rekp"
+
+    @pytest.mark.parametrize("tau", [5.0, math.nan])
+    def test_tau_checked_before_the_pool_is_queried(self, tau):
+        scene, traj = canonical_street_scene()
+        rx = traj.positions[0]
+        pool = Pool(forest_params=ForestParams(n_trees=2, min_leaf=2, seed=0))
+        X = np.random.default_rng(0).uniform(size=(8, len(FEATURE_NAMES)))
+        pool.ingest(context_for(scene, traj, rx, 1), X, X[:, 0], now=1.0)
+        with pytest.raises(ValueError, match="tau"):
+            predict_rekp(pool, scene, traj, rx, 1, fallback=lambda d: 99.0, tau=tau)
+        assert pool.entries[1].utilization_count == 0
 
     def test_scene_hashed_once_per_pair(self, monkeypatch):
         hashed = []
