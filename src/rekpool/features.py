@@ -19,14 +19,15 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Scene, as_vec3, atomic_write_text
+from .geometry import Scene, as_int, as_vec3, atomic_write_text, row_norms
 # perfbench's tracer tests expect segment_blocked in this module's namespace
 from .geometry import segment_blocked  # noqa: F401
-from .propagation import InsideScatterer, Trace, trace
+from .propagation import InsideScatterer, Trace, _validate_rx, trace, trace_all
 
 FEATURE_NAMES = (
     "L_cx", "L_cy", "L_cz", "L_rx", "L_ry", "L_rz",
@@ -54,39 +55,68 @@ def extract_features(scene: Scene, rx) -> np.ndarray:
 
 
 def trace_features(tr: Trace) -> np.ndarray:
-    """16-member feature vector of one oracle pass, in FEATURE_NAMES order."""
-    scene, rx = tr.scene, tr.rx
-    # rows of the effective boxes, in id order (the scene's rows are sorted by id)
-    eff = np.searchsorted(scene.box_ids, tr.effective_scatterers())
-    sentinel = scene.bounds_diagonal()
+    """16-member feature vector of one oracle pass, in FEATURE_NAMES order:
+    the one row of `feature_rows`."""
+    return feature_rows([tr])[0]
 
-    if len(eff):
-        centers = scene.box_center[eff]
-        dims = scene.box_dims[eff]
-        volumes = np.prod(dims, axis=1)
-        centroid = centers.mean(axis=0)
-        v_total = sum(volumes.tolist())
-        v_maxh = float(scene.box_hi[eff, 2].max())
-        largest = dims[np.argmax(volumes)]
-        # broadside: the larger of the two vertical face areas
-        v_area = float(max(largest[0], largest[1]) * largest[2])
-        # one norm per box: a norm over an axis rounds differently
-        d_txs = min(float(np.linalg.norm(v)) for v in scene.tx - centers)
-        d_srx = min(float(np.linalg.norm(v)) for v in rx - centers)
-    else:
-        centroid = np.zeros(3)
-        v_total = v_maxh = v_area = 0.0
-        d_txs = d_srx = sentinel
 
-    blk = tr.direct
-    d_pathlen = tr.paths[0].length_m if tr.paths else sentinel
+def feature_rows(traces) -> np.ndarray:
+    """(R, 16) feature rows of R traces, in FEATURE_NAMES order, computed
+    over all R at once.  The traces' scenes are realizations of one scene
+    (`trace_all`): the same boxes, wherever each realization put them.
 
-    return np.array([
-        centroid[0], centroid[1], centroid[2], rx[0], rx[1], rx[2],
-        v_total, v_maxh, v_area,
-        1.0 if blk.blocked else 0.0, float(len(blk.blocker_ids)), blk.blocked_fraction,
-        float(np.linalg.norm(rx - scene.tx)), d_txs, d_srx, d_pathlen,
-    ])
+    A row with no effective scatterer gets 0 for the scatterer-dependent
+    members and the scene's bounds diagonal for the distances to them.
+    """
+    base = traces[0].scene
+    ids, dims, tx = base.box_ids, base.box_dims, base.tx
+    n_real, n_box = len(traces), len(ids)
+    rx = np.array([tr.rx for tr in traces])
+    centers = np.array([tr.scene.box_center for tr in traces])
+    bounds = np.array([tr.scene.bounds() for tr in traces])
+    # effective[r, k]: box k (the scene's rows are in id order) is effective in trace r
+    effective = np.zeros((n_real, n_box), dtype=bool)
+    rows, eff_ids = [], []
+    for r, tr in enumerate(traces):
+        e = tr.effective_scatterers()
+        rows += [r] * len(e)
+        eff_ids += e
+    effective[rows, np.searchsorted(ids, eff_ids)] = True
+    # per row: bounds diagonal, TX-RX distance, then TX -> box k and RX -> box k
+    norms = row_norms(np.concatenate([(bounds[:, 1] - bounds[:, 0])[:, None],
+                                      (rx - tx)[:, None], tx - centers,
+                                      rx[:, None] - centers], axis=1))
+    sentinel = norms[:, 0]
+    out = np.zeros((n_real, len(FEATURE_NAMES)))
+    out[:, 3:6] = rx
+    out[:, 12] = norms[:, 1]
+    out[:, 13:15] = sentinel[:, None]
+    blk = [tr.direct for tr in traces]
+    out[:, 9] = [b.blocked for b in blk]
+    out[:, 10] = [len(b.blocker_ids) for b in blk]
+    out[:, 11] = [b.blocked_fraction for b in blk]
+    out[:, 15] = [tr.paths[0].length_m if tr.paths else s
+                  for tr, s in zip(traces, sentinel.tolist())]
+    some = effective.any(axis=1)
+    if not some.any():
+        return out
+    volumes = np.prod(dims, axis=1)
+    # The sums add the effective boxes one by one in id order, as a sum over
+    # one trace's boxes does; an ineffective box adds -0.0, which changes no
+    # sum.  (A masked `sum` would add pairwise from 8 terms on.)
+    centroid = np.cumsum(np.where(effective[:, :, None], centers, -0.0), axis=1)[:, -1]
+    v_total = np.cumsum(np.where(effective, volumes, -0.0), axis=1)[:, -1]
+    # box tops, computed as a scene computes box_hi
+    v_maxh = np.where(effective, centers[:, :, 2] + dims[:, 2] / 2.0, -np.inf).max(axis=1)
+    # broadside: the larger of the two vertical face areas of the largest box
+    largest = dims[np.where(effective, volumes, -np.inf).argmax(axis=1)]
+    v_area = np.maximum(largest[:, 0], largest[:, 1]) * largest[:, 2]
+    to_box = norms[:, 2:].reshape(n_real, 2, n_box)  # [r, 0] from the TX, [r, 1] from the RX
+    d_box = np.where(effective[:, None], to_box, np.inf).min(axis=2)
+    out[some, 0:3] = centroid[some] / effective[some].sum(axis=1)[:, None]
+    out[some, 6:9] = np.column_stack([v_total, v_maxh, v_area])[some]
+    out[some, 13:15] = d_box[some]
+    return out
 
 
 @dataclass(frozen=True)
@@ -97,10 +127,14 @@ class RealizationConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "n_realizations", as_int(self.n_realizations, "n_realizations"))
+        object.__setattr__(self, "seed", as_int(self.seed, "seed"))
         if self.n_realizations < 2:
             raise ValueError("n_realizations must be >= 2")
-        if self.scatterer_jitter_sigma < 0 or self.rx_jitter_sigma < 0:
-            raise ValueError("jitter sigmas must be >= 0")
+        for name in ("scatterer_jitter_sigma", "rx_jitter_sigma"):
+            sigma = getattr(self, name)
+            if not (math.isfinite(sigma) and sigma >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, not {sigma!r}")
 
 
 @dataclass
@@ -119,32 +153,37 @@ def realize(scene: Scene, rx, cfg: RealizationConfig, position_id: int = 0,
 
     Realization 0 is always the unperturbed scene.  Each realization's
     random stream is derived from (seed, position_id, i) so any subset
-    is reproducible independently of execution order.
+    is reproducible independently of execution order.  The draws are made
+    one realization at a time; then all realizations are traced, and
+    their features computed, in one pass.  An invalid realization raises
+    what tracing realizations one by one would raise first.
     """
-    rx = as_vec3(rx)
-    rows = []
-    for i in range(cfg.n_realizations):
-        if i == 0:
-            tr = trace(scene, rx)
+    rx = _validate_rx(scene, rx)
+    rngs = [np.random.default_rng(np.random.SeedSequence(
+        [cfg.seed & 0xFFFFFFFFFFFFFFFF, position_id, i])) for i in range(1, cfg.n_realizations)]
+    # one (S, 3) draw per realization: the values of S draws of size 3, box by box
+    scenes, error = scene.realizations([
+        scene.box_center + rng.normal(0.0, cfg.scatterer_jitter_sigma, scene.box_center.shape)
+        for rng in rngs])
+    rxs = [rx]
+    for sc, rng in zip(scenes, rngs):
+        # each candidate is tested once; one inside a box is drawn again
+        for _attempt in range(100):
+            try:
+                rxs.append(_validate_rx(sc, rx + rng.normal(0.0, cfg.rx_jitter_sigma, 3)))
+                break
+            except InsideScatterer:
+                pass
         else:
-            rng = np.random.default_rng(np.random.SeedSequence(
-                [cfg.seed & 0xFFFFFFFFFFFFFFFF, position_id, i]))
-            # one (S, 3) draw: the values of S draws of size 3, box by box
-            sc = scene.with_centers(scene.box_center + rng.normal(
-                0.0, cfg.scatterer_jitter_sigma, scene.box_center.shape))
-            # `trace` tests each candidate once; one inside a box is drawn again
-            for _attempt in range(100):
-                try:
-                    tr = trace(sc, rx + rng.normal(0.0, cfg.rx_jitter_sigma, 3))
-                    break
-                except InsideScatterer:
-                    pass
-            else:
-                raise ValueError(
-                    f"could not place jittered RX outside scatterers at position {position_id}")
+            raise ValueError(
+                f"could not place jittered RX outside scatterers at position {position_id}")
+    if error is not None:
+        raise error
+    traces = trace_all([scene, *scenes], rxs)
+    rows = []
+    for i, (tr, features) in enumerate(zip(traces, feature_rows(traces))):
         sample = tr.sample(position_id=position_id)
-        rows.append(DatasetRow(position_id=position_id, realization_id=i,
-                               features=trace_features(tr),
+        rows.append(DatasetRow(position_id=position_id, realization_id=i, features=features,
                                path_loss_db=sample.path_loss_db, los=sample.los,
                                timestamp=timestamp))
     return rows

@@ -43,6 +43,15 @@ def as_int(value, name: str) -> int:
     return int(value)
 
 
+def row_norms(v) -> np.ndarray:
+    """Euclidean norms of the rows of v (..., 3): each the float that
+    `np.linalg.norm` gives for that row.  A row's squared norm is one
+    matrix product, as `norm`'s is one dot product; an axis norm or
+    `einsum` rounds some rows differently."""
+    v = np.asarray(v, dtype=float)
+    return np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
 @dataclass(frozen=True)
 class Scatterer:
     """Axis-aligned box obstacle/reflector."""
@@ -93,29 +102,54 @@ class Scene:
         self.box_ids = np.array(ids, dtype=int)
         self.box_dims = np.array([s.dims for s in scatterers]).reshape(-1, 3)
         self.box_loss_db = np.array([s.reflection_loss_db for s in scatterers], dtype=float)
-        self._place(np.array([s.center for s in scatterers]).reshape(-1, 3))
+        placed = self.with_centers(np.array([s.center for s in scatterers]).reshape(-1, 3))
+        self.box_center, self.box_lo, self.box_hi = placed.box_center, placed.box_lo, placed.box_hi
+        self._bounds = placed._bounds
 
     def with_centers(self, centers) -> Scene:
-        """This scene with box k's center moved to row k of `centers`."""
-        centers = np.asarray(centers, dtype=float)
-        if centers.shape != self.box_center.shape or not np.all(np.isfinite(centers)):
-            raise ValueError(f"expected finite box centers of shape {self.box_center.shape}")
-        out = object.__new__(Scene)
-        out.tx, out.frequency_hz = self.tx, self.frequency_hz
-        out.box_ids, out.box_dims, out.box_loss_db = self.box_ids, self.box_dims, self.box_loss_db
-        out._place(centers)
-        return out
+        """This scene with box k's center moved to row k of `centers`: the
+        one placement of `realizations`."""
+        scenes, error = self.realizations(np.asarray(centers, dtype=float)[None])
+        if error is not None:
+            raise error
+        return scenes[0]
 
-    def _place(self, centers):
-        """Set the box centers and derive the corners and bounds from them."""
-        self.box_center = centers
-        self.box_lo = centers - self.box_dims / 2.0
-        self.box_hi = centers + self.box_dims / 2.0
-        pts = np.vstack([self.tx, self.box_lo, self.box_hi])
-        self._bounds = (pts.min(axis=0) - BOUNDS_MARGIN_M, pts.max(axis=0) + BOUNDS_MARGIN_M)
-        inside = self.ids_containing(self.tx)
-        if inside:
-            raise ValueError(f"TX lies inside scatterer {inside[0]}")
+    def realizations(self, centers):
+        """This scene's boxes placed R times: box k of placement r centered
+        at centers[r, k], from centers (R, S, 3).
+
+        The corners, the padded bounds and the test for a box holding the
+        TX run over all R placements at once.  Returns the scenes of the
+        placements before the first invalid one (non-finite centers, or a
+        box over the TX) and that placement's ValueError, or None.
+        """
+        centers = np.asarray(centers, dtype=float)
+        shape = self.box_dims.shape
+        if centers.ndim != 3 or centers.shape[1:] != shape:
+            raise ValueError(f"expected finite box centers of shape {shape}")
+        lo = centers - self.box_dims / 2.0
+        hi = centers + self.box_dims / 2.0
+        # corners: lo <= hi, so the extremes are the TX's and the corners' own
+        bound_lo = np.minimum(self.tx, lo.min(axis=1, initial=np.inf)) - BOUNDS_MARGIN_M
+        bound_hi = np.maximum(self.tx, hi.max(axis=1, initial=-np.inf)) + BOUNDS_MARGIN_M
+        finite = np.isfinite(centers).all(axis=(1, 2))
+        holds_tx = np.all((self.tx >= lo - EPS_EXACT) & (self.tx <= hi + EPS_EXACT), axis=2)
+        bad = ~finite | holds_tx.any(axis=1)
+        n = int(np.argmax(bad)) if bad.any() else len(centers)
+        scenes = []
+        for r in range(n):
+            out = object.__new__(Scene)
+            out.tx, out.frequency_hz = self.tx, self.frequency_hz
+            out.box_ids, out.box_dims = self.box_ids, self.box_dims
+            out.box_loss_db = self.box_loss_db
+            out.box_center, out.box_lo, out.box_hi = centers[r], lo[r], hi[r]
+            out._bounds = (bound_lo[r], bound_hi[r])
+            scenes.append(out)
+        if n == len(centers):
+            return scenes, None
+        if not finite[n]:
+            return scenes, ValueError(f"expected finite box centers of shape {shape}")
+        return scenes, ValueError(f"TX lies inside scatterer {self.box_ids[holds_tx[n]][0]}")
 
     @cached_property
     def scatterers(self) -> tuple:
@@ -220,25 +254,38 @@ class Blockage:
         return Blockage(True, tuple(ids[hit].tolist()), float(min(total, 1.0)))
 
 
-def _slab_test(p, q, scene: Scene):
-    """Slab test of the segments p[m]-q[m] (M, 3) against every box at once
+#: Most (segment, box) pairs one block of a `_slab_test` pass holds.
+SLAB_ROW_BUDGET = 1 << 16
+
+
+def _slab_test(p, q, lo, hi, of):
+    """Slab test of the segments p[m]-q[m] (M, 3), segment m against the
+    boxes lo[of[m]], hi[of[m]] of the stacked box corners lo, hi (R, S, 3)
     (Williams et al. 2005).
 
     Returns (hit, enter, leave), each (M, S): the box's interval on the
     segment, in segment parameterization clipped to [0, 1], and whether the
     segment crosses the box for longer than EPS_EXACT.  Box for box this is
-    the interval `ray_box_intersect` gives.
+    the interval `ray_box_intersect` gives.  Segments go through in blocks
+    of at most SLAB_ROW_BUDGET (segment, box) pairs, which bounds the
+    memory of a pass.
     """
+    rows = max(1, SLAB_ROW_BUDGET // max(lo.shape[1], 1))
+    if len(p) > rows:
+        blocks = [_slab_test(p[a:a + rows], q[a:a + rows], lo, hi, of[a:a + rows])
+                  for a in range(0, len(p), rows)]
+        return tuple(np.concatenate(parts) for parts in zip(*blocks))
+    box_lo, box_hi = lo[of], hi[of]
     d = (q - p)[:, None, :]
     p = p[:, None, :]
     moving = d != 0.0
     step = np.where(moving, d, 1.0)
-    t0 = (scene.box_lo - p) / step
-    t1 = (scene.box_hi - p) / step
+    t0 = (box_lo - p) / step
+    t1 = (box_hi - p) / step
     enter = np.maximum(np.where(moving, np.minimum(t0, t1), -np.inf).max(axis=2), 0.0)
     leave = np.minimum(np.where(moving, np.maximum(t0, t1), np.inf).min(axis=2), 1.0)
     # along an axis with d == 0 a box is missed unless p lies in its slab
-    in_slabs = np.all(moving | ((p >= scene.box_lo) & (p <= scene.box_hi)), axis=2)
+    in_slabs = np.all(moving | ((p >= box_lo) & (p <= box_hi)), axis=2)
     # leave - enter > EPS_EXACT also rejects boxes behind p (t_exit < 0)
     # and lines that miss (t_enter > t_exit), since then leave < enter
     return in_slabs & (leave - enter > EPS_EXACT), enter, leave
@@ -256,7 +303,8 @@ def segment_blocked(p, q, scene: Scene, exclude_ids=()) -> Blockage:
     q = as_vec3(q)
     if np.linalg.norm(q - p) == 0.0:
         raise ValueError("segment endpoints must differ")
-    hit, enter, leave = (a[0] for a in _slab_test(p[None], q[None], scene))
+    hit, enter, leave = (a[0] for a in _slab_test(
+        p[None], q[None], scene.box_lo[None], scene.box_hi[None], [0]))
     for sid in exclude_ids:
         hit &= scene.box_ids != sid
     return Blockage.from_slab(hit, enter, leave, scene.box_ids)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import EPS_EXACT, Blockage, Scene, _slab_test, as_vec3
+from .geometry import EPS_EXACT, Blockage, Scene, _slab_test, as_vec3, row_norms
 # perfbench's tracer tests expect segment_blocked in this module's namespace
 from .geometry import segment_blocked  # noqa: F401
 
@@ -96,64 +96,92 @@ def _validate_rx(scene: Scene, rx):
     inside = scene.ids_containing(rx)
     if inside:
         raise InsideScatterer(f"rx lies inside scatterer {inside[0]}")
+    d = rx - scene.tx
+    if d @ d == 0.0:  # the squared norm: zero also where the norm underflows
+        raise ValueError("rx must differ from the TX")
     return rx
 
 
-def _bounces(scene: Scene, rx):
-    """Candidate single bounces at rx, legs untested, in scatterer-then-face
-    order: each bouncing box's row, the TX image -> rx vector and the point."""
-    tx = scene.tx
-    # face plane values (S, 6); a face can reflect only if TX and RX both
+def _bounces(tx, rx, lo, hi):
+    """Candidate single bounces at rx (R, 3) among the box corners lo, hi
+    (R, S, 3) of each realization, legs untested, in realization-then-
+    scatterer-then-face order: each bounce's realization and box row, the
+    TX image -> rx vector and the point."""
+    # face plane values (R, S, 6); a face can reflect only if TX and RX both
     # lie on its outward side
-    faces = np.stack([scene.box_lo, scene.box_hi], axis=2).reshape(-1, 6)
+    faces = np.array([lo, hi]).transpose(1, 2, 3, 0).reshape(len(lo), -1, 6)
     facing = ((_FACE_SIGN * (tx[_FACE_AXIS] - faces) > EPS_EXACT)
-              & (_FACE_SIGN * (rx[_FACE_AXIS] - faces) > EPS_EXACT))
-    box, face = np.nonzero(facing)
+              & (_FACE_SIGN * (rx[:, None, _FACE_AXIS] - faces) > EPS_EXACT))
+    real, box, face = np.nonzero(facing)
     axis = _FACE_AXIS[face]
-    value = faces[box, face]
+    value = faces[real, box, face]
     # The bounce is where the segment from the TX image (TX mirrored
     # across the face plane) to RX crosses the plane; it must lie
     # strictly between them and on the face rectangle.
     on_axis = np.arange(3) == axis[:, None]
     img = 2.0 * value - tx[axis]
     tx_img = np.where(on_axis, img[:, None], tx)
-    d = rx - tx_img
-    denom = rx[axis] - img
+    d = rx[real] - tx_img
+    denom = rx[real, axis] - img
     t = (value - img) / denom
     p = tx_img + t[:, None] * d
-    on_face = np.all(on_axis | ((p >= scene.box_lo[box] - EPS_EXACT)
-                                & (p <= scene.box_hi[box] + EPS_EXACT)), axis=1)
+    on_face = np.all(on_axis | ((p >= lo[real, box] - EPS_EXACT)
+                                & (p <= hi[real, box] + EPS_EXACT)), axis=1)
     valid = (np.abs(denom) >= EPS_EXACT) & (t > EPS_EXACT) & (t < 1.0 - EPS_EXACT) & on_face
-    return box[valid], d[valid], p[valid]
+    return real[valid], box[valid], d[valid], p[valid]
 
 
 def trace(scene: Scene, rx) -> Trace:
-    """Validate rx, then test the direct segment and every bounce's legs in one slab pass."""
-    rx = _validate_rx(scene, rx)
-    length = float(np.linalg.norm(rx - scene.tx))
-    if length == 0.0:
-        raise ValueError("rx must differ from the TX")
-    box, d, p = _bounces(scene, rx)
-    n = len(box)
-    # Row 0 is TX -> RX, rows 1..n are TX -> p and rows n+1..2n p -> RX; a leg
-    # must clear all geometry but its bouncing box, which touches it only at p.
-    starts = np.vstack([scene.tx, np.broadcast_to(scene.tx, p.shape), p])
-    ends = np.vstack([rx, p, np.broadcast_to(rx, p.shape)])
-    hit, enter, leave = _slab_test(starts, ends, scene)
-    hit &= np.arange(len(scene.box_ids)) != np.concatenate([[-1], box, box])[:, None]
-    direct = Blockage.from_slab(hit[0], enter[0], leave[0], scene.box_ids)
-    paths = []
-    if not direct.blocked:
-        paths.append(Path(kind="LOS", length_m=length,
-                          loss_db=fspl_db(length, scene.frequency_hz)))
-    for i in np.flatnonzero(~(hit[1:n + 1] | hit[n + 1:]).any(axis=1)):
-        length = float(np.linalg.norm(d[i]))
-        loss = fspl_db(length, scene.frequency_hz) + float(scene.box_loss_db[box[i]])
-        paths.append(Path(kind="Reflection", length_m=length, loss_db=loss,
-                          via_scatterer=int(scene.box_ids[box[i]]), reflection_point=p[i]))
-    paths.sort(key=lambda p: (p.loss_db, p.kind,
-                              -1 if p.via_scatterer is None else p.via_scatterer))
-    return Trace(scene=scene, rx=rx, direct=direct, paths=tuple(paths))
+    """Validate rx, then trace it: `trace_all` of one realization."""
+    return trace_all([scene], [_validate_rx(scene, rx)])[0]
+
+
+def trace_all(scenes, rxs) -> list:
+    """Trace the validated receiver rxs[r] in scenes[r], for every r at once.
+
+    The scenes are realizations of one scene: they share the TX, the
+    frequency and the boxes' ids, sizes and losses, and differ only in
+    where the boxes are.  One face test finds every realization's bounces,
+    and one slab pass tests every realization's direct segment and bounce
+    legs against that realization's boxes.
+    """
+    base = scenes[0]
+    tx, ids, freq = base.tx, base.box_ids, base.frequency_hz
+    rx = np.array(rxs, dtype=float)
+    lo = np.array([s.box_lo for s in scenes])
+    hi = np.array([s.box_hi for s in scenes])
+    real, box, d, p = _bounces(tx, rx, lo, hi)
+    n_real, n = len(rx), len(box)
+    # Rows 0..R-1 are TX -> rx[r], then come TX -> p and p -> RX of each
+    # bounce; a leg must clear all geometry but its bouncing box, which
+    # touches it only at p.
+    starts = np.empty((n_real + 2 * n, 3))
+    starts[:n_real + n] = tx
+    starts[n_real + n:] = p
+    ends = np.concatenate([rx, p, rx[real]])
+    hit, enter, leave = _slab_test(starts, ends, lo, hi,
+                                   np.concatenate([np.arange(n_real), real, real]))
+    hit[n_real:] &= np.arange(len(ids)) != np.concatenate([box, box])[:, None]
+    clear = np.flatnonzero(~(hit[n_real:n_real + n] | hit[n_real + n:]).any(axis=1))
+    lengths = row_norms(np.concatenate([rx - tx, d[clear]])).tolist()
+    paths = [[] for _ in scenes]
+    directs = []
+    for r in range(n_real):
+        direct = Blockage.from_slab(hit[r], enter[r], leave[r], ids)
+        if not direct.blocked:
+            paths[r].append(Path(kind="LOS", length_m=lengths[r],
+                                 loss_db=fspl_db(lengths[r], freq)))
+        directs.append(direct)
+    for r, k, length, point in zip(real[clear].tolist(), box[clear].tolist(),
+                                   lengths[n_real:], p[clear]):
+        loss = fspl_db(length, freq) + float(base.box_loss_db[k])
+        paths[r].append(Path(kind="Reflection", length_m=length, loss_db=loss,
+                             via_scatterer=int(ids[k]), reflection_point=point))
+    for ps in paths:
+        ps.sort(key=lambda p: (p.loss_db, p.kind,
+                               -1 if p.via_scatterer is None else p.via_scatterer))
+    return [Trace(scene=s, rx=x, direct=direct, paths=tuple(ps))
+            for s, x, direct, ps in zip(scenes, rx, directs, paths)]
 
 
 def trace_paths(scene: Scene, rx) -> list:

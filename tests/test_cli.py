@@ -79,6 +79,17 @@ class TestSimulate:
                 "--scene", str(workdir / "scene.json"))
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag,value,name", [
+        ("--rx-jitter", "nan", "rx_jitter_sigma"), ("--rx-jitter", "inf", "rx_jitter_sigma"),
+        ("--scatterer-jitter", "nan", "scatterer_jitter_sigma")])
+    def test_unusable_jitter_exit_1(self, workdir, tmp_path, capsys, flag, value, name):
+        assert run("--seed", "3", "--out-dir", str(tmp_path), "simulate",
+                   "--scene", str(workdir / "scene.json"), "--n-realizations", "4",
+                   flag, value) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and name in err[0]
+        assert not (tmp_path / "dataset.csv").exists()
+
 
 class TestLearn:
     def test_spectrum_shape(self, workdir):

@@ -3,16 +3,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rekpool.features import (DATASET_HEADER, FEATURE_NAMES, GROUP_MEMBER_INDEX,
                               GROUP_OF_MEMBER, GROUPS, DatasetRow, DropReport,
                               RealizationConfig, StreamRecord, align_streams,
-                              dataset_to_csv, extract_features, load_dataset,
-                              realize, save_dataset, trace_features)
-from rekpool import features, propagation
+                              dataset_to_csv, extract_features, feature_rows,
+                              load_dataset, realize, save_dataset, trace_features)
+from rekpool import features, geometry, propagation
 from rekpool.geometry import EPS_EXACT, Scatterer, Scene, as_vec3, canonical_street_scene
-from rekpool.propagation import trace, trace_paths
+from rekpool.pipeline import simulate_trajectory
+from rekpool.propagation import trace, trace_all, trace_paths
 
 
 class TestFeatureLayout:
@@ -120,30 +121,29 @@ def scalar_trace_features(tr):
     ])
 
 
+def scalar_realization(scene, rx, cfg, position_id, i):
+    """Reference: realization i >= 1's scene, rebuilt from jittered
+    `Scatterer`s with one size-3 draw per box, and its receiver."""
+    rng = np.random.default_rng(np.random.SeedSequence(
+        [cfg.seed & 0xFFFFFFFFFFFFFFFF, position_id, i]))
+    sc = Scene(tx=scene.tx, frequency_hz=scene.frequency_hz, scatterers=tuple(
+        Scatterer(id=s.id, center=s.center + rng.normal(0.0, cfg.scatterer_jitter_sigma, 3),
+                  dims=s.dims, reflection_loss_db=s.reflection_loss_db)
+        for s in scene.scatterers))
+    for _attempt in range(100):
+        cand = rx + rng.normal(0.0, cfg.rx_jitter_sigma, 3)
+        if sc.point_free(cand):
+            return sc, cand
+    raise ValueError(f"could not place jittered RX outside scatterers at position {position_id}")
+
+
 def scalar_realize(scene, rx, cfg, position_id=0, timestamp=0.0):
-    """Reference: `realize` rebuilding a `Scene` of jittered `Scatterer`s
-    per realization, one size-3 draw per box."""
+    """Reference: `realize` tracing one realization at a time, each in a
+    `Scene` of jittered `Scatterer`s (`scalar_realization`)."""
     rx = as_vec3(rx)
     rows = []
     for i in range(cfg.n_realizations):
-        if i == 0:
-            sc, rx_i = scene, rx
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence(
-                [cfg.seed & 0xFFFFFFFFFFFFFFFF, position_id, i]))
-            sc = Scene(tx=scene.tx, frequency_hz=scene.frequency_hz, scatterers=tuple(
-                Scatterer(id=s.id,
-                          center=s.center + rng.normal(0.0, cfg.scatterer_jitter_sigma, 3),
-                          dims=s.dims, reflection_loss_db=s.reflection_loss_db)
-                for s in scene.scatterers))
-            rx_i = None
-            for _attempt in range(100):
-                cand = rx + rng.normal(0.0, cfg.rx_jitter_sigma, 3)
-                if sc.point_free(cand):
-                    rx_i = cand
-                    break
-            if rx_i is None:
-                raise ValueError("could not place jittered RX")
+        sc, rx_i = (scene, rx) if i == 0 else scalar_realization(scene, rx, cfg, position_id, i)
         tr = trace(sc, rx_i)
         sample = tr.sample(position_id=position_id)
         rows.append(DatasetRow(position_id=position_id, realization_id=i,
@@ -151,6 +151,14 @@ def scalar_realize(scene, rx, cfg, position_id=0, timestamp=0.0):
                                path_loss_db=sample.path_loss_db, los=sample.los,
                                timestamp=timestamp))
     return rows
+
+
+def outcome(fn, *args, **kwargs):
+    """The dataset CSV a realize function gives, or the error it raises."""
+    try:
+        return dataset_to_csv(fn(*args, **kwargs))
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 def street_row_scene(n_boxes):
@@ -225,9 +233,10 @@ class TestRealize:
             realize(scene, (30.0, 0.0, 0.0), cfg)
 
     def test_each_receiver_tested_once(self, monkeypatch):
-        """One containment test per receiver, in `trace`, plus the TX test
-        of each jittered scene; a receiver drawn inside a box is drawn
-        again, as the reference does."""
+        """One containment test per candidate receiver; a receiver drawn
+        inside a box is drawn again, as the reference does.  The jittered
+        scenes' TX tests run over all realizations at once, in
+        `Scene.realizations`, not through `ids_containing`."""
         box = Scatterer(id=1, center=(10.0, 0.0, 1.5), dims=(2.0, 2.0, 3.0))
         scene = Scene(tx=(0.0, 0.0, 10.0), frequency_hz=28e9, scatterers=(box,))
         rx = (11.05, 0.0, 1.5)  # 5 cm from the box: many jittered receivers land inside
@@ -237,14 +246,15 @@ class TestRealize:
 
         def counted(self, p):
             ids = real(self, p)
-            calls.append(1)
+            calls.append(np.array(p, dtype=float))
             inside.append(bool(ids))
             return ids
         monkeypatch.setattr(Scene, "ids_containing", counted)
         got = realize(scene, rx, cfg, position_id=3)
         redrawn = sum(inside)
         assert redrawn > 0
-        assert len(calls) == 1 + 2 * (cfg.n_realizations - 1) + redrawn
+        assert len(calls) == cfg.n_realizations + redrawn
+        assert not any(np.array_equal(p, scene.tx) for p in calls)
         monkeypatch.setattr(Scene, "ids_containing", real)
         assert dataset_to_csv(got) == dataset_to_csv(scalar_realize(scene, rx, cfg, position_id=3))
 
@@ -291,23 +301,182 @@ class TestRealize:
         assert losses.std() > 0.0
 
     def test_traces_each_realization_once(self, monkeypatch):
+        """All realizations go through one `trace_all` call, one scene each."""
         calls = []
-        real = propagation.trace
+        real = propagation.trace_all
 
-        def counted(scene, rx):
-            calls.append(1)
-            return real(scene, rx)
-        # path_loss and extract_features reach trace through these names
-        monkeypatch.setattr(features, "trace", counted)
-        monkeypatch.setattr(propagation, "trace", counted)
+        def counted(scenes, rxs):
+            calls.append(len(scenes))
+            return real(scenes, rxs)
+        # trace reaches trace_all through propagation's name, realize through its own
+        monkeypatch.setattr(features, "trace_all", counted)
+        monkeypatch.setattr(propagation, "trace_all", counted)
         scene, traj = canonical_street_scene()
         rows = realize(scene, traj.positions[0], RealizationConfig(n_realizations=6, seed=1),
                        position_id=1)
-        assert len(rows) == len(calls) == 6
+        assert len(rows) == 6
+        assert calls == [6]
 
     def test_n_realizations_lower_bound(self):
         with pytest.raises(ValueError):
             RealizationConfig(n_realizations=1)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(n_realizations=2.5), dict(n_realizations=True), dict(n_realizations="12"),
+        dict(seed=1.5), dict(seed=True), dict(seed="3"),
+        dict(rx_jitter_sigma=math.nan), dict(rx_jitter_sigma=math.inf),
+        dict(rx_jitter_sigma=-0.1), dict(scatterer_jitter_sigma=math.nan),
+        dict(scatterer_jitter_sigma=-math.inf)])
+    def test_unusable_config_rejected(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            RealizationConfig(**kwargs)
+
+    def test_numpy_integers_taken_as_ints(self):
+        cfg = RealizationConfig(n_realizations=np.int64(3), seed=np.uint64(2**63 + 5))
+        assert type(cfg.n_realizations) is int and type(cfg.seed) is int
+        assert cfg.seed == 2**63 + 5
+
+    def test_one_slab_pass_per_position(self, monkeypatch):
+        """Every realization's direct segment and legs go through one
+        `_slab_test` call, whatever the number of realizations."""
+        calls = []
+        slab_test = geometry._slab_test
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return slab_test(*args)
+        monkeypatch.setattr(geometry, "_slab_test", counted)
+        monkeypatch.setattr(propagation, "_slab_test", counted)
+        scene, traj = street_row_scene(10)
+        for n in (2, 7, 40):
+            calls.clear()
+            rows = realize(scene, traj.positions[2], RealizationConfig(n_realizations=n, seed=4),
+                           position_id=3)
+            assert len(rows) == n
+            assert len(calls) == 1 and calls[0] > 2 * n
+
+    def test_slab_blocks_give_the_one_pass_rows(self, monkeypatch):
+        """A pass split into blocks of SLAB_ROW_BUDGET (segment, box) pairs
+        gives the rows of one pass."""
+        scene, traj = street_row_scene(10)
+        cfg = RealizationConfig(n_realizations=9, seed=8)
+        want = dataset_to_csv(realize(scene, traj.positions[4], cfg, position_id=5))
+        monkeypatch.setattr(geometry, "SLAB_ROW_BUDGET", 40)  # 3 segments of 13 boxes
+        assert dataset_to_csv(realize(scene, traj.positions[4], cfg, position_id=5)) == want
+
+    def test_position_alone_gives_its_trajectory_rows(self):
+        """Any subset of positions, realized in any order, gives the rows
+        the whole trajectory gives them."""
+        scene, traj = street_row_scene(6)
+        cfg = RealizationConfig(n_realizations=9, seed=21)
+        rows = simulate_trajectory(scene, traj, cfg)
+        for pid in (15, 1, 8):
+            alone = realize(scene, traj.positions[pid - 1], cfg, position_id=pid,
+                            timestamp=float(pid))
+            assert dataset_to_csv(alone) == dataset_to_csv(
+                [r for r in rows if r.position_id == pid])
+
+    def test_rows_without_effective_scatterers(self):
+        """A box that neither blocks nor reflects leaves the sentinels."""
+        box = Scatterer(id=4, center=(30.0, 30.0, 30.0), dims=(1.0, 1.0, 1.0))
+        scene = Scene(tx=(0.0, 0.0, 10.0), frequency_hz=28e9, scatterers=(box,))
+        cfg = RealizationConfig(n_realizations=6, scatterer_jitter_sigma=0.3, seed=1)
+        rows = realize(scene, (10.0, 0.0, 1.5), cfg, position_id=2)
+        f = dict(zip(FEATURE_NAMES, rows[3].features))
+        assert f["D_txs"] == f["D_srx"] > 50.0
+        assert f["L_cx"] == f["V_total"] == 0.0
+        assert dataset_to_csv(rows) == dataset_to_csv(
+            scalar_realize(scene, (10.0, 0.0, 1.5), cfg, position_id=2))
+
+
+def path_tuples(tr):
+    return [(p.kind, p.length_m, p.loss_db, p.via_scatterer,
+             None if p.reflection_point is None else tuple(p.reflection_point))
+            for p in tr.paths]
+
+
+def error_kind(message):
+    return message.split()[0] if message else None
+
+
+class TestBatchedRealize:
+    """`realize`, tracing all realizations in one pass, == `scalar_realize`."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(boxes=st.lists(grid_box, max_size=5), tx=st.tuples(half, half, half),
+           rx=st.tuples(half, half, half), n=st.integers(2, 12),
+           box_sigma=st.floats(0.0, 2.0), rx_sigma=st.floats(0.0, 2.0),
+           seed=st.integers(0, 2**64 - 1), pid=st.integers(0, 40))
+    # no boxes, then a box that neither blocks nor reflects: sentinel distances
+    @example(boxes=[], tx=(0.0, 0.0, 0.0), rx=(1.0, 2.0, 3.0), n=5, box_sigma=1.0,
+             rx_sigma=0.5, seed=3, pid=1)
+    @example(boxes=[((6, 6, 6), (1, 1, 1))], tx=(0.0, 0.0, 0.0), rx=(1.0, 0.0, 0.0), n=6,
+             box_sigma=0.1, rx_sigma=0.1, seed=4, pid=2)
+    def test_random_scenes(self, boxes, tx, rx, n, box_sigma, rx_sigma, seed, pid):
+        scats = tuple(Scatterer(id=2 * i + 1, center=np.add(lo, np.divide(dims, 2.0)),
+                                dims=dims, reflection_loss_db=float(i))
+                      for i, (lo, dims) in enumerate(boxes))
+        assume(not any(np.all(np.abs(np.subtract(pt, s.center)) <= s.dims / 2 + EPS_EXACT)
+                       for s in scats for pt in (tx, rx)))
+        assume(tx != rx)
+        scene = Scene(tx=tx, frequency_hz=28e9, scatterers=scats)
+        cfg = RealizationConfig(n_realizations=n, scatterer_jitter_sigma=box_sigma,
+                                rx_jitter_sigma=rx_sigma, seed=seed)
+        assert outcome(realize, scene, rx, cfg, position_id=pid, timestamp=1.0) == \
+            outcome(scalar_realize, scene, rx, cfg, position_id=pid, timestamp=1.0)
+
+    def test_first_failing_realization_decides_the_error(self):
+        """The error is the one the first failing realization raises, even
+        when a later realization fails another way."""
+        # box 1 is 0.6 m off the TX, box 2 0.15 m off the first RX
+        tx_box = Scatterer(id=1, center=(0.0, 5.6, 10.0), dims=(10.0, 10.0, 10.0))
+        rx_box = Scatterer(id=2, center=(40.0, 1.15, 1.5), dims=(2.0, 2.0, 3.0))
+        cases = [
+            # the jitter can move box 1 over the TX and box 2 over the RX,
+            # which, never jittered, can then not be placed
+            (Scene(tx=(0.0, 0.0, 10.0), frequency_hz=28e9, scatterers=(tx_box, rx_box)),
+             (40.0, 0.0, 1.5)),
+            # box 1 also sets the scene's bound 0.1 m beyond the RX: jitter can
+            # move the bound inside the RX
+            (Scene(tx=(0.0, 0.0, 10.0), frequency_hz=28e9, scatterers=(tx_box,)),
+             (54.9, 0.0, 10.0)),
+        ]
+        orders = set()
+        for scene, rx in cases:
+            for seed in range(30):
+                cfg = RealizationConfig(n_realizations=10, rx_jitter_sigma=0.0, seed=seed)
+                kinds = []
+                for i in range(1, cfg.n_realizations):
+                    try:
+                        trace(*scalar_realization(scene, as_vec3(rx), cfg, 7, i))
+                    except ValueError as exc:
+                        kinds.append(error_kind(str(exc)))
+                want = outcome(scalar_realize, scene, rx, cfg, position_id=7)
+                assert outcome(realize, scene, rx, cfg, position_id=7) == want
+                if kinds:
+                    assert error_kind(want[1]) == kinds[0]
+                    orders.update((kinds[0], k) for k in kinds[1:] if k != kinds[0])
+        assert orders == {("TX", "could"), ("could", "TX"), ("TX", "rx"), ("rx", "TX")}
+
+    def test_trace_is_row_zero_of_the_batch(self):
+        """`trace` and `trace_features` are the one-realization case of
+        `trace_all` and `feature_rows`: every row of a batch equals its own
+        trace, and row 0 holds the unperturbed scene."""
+        scene, traj = street_row_scene(10)
+        rng = np.random.default_rng(3)
+        for rx in traj.positions[::4]:
+            scenes, error = scene.realizations(
+                scene.box_center + rng.normal(0.0, 0.5, (6, 13, 3)))
+            assert error is None
+            scenes = [scene] + [s for s in scenes if s.point_free(rx)]
+            batch = trace_all(scenes, [rx] * len(scenes))
+            assert batch[0].scene is scene
+            for tr, row in zip(batch, feature_rows(batch)):
+                one = trace(tr.scene, rx)
+                assert one.scene is tr.scene
+                assert np.array_equal(one.rx, tr.rx) and one.direct == tr.direct
+                assert path_tuples(one) == path_tuples(tr)
+                assert np.array_equal(trace_features(one), row)
 
 
 class TestDatasetCsv:

@@ -195,7 +195,8 @@ def legs_match(boxes, legs):
     scene = grid_scene(boxes)
     p = np.array([leg[0] for leg in legs], dtype=float).reshape(-1, 3)
     q = np.array([leg[1] for leg in legs], dtype=float).reshape(-1, 3)
-    hit, enter, leave = _slab_test(p, q, scene)
+    hit, enter, leave = _slab_test(p, q, scene.box_lo[None], scene.box_hi[None],
+                                   np.zeros(len(p), dtype=int))
     hit &= scene.box_ids != np.array([sid for _, _, sid in legs], dtype=int)[:, None]
     got = [Blockage.from_slab(*row, scene.box_ids) for row in zip(hit, enter, leave)]
     assert got == [segment_blocked(a, b, scene, exclude_ids=(sid,)) for a, b, sid in legs]
