@@ -275,7 +275,8 @@ def _slab_test(p, q, lo, hi, of):
         blocks = [_slab_test(p[a:a + rows], q[a:a + rows], lo, hi, of[a:a + rows])
                   for a in range(0, len(p), rows)]
         return tuple(np.concatenate(parts) for parts in zip(*blocks))
-    box_lo, box_hi = lo[of], hi[of]
+    # one set of boxes broadcasts to every segment as it is
+    box_lo, box_hi = (lo[0], hi[0]) if len(lo) == 1 else (lo[of], hi[of])
     d = (q - p)[:, None, :]
     p = p[:, None, :]
     moving = d != 0.0
