@@ -376,6 +376,23 @@ class TestRealize:
             assert dataset_to_csv(alone) == dataset_to_csv(
                 [r for r in rows if r.position_id == pid])
 
+    def test_many_effective_scatterers(self):
+        """Twelve walls across the direct segment, all effective: the sums
+        over them add in id order, as one trace's sums do.  Added pairwise,
+        as numpy sums 8 or more terms, these volumes give another V_total."""
+        thick = (0.444, 1.197, 0.714, 0.922, 0.349, 0.331, 1.061, 0.829, 0.578, 0.586, 0.38,
+                 0.455)
+        tall = (8.148, 13.035, 10.798, 8.763, 12.435, 9.174, 8.372, 11.59, 13.375, 8.162,
+                12.831, 9.141)
+        walls = tuple(Scatterer(id=k, center=(2.1 * k + 0.37, 0.3 * k - 1.0, 6.0),
+                                dims=(thick[k - 1], 9.0, tall[k - 1])) for k in range(1, 13))
+        scene = Scene(tx=(-5.0, 0.1, 10.0), frequency_hz=28e9, scatterers=walls)
+        cfg = RealizationConfig(n_realizations=8, scatterer_jitter_sigma=0.3, seed=6)
+        rows = realize(scene, (33.0, -0.2, 1.5), cfg, position_id=4)
+        assert min(r.features[10] for r in rows) >= 8  # B_count: blockers alone
+        assert dataset_to_csv(rows) == dataset_to_csv(
+            scalar_realize(scene, (33.0, -0.2, 1.5), cfg, position_id=4))
+
     def test_rows_without_effective_scatterers(self):
         """A box that neither blocks nor reflects leaves the sentinels."""
         box = Scatterer(id=4, center=(30.0, 30.0, 30.0), dims=(1.0, 1.0, 1.0))
