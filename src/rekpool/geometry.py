@@ -129,7 +129,7 @@ class Scene:
             raise ValueError(f"expected finite box centers of shape {shape}")
         lo = centers - self.box_dims / 2.0
         hi = centers + self.box_dims / 2.0
-        # corners: lo <= hi, so the extremes are the TX's and the corners' own
+        # lo <= hi box by box: the lowest corner is a lo, the highest a hi
         bound_lo = np.minimum(self.tx, lo.min(axis=1, initial=np.inf)) - BOUNDS_MARGIN_M
         bound_hi = np.maximum(self.tx, hi.max(axis=1, initial=-np.inf)) + BOUNDS_MARGIN_M
         finite = np.isfinite(centers).all(axis=(1, 2))
