@@ -353,21 +353,30 @@ def compute_oob_r2(trees: Trees, bootstraps, X, y) -> float | None:
     return float(1.0 - (resid ** 2).sum() / ss_tot)
 
 
-def fit(X, y, params: ForestParams, feature_names=None) -> RandomForestModel:
+def check_rows(X, y, min_rows: int, n_features: int | None = None):
+    """(X, y) as float arrays if a forest can be fit on them: X 2-D with
+    `n_features` columns (any number if None), one target per row, every
+    value finite and at least `min_rows` rows; ValueError otherwise."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or len(X) != len(y):
-        raise ValueError("X must be 2-D with one target per row")
-    if len(y) < 2 * params.min_leaf:
-        raise ValueError(f"need at least {2 * params.min_leaf} rows, got {len(y)}")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("target column must be finite")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("feature matrix must be finite")
+    if X.ndim != 2:
+        raise ValueError(f"X must be 2-D, not shape {X.shape}")
+    if n_features is not None and X.shape[1] != n_features:
+        raise ValueError(f"X has {X.shape[1]} columns for {n_features} feature names")
+    if y.shape != (len(X),):
+        raise ValueError(f"need one target per row: {len(X)} rows, targets of shape {y.shape}")
+    if len(X) < min_rows:
+        raise ValueError(f"need at least {min_rows} rows, got {len(X)}")
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+        raise ValueError("rows and targets must be finite")
+    return X, y
+
+
+def fit(X, y, params: ForestParams, feature_names=None) -> RandomForestModel:
+    X, y = check_rows(X, y, 2 * params.min_leaf,
+                      None if feature_names is None else len(feature_names))
     if feature_names is None:
         feature_names = tuple(f"x{i}" for i in range(X.shape[1]))
-    if len(feature_names) != X.shape[1]:
-        raise ValueError(f"{len(feature_names)} feature names for {X.shape[1]} columns")
     trees, bootstraps = _grow(X, y, params)
     oob = compute_oob_r2(trees, bootstraps, X, y)
     return RandomForestModel(trees=trees, params=params,

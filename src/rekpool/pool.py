@@ -101,35 +101,6 @@ def similarity(a: Context, b: Context) -> float:
     return s
 
 
-@dataclass
-class KnowledgeEntry:
-    """One unit of stored knowledge.
-
-    `model` holds the trees fit on this entry's own realizations and is
-    what predictions evaluate.  `weights` are derived from the
-    permutation importances of the trees; an entry created by transfer
-    derived them over its own trees plus the source entry's trees.  The
-    source trees are used only for that derivation and are never
-    stored, so transfer never biases the predictive path toward the
-    source's position.  The knowledge spectrum is not stored: it is a
-    function of the weights.
-    """
-
-    entry_id: int
-    context: Context
-    weights: GroupWeights
-    model: rf.RandomForestModel
-    train_X: np.ndarray
-    train_y: np.ndarray
-    created_at: float
-    updated_at: float
-    utilization_count: int = 0
-
-    @property
-    def spectrum(self) -> KnowledgeSpectrum | None:
-        return self.weights.spectrum
-
-
 class FitCache:
     """Memoizes forest fits and permutation-importance runs by content.
 
@@ -162,10 +133,97 @@ class FitCache:
 def derive_knowledge(cache: FitCache, X, y, params: rf.ForestParams, source=None):
     """(model, weights): the forest fit on (X, y) and the group weights of its
     permutation importances, both through `cache`; on a transfer the importances
-    are taken over the fresh trees followed by the `source` model's trees."""
+    are taken over the fresh trees followed by the source's trees, where
+    `source` is the source's model or the (X, y, params) it is fit from."""
     model = cache.fit(X, y, params, feature_names=FEATURE_NAMES)
+    if isinstance(source, tuple):
+        source = cache.fit(*source, feature_names=FEATURE_NAMES)
     basis = model if source is None else replace(model, trees=model.trees + source.trees)
     return model, group_weights(cache.importance(basis, X, y, seed=params.seed))
+
+
+class Knowledge:
+    """One entry's model and weights, derived together on the first read of
+    either, through `derive_knowledge` and the pool's memo.
+
+    Until then the cell holds only what that derivation needs: the memo,
+    the rows, the forest parameters and, on a transfer, the source as it
+    was at ingest time (see `basis`).  Once derived it holds only the
+    result, which nothing changes, so a memo may share its model."""
+
+    def __init__(self, cache: FitCache, X, y, params: rf.ForestParams, source=None):
+        self._pending = (cache, X, y, params, source)
+        self._value = None
+
+    @classmethod
+    def of(cls, model: rf.RandomForestModel, weights: GroupWeights) -> Knowledge:
+        """A cell derived already, as a pool file holds it."""
+        cell = cls.__new__(cls)
+        cell._pending, cell._value = None, (model, weights)
+        return cell
+
+    @property
+    def derived(self) -> bool:
+        return self._value is not None
+
+    def get(self):
+        """(model, weights), derived now if they were not."""
+        if self._value is None:
+            self._value = derive_knowledge(*self._pending)
+            self._pending = None
+        return self._value
+
+    def basis(self):
+        """What a transfer from this cell takes as its source: the model once
+        derived, else the (X, y, params) it is fit from.  Never the cell, so
+        a pending transfer holds no chain of unread cells and their rows."""
+        if self._value is not None:
+            return self._value[0]
+        _, X, y, params, _ = self._pending
+        return X, y, params
+
+
+@dataclass
+class KnowledgeEntry:
+    """One unit of stored knowledge.
+
+    `model` holds the trees fit on this entry's own realizations and is
+    what predictions evaluate.  `weights` are derived from the
+    permutation importances of the trees; an entry created by transfer
+    derived them over its own trees plus the source entry's trees, as
+    the source was when this entry was ingested.  The source trees are
+    used only for that derivation and are never stored, so transfer
+    never biases the predictive path toward the source's position.  The
+    knowledge spectrum is not stored: it is a function of the weights.
+
+    Both are read-only views of one `Knowledge` cell, derived on the
+    first read: when the entry is served, saved or shown.  Its forest is
+    also fit, through the memo, when an entry transferred from it is
+    read.  Routing and eviction read only the context, the utilization
+    and `created_at`, so an entry evicted unread is never fit.  A refine
+    swaps the cell.
+    """
+
+    entry_id: int
+    context: Context
+    knowledge: Knowledge
+    train_X: np.ndarray
+    train_y: np.ndarray
+    created_at: float
+    updated_at: float
+    utilization_count: int = 0
+
+    @property
+    def model(self) -> rf.RandomForestModel:
+        return self.knowledge.get()[0]
+
+    @property
+    def weights(self) -> GroupWeights:
+        return self.knowledge.get()[1]
+
+    @property
+    def spectrum(self) -> KnowledgeSpectrum | None:
+        return self.weights.spectrum
 
 
 @dataclass
@@ -213,11 +271,12 @@ class Pool:
     # -- write side --------------------------------------------------------
 
     def ingest(self, ctx: Context, X, y, now: float = 0.0, force_refresh: bool = False):
-        """Dual interaction flow; returns (Outcome, entry_id)."""
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if len(X) == 0:
-            raise ValueError("realizations must be nonempty")
+        """Dual interaction flow; returns (Outcome, entry_id).
+
+        The rows are checked here, whatever the outcome, as `forest.fit`
+        checks them; a refined or new entry's knowledge is derived on its
+        first read (see `KnowledgeEntry`)."""
+        X, y = rf.check_rows(X, y, 2 * self.forest_params.min_leaf, len(FEATURE_NAMES))
         if not math.isfinite(now):
             raise ValueError(f"now must be finite, not {now!r}")
         now = float(now)
@@ -228,24 +287,22 @@ class Pool:
                 entry.utilization_count += 1
                 return Outcome.ANSWERED_EXISTING, entry.entry_id
             # Refine: retrain on stored provenance plus the new data.
-            X2 = np.vstack([entry.train_X, X])
-            y2 = np.concatenate([entry.train_y, y])
-            entry.model, entry.weights = derive_knowledge(self.cache, X2, y2,
-                                                          self.forest_params)
-            entry.train_X = X2
-            entry.train_y = y2
+            entry.train_X = np.vstack([entry.train_X, X])
+            entry.train_y = np.concatenate([entry.train_y, y])
+            entry.knowledge = Knowledge(self.cache, entry.train_X, entry.train_y,
+                                        self.forest_params)
             entry.updated_at = now
             return Outcome.REFINED, entry.entry_id
         if best is not None and best[1] >= self.theta_low:
             # Warm start (knowledge completion): derive weights over the
-            # fresh trees plus the source's own trees.
+            # fresh trees plus the source's own trees, as they are now.
             # Only the fresh trees are kept, so only they vote.
-            outcome, source = Outcome.TRANSFERRED, self.entries[best[0]].model
+            outcome, source = Outcome.TRANSFERRED, self.entries[best[0]].knowledge.basis()
         else:
             outcome, source = Outcome.GENERATED_NEW, None
-        model, weights = derive_knowledge(self.cache, X, y, self.forest_params, source)
         entry = KnowledgeEntry(entry_id=self.next_entry_id, context=ctx,
-                               weights=weights, model=model,
+                               knowledge=Knowledge(self.cache, X, y, self.forest_params,
+                                                   source),
                                train_X=X, train_y=y, created_at=now, updated_at=now)
         self.next_entry_id += 1
         self.entries[entry.entry_id] = entry
@@ -312,18 +369,6 @@ def _weights_from_dict(d: dict) -> GroupWeights:
     return GroupWeights(*values)
 
 
-def _check_realizations(X, y):
-    """An entry's realizations as `Pool.ingest` stores them: n >= 1 finite
-    rows of every feature, and one finite target per row."""
-    if X.ndim != 2 or X.shape[1] != len(FEATURE_NAMES):  # no rows: shape (0,)
-        raise ValueError(f"train_X must have shape (n >= 1, {len(FEATURE_NAMES)}), "
-                         f"not {X.shape}")
-    if y.shape != (len(X),):
-        raise ValueError(f"train_y must hold {len(X)} targets, not shape {y.shape}")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise ValueError("train_X and train_y must be finite")
-
-
 def pool_to_dict(pool: Pool) -> dict:
     entries = []
     for eid in sorted(pool.entries):
@@ -362,18 +407,21 @@ def pool_from_dict(doc: dict) -> Pool:
                     forest_params=rf.ForestParams.from_dict(doc["forest_params"]),
                     next_entry_id=json_field(doc, "next_entry_id", int))
         for ed in doc["entries"]:
+            # the rows an entry's model was fit on, checked as `ingest` checks them
+            train_X, train_y = rf.check_rows(
+                json_field(ed, "train_X", np.ndarray), json_field(ed, "train_y", np.ndarray),
+                2 * pool.forest_params.min_leaf, len(FEATURE_NAMES))
             entry = KnowledgeEntry(
                 entry_id=json_field(ed, "entry_id", int),
                 context=_context_from_dict(ed["context"]),
-                weights=_weights_from_dict(ed["weights"]),
-                model=rf.RandomForestModel.from_dict(ed["model"], pool.forest_params,
-                                                     FEATURE_NAMES),
-                train_X=json_field(ed, "train_X", np.ndarray),
-                train_y=json_field(ed, "train_y", np.ndarray),
+                knowledge=Knowledge.of(
+                    rf.RandomForestModel.from_dict(ed["model"], pool.forest_params,
+                                                   FEATURE_NAMES),
+                    _weights_from_dict(ed["weights"])),
+                train_X=train_X, train_y=train_y,
                 created_at=json_field(ed, "created_at", float),
                 updated_at=json_field(ed, "updated_at", float),
                 utilization_count=json_field(ed, "utilization_count", int))
-            _check_realizations(entry.train_X, entry.train_y)
             if entry.utilization_count < 0:
                 raise ValueError(f"utilization_count must be >= 0: {entry.utilization_count}")
             if entry.entry_id in pool.entries:

@@ -555,6 +555,19 @@ class TestFitCache:
         assert sorted(fitted) == sorted(keys[pid] for pid in missing)
         assert seeded == cold
 
+    def test_unread_template_stays_unread(self):
+        """A template built in this process lends its memo, and LOO derives
+        none of its entries: each held-out pool fits what it reads."""
+        scene, traj = canonical_street_scene()
+        rows = simulate_trajectory(scene, traj, RealizationConfig(n_realizations=10, seed=3))
+        params = ForestParams(n_trees=3, max_depth=4, min_leaf=2, seed=3)
+        contexts = trajectory_contexts(scene, traj, trace_trajectory(scene, traj))
+        template = build_pool(rows, contexts, Pool(forest_params=params))
+        lazy, _ = loo_evaluate(scene, traj, rows, pool_template=template)
+        assert not any(e.knowledge.derived for e in template.entries.values())
+        cold, _ = loo_evaluate(scene, traj, rows, pool_template=Pool(forest_params=params))
+        assert lazy == cold
+
     def test_held_out_pools_take_the_template_settings(self, monkeypatch):
         """Every held-out pool carries the template's capacity, thresholds
         and forest parameters, none of its entries, and never the held-out

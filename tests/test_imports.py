@@ -13,6 +13,9 @@ linter is a dependency.
   somewhere in the package's code, so no dead helper is left behind.
 - Importing the CLI does not import scipy, which only stream alignment
   needs and which costs every CLI call about half a second.
+- Knowledge is derived in one place: only `FitCache.importance` runs
+  `permutation_importance`, and only `pool.derive_knowledge` calls
+  `FitCache.importance` and `group_weights`.
 """
 
 import ast
@@ -172,3 +175,64 @@ def test_cli_import_leaves_scipy_out():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True, timeout=120,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+#: Each step of deriving knowledge, and the one function that may call it.
+DERIVATION_CALLERS = {"permutation_importance": "FitCache.importance",
+                      "importance": "derive_knowledge",
+                      "group_weights": "derive_knowledge"}
+
+
+def derivation_calls(source: str) -> list:
+    """(callee, enclosing function, line) of every call, as a function or a
+    method, to a name in DERIVATION_CALLERS.  A method's enclosing function
+    is written `Class.method`, a nested one `outer.inner`; module level is
+    None."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name if scope is None else f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in DERIVATION_CALLERS:
+                    found.append((name, scope, child.lineno))
+            visit(child, scope)
+    visit(ast.parse(source), None)
+    return found
+
+
+def stray(calls) -> list:
+    """The calls made from a function other than the one allowed."""
+    return [c for c in calls if c[1] != DERIVATION_CALLERS[c[0]]]
+
+
+def test_knowledge_derived_in_one_place():
+    calls = [c for p in sorted(SRC.glob("*.py")) for c in derivation_calls(p.read_text())]
+    assert stray(calls) == []
+    assert {c[0] for c in calls} == set(DERIVATION_CALLERS)  # no rule holds vacuously
+
+
+def test_derivation_scanner_finds_planted_calls():
+    source = ("class FitCache:\n"
+              "    def importance(self, m):\n"
+              "        return rf.permutation_importance(m)\n"
+              "def derive_knowledge(c):\n"
+              "    return group_weights(c.importance(1))\n"
+              "class Knowledge:\n"
+              "    def get(self):\n"
+              "        def again():\n"
+              "            return permutation_importance(2)\n"
+              "        return group_weights(self.cache.importance(3))\n"
+              "W = group_weights(4)\n")
+    calls = derivation_calls(source)
+    assert calls[:3] == [("permutation_importance", "FitCache.importance", 3),
+                         ("group_weights", "derive_knowledge", 5),
+                         ("importance", "derive_knowledge", 5)]
+    assert stray(calls) == calls[3:] == [
+        ("permutation_importance", "Knowledge.get.again", 9),
+        ("group_weights", "Knowledge.get", 10), ("importance", "Knowledge.get", 10),
+        ("group_weights", None, 11)]

@@ -6,7 +6,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from rekpool import forest
@@ -236,6 +236,7 @@ class TestKnowledgeMemo:
         # another scene, far away: generated new, on the same rows
         outcome, eid = pool.ingest(ctx(fp=2, rx=(500, 0, 1.5), los=False), X, y, now=2.0)
         assert outcome is Outcome.GENERATED_NEW
+        pool.entries[eid].model  # knowledge is derived on first read
         assert len(fits) == 1
         assert pool.entries[eid].model is pool.entries[1].model
         assert pool.entries[eid].weights == pool.entries[1].weights
@@ -244,14 +245,17 @@ class TestKnowledgeMemo:
         pool = small_pool()
         X, y = data()
         pool.ingest(ctx(), X, y, now=1.0)
+        pool.entries[1].model  # knowledge is derived on first read
         copy = dataclasses.replace(pool, entries={}, next_entry_id=1)
         assert copy.cache is pool.cache
         copy.ingest(ctx(), X, y, now=1.0)
+        copy.entries[1].model
         assert len(fits) == 1
         save_pool(tmp_path / "pool.json", pool)
         loaded = load_pool(tmp_path / "pool.json")
         assert loaded.cache is not pool.cache
-        loaded.ingest(ctx(fp=2, rx=(500, 0, 1.5), los=False), X, y, now=2.0)
+        _, eid = loaded.ingest(ctx(fp=2, rx=(500, 0, 1.5), los=False), X, y, now=2.0)
+        loaded.entries[eid].model
         assert len(fits) == 2
 
     def test_learn_positions_matches_a_new_entry(self):
@@ -268,6 +272,135 @@ class TestKnowledgeMemo:
             assert outcome is Outcome.GENERATED_NEW
             assert k.weights == pool.entries[eid].weights
             assert k.spectrum == pool.entries[eid].spectrum
+
+
+class TestIngestRows:
+    """Every ingest checks its rows before it is routed, so a bad batch
+    raises at the call on every outcome path and leaves the pool as it was."""
+
+    # (probe context, force_refresh) reaching each outcome against entry 1
+    PATHS = {Outcome.ANSWERED_EXISTING: (ctx(rx=(0, 0, 1.5)), False),
+             Outcome.REFINED: (ctx(rx=(0, 0, 1.5)), True),
+             Outcome.TRANSFERRED: (ctx(pid=2, rx=(40, 0, 1.5)), False),
+             Outcome.GENERATED_NEW: (ctx(fp=2, rx=(500, 0, 1.5), los=False), False)}
+
+    @staticmethod
+    def bad(case):
+        X, y = data(seed=5, n=12)
+        if case == "nan":
+            X[3, 4] = np.nan
+        elif case == "inf target":
+            y[0] = np.inf
+        elif case == "15 columns":
+            X = X[:, :-1]
+        elif case == "1-D":
+            X = X[:, 0]
+        elif case == "targets":
+            y = y[:-1]
+        elif case == "rows":  # SMALL_PARAMS.min_leaf is 2
+            X, y = X[:3], y[:3]
+        return X, y
+
+    @pytest.mark.parametrize("outcome", list(PATHS), ids=lambda o: o.value)
+    @pytest.mark.parametrize("case", ["nan", "inf target", "15 columns", "1-D", "targets",
+                                      "rows"])
+    def test_bad_rows_raise_on_every_path(self, outcome, case):
+        pool = small_pool()
+        pool.ingest(ctx(rx=(0, 0, 1.5)), *data(), now=1.0)
+        before = json.dumps(pool_to_dict(pool))
+        probe, refresh = self.PATHS[outcome]
+        with pytest.raises(ValueError):
+            pool.ingest(probe, *self.bad(case), now=2.0, force_refresh=refresh)
+        assert json.dumps(pool_to_dict(pool)) == before
+        # the same call with good rows takes the path under test
+        assert pool.ingest(probe, *data(seed=5, n=12), now=2.0,
+                           force_refresh=refresh)[0] is outcome
+
+    def test_fit_and_ingest_share_the_check(self):
+        X, y = self.bad("rows")
+        for call in (lambda: fit(X, y, SMALL_PARAMS, feature_names=FEATURE_NAMES),
+                     lambda: small_pool().ingest(ctx(), X, y)):
+            with pytest.raises(ValueError, match="need at least 4 rows, got 3"):
+                call()
+
+
+def force(pool):
+    """Derive every entry's knowledge now."""
+    for e in pool.entries.values():
+        e.model, e.weights
+
+
+class TestLazyKnowledge:
+    """An entry fits and derives its knowledge only when something reads it,
+    and derives what an eager pool would have."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = {"fit": [], "importance": 0}
+        real_fit, real_importance = forest.fit, forest.permutation_importance
+
+        def fit_(X, y, params, feature_names=None):
+            calls["fit"].append(X.tobytes())
+            return real_fit(X, y, params, feature_names=feature_names)
+
+        def importance(*args, **kwargs):
+            calls["importance"] += 1
+            return real_importance(*args, **kwargs)
+        monkeypatch.setattr(forest, "fit", fit_)
+        monkeypatch.setattr(forest, "permutation_importance", importance)
+        return calls
+
+    def test_entry_evicted_by_its_ingest_is_never_fit(self, counted):
+        pool = small_pool(capacity=1)
+        X, y = data(seed=0)
+        pool.ingest(ctx(rx=(0, 0, 1.5)), X, y, now=1.0)
+        pool.query(ctx(rx=(0, 0, 1.5)))  # a used entry outscores the new one
+        outcome, eid = pool.ingest(ctx(pid=2, rx=(40, 0, 1.5)), *data(seed=2), now=2.0)
+        assert outcome is Outcome.TRANSFERRED and eid == 2
+        assert sorted(pool.entries) == [1]
+        assert counted == {"fit": [], "importance": 0}
+        pool.entries[1].weights
+        assert counted == {"fit": [X.tobytes()], "importance": 1}
+
+    def test_a_transfer_read_fits_its_source_but_derives_none_of_its_weights(self, counted):
+        pool = small_pool()
+        X, y = data(seed=0)
+        X2, y2 = data(seed=2)
+        pool.ingest(ctx(rx=(0, 0, 1.5)), X, y, now=1.0)
+        pool.ingest(ctx(pid=2, rx=(40, 0, 1.5)), X2, y2, now=2.0)
+        pool.entries[2].weights
+        assert counted == {"fit": [X2.tobytes(), X.tobytes()], "importance": 1}
+        assert not pool.entries[1].knowledge.derived
+        pool.entries[1].weights  # its forest comes from the memo
+        assert counted == {"fit": [X2.tobytes(), X.tobytes()], "importance": 2}
+
+    @pytest.mark.parametrize("source_read", [False, True])
+    def test_pending_transfer_keeps_its_source_as_ingested(self, source_read):
+        """A refine of the source before the transfer is first read leaves the
+        transfer's weights as an eager pool derives them."""
+        A, B = ctx(rx=(0, 0, 1.5)), ctx(pid=2, rx=(40, 0, 1.5))
+        X, y = data(seed=0)
+        X2, y2 = data(seed=2)
+        steps = [(A, X, y, False), (B, X2, y2, False), (A, *data(seed=3), True)]
+        lazy, eager = small_pool(), small_pool()
+        for t, (c, Xs, ys, refresh) in enumerate(steps, start=1):
+            lazy.ingest(c, Xs, ys, now=float(t), force_refresh=refresh)
+            eager.ingest(c, Xs, ys, now=float(t), force_refresh=refresh)
+            force(eager)
+            if source_read and t == 1:
+                force(lazy)
+        assert not lazy.entries[2].knowledge.derived
+        assert lazy.entries[2].weights == eager.entries[2].weights
+        assert json.dumps(pool_to_dict(lazy)) == json.dumps(pool_to_dict(eager))
+        # the basis is the source's forest as ingested, not as refined
+        model = lazy.entries[2].model
+        source = fit(X, y, SMALL_PARAMS, feature_names=FEATURE_NAMES)
+        basis = dataclasses.replace(model, trees=model.trees + source.trees)
+        assert lazy.entries[2].weights == group_weights(
+            permutation_importance(basis, X2, y2, seed=SMALL_PARAMS.seed))
+        refined = dataclasses.replace(model, trees=model.trees + lazy.entries[1].model.trees)
+        assert lazy.entries[2].weights != group_weights(
+            permutation_importance(refined, X2, y2, seed=SMALL_PARAMS.seed))
 
 
 class TestEviction:
@@ -618,3 +751,36 @@ class PoolMachine(RuleBasedStateMachine):
 
 TestPoolMachine = PoolMachine.TestCase
 TestPoolMachine.settings = settings(max_examples=40, stateful_step_count=15, deadline=None)
+
+
+POOL_OPS = st.lists(st.one_of(
+    st.tuples(st.just("ingest"), st.integers(0, len(STATE_CONTEXTS) - 1),
+              st.integers(0, 4), st.booleans()),
+    st.tuples(st.just("query"), st.integers(0, len(STATE_CONTEXTS) - 1)),
+    st.tuples(st.just("evict"), st.integers(1, 3))), max_size=20)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=POOL_OPS)
+def test_lazy_pool_saves_what_a_forced_pool_saves(ops):
+    """The same ops on a lazy pool and on one whose every entry is derived
+    after every op give byte-equal files, saved once at the end."""
+    lazy, forced = (Pool(capacity=3, forest_params=STATE_PARAMS) for _ in range(2))
+    for t, (op, *args) in enumerate(ops, start=1):
+        for pool in (lazy, forced):
+            if op == "ingest":
+                i, seed, refresh = args
+                pool.ingest(STATE_CONTEXTS[i], *state_data(seed), now=float(t),
+                            force_refresh=refresh)
+            elif op == "query":
+                pool.query(STATE_CONTEXTS[args[0]])
+            else:
+                pool.capacity = args[0]
+                pool.sort_and_evict()
+        force(forced)
+    with tempfile.TemporaryDirectory() as d:
+        paths = [os.path.join(d, name) for name in ("lazy.json", "forced.json")]
+        for path, pool in zip(paths, (lazy, forced)):
+            save_pool(path, pool)
+        with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
+            assert a.read() == b.read()
