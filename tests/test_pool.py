@@ -6,7 +6,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from rekpool import forest
@@ -316,10 +316,15 @@ class TestIngestRows:
         assert pool.ingest(probe, *data(seed=5, n=12), now=2.0,
                            force_refresh=refresh)[0] is outcome
 
-    def test_fit_and_ingest_share_the_check(self):
+    def test_fit_ingest_and_load_share_the_check(self):
         X, y = self.bad("rows")
+        pool = small_pool()
+        pool.ingest(ctx(), *data(), now=1.0)
+        doc = pool_to_dict(pool)
+        doc["entries"][0]["train_X"], doc["entries"][0]["train_y"] = X.tolist(), y.tolist()
         for call in (lambda: fit(X, y, SMALL_PARAMS, feature_names=FEATURE_NAMES),
-                     lambda: small_pool().ingest(ctx(), X, y)):
+                     lambda: small_pool().ingest(ctx(), X, y),
+                     lambda: pool_from_dict(doc)):
             with pytest.raises(ValueError, match="need at least 4 rows, got 3"):
                 call()
 
@@ -762,6 +767,8 @@ POOL_OPS = st.lists(st.one_of(
 
 @settings(max_examples=60, deadline=None)
 @given(ops=POOL_OPS)
+@example(ops=[("ingest", 0, 1, False), ("ingest", 1, 2, False),  # a transfer from 0,
+              ("ingest", 0, 3, True)])                           # then 0 is refined
 def test_lazy_pool_saves_what_a_forced_pool_saves(ops):
     """The same ops on a lazy pool and on one whose every entry is derived
     after every op give byte-equal files, saved once at the end."""
