@@ -61,9 +61,11 @@ class ForestParams:
 
     def __post_init__(self):
         for name, v in self.to_dict().items():
-            if (v is not None or name != "features_per_split") and (
-                    isinstance(v, bool) or not isinstance(v, numbers.Integral)):
+            if v is None and name == "features_per_split":
+                continue
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
                 raise TypeError(f"forest parameter {name} must be an integer: {v!r}")
+            object.__setattr__(self, name, int(v))  # as a pool file holds it
         if self.n_trees < 1 or self.max_depth < 1 or self.min_leaf < 1:
             raise ValueError("n_trees, max_depth and min_leaf must be >= 1")
         if self.features_per_split is not None and self.features_per_split < 1:
@@ -222,19 +224,17 @@ def _best_splits(X_pad, y_pad, nodes, min_leaf):
         np.inf)
     at = np.argmin(sse, axis=0)  # first minimum -> lowest threshold
     cols = np.arange(len(col_node))
-    found = valid.any(axis=0).tolist()
-    col_sse = sse[at, cols].tolist()
-    col_thr = (0.5 * (xs[at, cols] + xs[at + 1, cols])).tolist()
-    col_feature = col_feature.tolist()
+    # a column with no valid split scores inf; a node's candidates are
+    # sorted, so its first minimum is its lowest feature
+    win = np.argmin(sse[at, cols].reshape(len(nodes), k), axis=1) + np.arange(0, len(cols), k)
+    at = at[win]
+    best_sse = sse[at, win].tolist()
+    best_thr = (0.5 * (xs[at, win] + xs[at + 1, win])).tolist()
+    best_feature = col_feature[win].tolist()
     out = []
-    for a, (rows, _, s, q) in enumerate(nodes):
-        best = None
-        for c in range(a * k, (a + 1) * k):
-            key = (col_sse[c], col_feature[c], col_thr[c])
-            if found[c] and (best is None or key < best):
-                best = key
+    for (rows, _, s, q), b_sse, f, thr in zip(nodes, best_sse, best_feature, best_thr):
         base_sse = q - s * s / len(rows)
-        out.append(None if best is None or base_sse - best[0] <= 0.0 else best[1:])
+        out.append(None if base_sse - b_sse <= 0.0 else (f, thr))
     return out
 
 

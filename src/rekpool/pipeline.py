@@ -6,7 +6,8 @@ positions' realizations.  A pool entry derives its knowledge on first
 read (see `pool.KnowledgeEntry`), so a rebuilt pool fits only the entry
 it serves and that entry's transfer source; the rebuilt pools share one
 memo (`FitCache`), so a position's forest is fit, and an importance run
-over the same trees made, at most once.
+over the same trees made, at most once.  A loaded pool's memo already
+holds each stored forest, so those rows are not fit again.
 """
 
 from __future__ import annotations
@@ -120,14 +121,11 @@ def loo_evaluate(scene: Scene, trajectory: Trajectory, rows,
     capacity, thresholds and forest parameters is built from the
     remaining positions' realizations; the held-out position's data never
     enters that pool.  One trace per position serves every round.  The
-    pools share `cache` (by default the template's memo), seeded with the
-    template's derived entries so that a loaded pool's forests are not fit again.
-    Returns (predictions, reports-by-method).
+    pools share `cache`, by default the template's memo, which loading
+    seeds with the stored forests, so a loaded pool's forests are not fit
+    again.  Returns (predictions, reports-by-method).
     """
     cache = cache or pool_template.cache
-    for e in pool_template.entries.values():
-        if e.knowledge.derived:  # reading a pending entry would derive it
-            cache.add(e.train_X, e.train_y, e.model)
     traces = trace_trajectory(scene, trajectory)
     contexts = trajectory_contexts(scene, trajectory, traces)
     truths = {pid: tr.sample(pid).path_loss_db for pid, tr in traces.items()}

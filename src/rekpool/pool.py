@@ -111,14 +111,15 @@ class FitCache:
         self._fits = {}
         self._imps = {}
 
-    def fit(self, X, y, params, feature_names=None):
+    def fit(self, X, y, params):
         key = (X.tobytes(), y.tobytes(), params)
         if key not in self._fits:
-            self._fits[key] = rf.fit(X, y, params, feature_names=feature_names)
+            self._fits[key] = rf.fit(X, y, params, feature_names=FEATURE_NAMES)
         return self._fits[key]
 
     def add(self, X, y, model):
-        """Record `model` as the fit of (X, y) under its own params."""
+        """Record `model` as the fit of (X, y) under its own params: what a
+        pool file stores for each entry."""
         self._fits[(X.tobytes(), y.tobytes(), model.params)] = model
 
     def importance(self, model, X, y, seed=0):
@@ -133,12 +134,11 @@ class FitCache:
 def derive_knowledge(cache: FitCache, X, y, params: rf.ForestParams, source=None):
     """(model, weights): the forest fit on (X, y) and the group weights of its
     permutation importances, both through `cache`; on a transfer the importances
-    are taken over the fresh trees followed by the source's trees, where
-    `source` is the source's model or the (X, y, params) it is fit from."""
-    model = cache.fit(X, y, params, feature_names=FEATURE_NAMES)
-    if isinstance(source, tuple):
-        source = cache.fit(*source, feature_names=FEATURE_NAMES)
-    basis = model if source is None else replace(model, trees=model.trees + source.trees)
+    are taken over the fresh trees followed by the trees fit on `source`, the
+    source entry's (train_X, train_y) as they were at ingest time."""
+    model = cache.fit(X, y, params)
+    basis = model if source is None else replace(
+        model, trees=model.trees + cache.fit(*source, params).trees)
     return model, group_weights(cache.importance(basis, X, y, seed=params.seed))
 
 
@@ -147,9 +147,10 @@ class Knowledge:
     either, through `derive_knowledge` and the pool's memo.
 
     Until then the cell holds only what that derivation needs: the memo,
-    the rows, the forest parameters and, on a transfer, the source as it
-    was at ingest time (see `basis`).  Once derived it holds only the
-    result, which nothing changes, so a memo may share its model."""
+    the rows, the forest parameters and, on a transfer, the source entry's
+    rows as they were at ingest time; never the source's cell, so a pending
+    transfer holds no chain of unread cells.  Once derived it holds only
+    the result, which nothing changes, so a memo may share its model."""
 
     def __init__(self, cache: FitCache, X, y, params: rf.ForestParams, source=None):
         self._pending = (cache, X, y, params, source)
@@ -173,15 +174,6 @@ class Knowledge:
             self._pending = None
         return self._value
 
-    def basis(self):
-        """What a transfer from this cell takes as its source: the model once
-        derived, else the (X, y, params) it is fit from.  Never the cell, so
-        a pending transfer holds no chain of unread cells and their rows."""
-        if self._value is not None:
-            return self._value[0]
-        _, X, y, params, _ = self._pending
-        return X, y, params
-
 
 @dataclass
 class KnowledgeEntry:
@@ -197,9 +189,9 @@ class KnowledgeEntry:
     knowledge spectrum is not stored: it is a function of the weights.
 
     Both are read-only views of one `Knowledge` cell, derived on the
-    first read: when the entry is served, saved or shown.  Its forest is
-    also fit, through the memo, when an entry transferred from it is
-    read.  Routing and eviction read only the context, the utilization
+    first read: when the entry is served, saved or shown.  The forest of
+    its rows is also fit, through the memo, when an entry transferred
+    from it is read.  Routing and eviction read only the context, the utilization
     and `created_at`, so an entry evicted unread is never fit.  A refine
     swaps the cell.
     """
@@ -235,7 +227,8 @@ class Pool:
     entries: dict = field(default_factory=dict)  # entry_id -> KnowledgeEntry
     next_entry_id: int = 1
     #: memo of the pool's fits and importance runs for as long as it lives;
-    #: `dataclasses.replace` shares it, and it is never persisted
+    #: `dataclasses.replace` shares it, and it is never persisted, but
+    #: loading seeds it with each stored forest as the fit of its rows
     cache: FitCache = field(default_factory=FitCache, repr=False, compare=False)
 
     def __post_init__(self):
@@ -295,9 +288,11 @@ class Pool:
             return Outcome.REFINED, entry.entry_id
         if best is not None and best[1] >= self.theta_low:
             # Warm start (knowledge completion): derive weights over the
-            # fresh trees plus the source's own trees, as they are now.
-            # Only the fresh trees are kept, so only they vote.
-            outcome, source = Outcome.TRANSFERRED, self.entries[best[0]].knowledge.basis()
+            # fresh trees plus the trees of the source's rows as they are
+            # now; a refine gives the source new arrays, so these stay as
+            # they are.  Only the fresh trees are kept, so only they vote.
+            src = self.entries[best[0]]
+            outcome, source = Outcome.TRANSFERRED, (src.train_X, src.train_y)
         else:
             outcome, source = Outcome.GENERATED_NEW, None
         entry = KnowledgeEntry(entry_id=self.next_entry_id, context=ctx,
@@ -427,6 +422,9 @@ def pool_from_dict(doc: dict) -> Pool:
             if entry.entry_id in pool.entries:
                 raise ValueError(f"entry_id {entry.entry_id} is stored twice")
             pool.entries[entry.entry_id] = entry
+            # the stored forest is the fit of the stored rows, as this program
+            # writes every pool, so a transfer from this entry fits nothing
+            pool.cache.add(train_X, train_y, entry.model)
         if len(pool.entries) > pool.capacity:
             raise ValueError(f"{len(pool.entries)} entries exceed capacity {pool.capacity}")
         if pool.entries and pool.next_entry_id <= max(pool.entries):

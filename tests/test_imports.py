@@ -16,6 +16,9 @@ linter is a dependency.
 - Knowledge is derived in one place: only `FitCache.importance` runs
   `permutation_importance`, and only `pool.derive_knowledge` calls
   `FitCache.importance` and `group_weights`.
+- A pool's memo and cells stay inside `pool.py`: only `pool_from_dict`
+  records a forest with `FitCache.add`, and no other module touches an
+  entry's `.knowledge`.
 """
 
 import ast
@@ -183,25 +186,31 @@ DERIVATION_CALLERS = {"permutation_importance": "FitCache.importance",
                       "group_weights": "derive_knowledge"}
 
 
-def derivation_calls(source: str) -> list:
-    """(callee, enclosing function, line) of every call, as a function or a
-    method, to a name in DERIVATION_CALLERS.  A method's enclosing function
-    is written `Class.method`, a nested one `outer.inner`; module level is
-    None."""
-    found = []
-
+def scoped_nodes(source: str):
+    """Yield (node, enclosing function) for every node of `source`.  A
+    method's enclosing function is written `Class.method`, a nested one
+    `outer.inner`; module level is None."""
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name if scope is None else f"{scope}.{child.name}")
+                yield from visit(child, child.name if scope is None
+                                 else f"{scope}.{child.name}")
                 continue
-            if isinstance(child, ast.Call):
-                f = child.func
-                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                if name in DERIVATION_CALLERS:
-                    found.append((name, scope, child.lineno))
-            visit(child, scope)
-    visit(ast.parse(source), None)
+            yield child, scope
+            yield from visit(child, scope)
+    yield from visit(ast.parse(source), None)
+
+
+def derivation_calls(source: str) -> list:
+    """(callee, enclosing function, line) of every call, as a function or a
+    method, to a name in DERIVATION_CALLERS."""
+    found = []
+    for node, scope in scoped_nodes(source):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in DERIVATION_CALLERS:
+                found.append((name, scope, node.lineno))
     return found
 
 
@@ -236,3 +245,57 @@ def test_derivation_scanner_finds_planted_calls():
         ("permutation_importance", "Knowledge.get.again", 9),
         ("group_weights", "Knowledge.get", 10), ("importance", "Knowledge.get", 10),
         ("group_weights", None, 11)]
+
+
+def pool_internals(source: str) -> list:
+    """("FitCache.add" or "knowledge", enclosing function, line) of every
+    `.add` call on a memo and every `.knowledge` attribute.  The package
+    holds each `FitCache` under the name `cache` or as a `.cache`
+    attribute, which tells a memo's `add` from a set's."""
+    found = []
+    for node, scope in scoped_nodes(source):
+        if isinstance(node, ast.Attribute) and node.attr == "knowledge":
+            found.append(("knowledge", scope, node.lineno))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add"):
+            holder = node.func.value
+            if (holder.id if isinstance(holder, ast.Name)
+                    else getattr(holder, "attr", None)) == "cache":
+                found.append(("FitCache.add", scope, node.lineno))
+    return found
+
+
+def misused_pool_internals(module: str, uses) -> list:
+    """The uses outside `pool.py`, and a `FitCache.add` in it made from a
+    function other than `pool_from_dict`."""
+    return [u for u in uses if module != "pool.py"
+            or (u[0] == "FitCache.add" and u[1] != "pool_from_dict")]
+
+
+def test_pool_internals_stay_in_pool():
+    uses = {p.name: pool_internals(p.read_text()) for p in MODULES}
+    assert [u for m, found in uses.items() for u in misused_pool_internals(m, found)] == []
+    # no rule holds vacuously
+    assert [u[:2] for u in uses["pool.py"] if u[0] == "FitCache.add"] == [
+        ("FitCache.add", "pool_from_dict")]
+    assert any(u[0] == "knowledge" for u in uses["pool.py"])
+
+
+def test_pool_internals_scanner_finds_planted_uses():
+    source = ("def pool_from_dict(d):\n"
+              "    pool.cache.add(1, 2, m)\n"
+              "    seen.add(3)\n"
+              "def loo(template, cache):\n"
+              "    cache.add(4, 5, 6)\n"
+              "    return [e.knowledge.derived for e in template]\n"
+              "class Pool:\n"
+              "    def ingest(self, entry):\n"
+              "        entry.knowledge = self.cache.add(7)\n")
+    uses = pool_internals(source)
+    assert uses == [
+        ("FitCache.add", "pool_from_dict", 2), ("FitCache.add", "loo", 5),
+        ("knowledge", "loo", 6), ("knowledge", "Pool.ingest", 9),
+        ("FitCache.add", "Pool.ingest", 9)]
+    assert misused_pool_internals("pool.py", uses) == [
+        u for u in uses if u[0] == "FitCache.add" and u[1] != "pool_from_dict"]
+    assert misused_pool_internals("pipeline.py", uses) == uses

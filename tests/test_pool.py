@@ -47,8 +47,8 @@ def key_paths(doc, prefix=()):
             yield from key_paths(v, prefix + (k,))
 
 
-def small_pool(capacity=8, **kw):
-    return Pool(capacity=capacity, forest_params=SMALL_PARAMS, **kw)
+def small_pool(capacity=8, forest_params=SMALL_PARAMS, **kw):
+    return Pool(capacity=capacity, forest_params=forest_params, **kw)
 
 
 class TestFnv1a:
@@ -241,7 +241,7 @@ class TestKnowledgeMemo:
         assert pool.entries[eid].model is pool.entries[1].model
         assert pool.entries[eid].weights == pool.entries[1].weights
 
-    def test_replace_shares_the_memo_and_load_starts_afresh(self, fits, tmp_path):
+    def test_replace_shares_the_memo_and_load_seeds_it(self, fits, tmp_path):
         pool = small_pool()
         X, y = data()
         pool.ingest(ctx(), X, y, now=1.0)
@@ -255,8 +255,25 @@ class TestKnowledgeMemo:
         loaded = load_pool(tmp_path / "pool.json")
         assert loaded.cache is not pool.cache
         _, eid = loaded.ingest(ctx(fp=2, rx=(500, 0, 1.5), los=False), X, y, now=2.0)
-        loaded.entries[eid].model
-        assert len(fits) == 2
+        loaded.entries[eid].model  # rows the file stores: its forest is in the memo
+        assert len(fits) == 1
+
+    def test_transfer_from_a_loaded_source_fits_only_its_own_rows(self, fits, tmp_path):
+        """The file's forest is the fit of the rows it stores, so the source
+        of a transfer is not fit again, and the weights are an unsaved pool's."""
+        X, y = data(seed=0)
+        X2, y2 = data(seed=2)
+        unsaved = small_pool()
+        unsaved.ingest(ctx(rx=(0, 0, 1.5)), X, y, now=1.0)
+        save_pool(tmp_path / "pool.json", unsaved)
+        loaded = load_pool(tmp_path / "pool.json")
+        fits.clear()
+        for pool in (loaded, unsaved):
+            outcome, eid = pool.ingest(ctx(pid=2, rx=(40, 0, 1.5)), X2, y2, now=2.0)
+            assert outcome is Outcome.TRANSFERRED
+        weights = loaded.entries[eid].weights
+        assert fits == [(X2.tobytes(), y2.tobytes())]
+        assert weights == unsaved.entries[eid].weights
 
     def test_learn_positions_matches_a_new_entry(self):
         scene, traj = canonical_street_scene()
@@ -619,6 +636,9 @@ class TestValidation:
         ({}, {}, 1),
         ({"theta_high": 1, "theta_low": 0}, {}, 1.0),
         ({"capacity": np.int64(3)}, {}, 1.0),
+        ({"forest_params": ForestParams(n_trees=np.int64(3), max_depth=np.int32(4),
+                                        min_leaf=np.int64(2), features_per_split=np.int64(5),
+                                        seed=np.int64(2))}, {}, 1.0),
     ])
     def test_integer_values_replay_byte_exactly(self, tmp_path, pool_kw, ctx_kw, now):
         """Integers enter as the type the pool file reads back (floats for
@@ -791,3 +811,30 @@ def test_lazy_pool_saves_what_a_forced_pool_saves(ops):
             save_pool(path, pool)
         with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
             assert a.read() == b.read()
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=POOL_OPS)
+@example(ops=[("ingest", 0, 1, False), ("ingest", 1, 2, False),  # a transfer from 0,
+              ("ingest", 0, 3, True)])                           # then 0 is refined
+def test_stored_forest_is_the_fit_of_its_rows(ops):
+    """What loading puts in the memo holds for every pool this program
+    writes: each entry's stored forest is the one its stored rows give."""
+    pool = Pool(capacity=3, forest_params=STATE_PARAMS)
+    for t, (op, *args) in enumerate(ops, start=1):
+        if op == "ingest":
+            i, seed, refresh = args
+            pool.ingest(STATE_CONTEXTS[i], *state_data(seed), now=float(t),
+                        force_refresh=refresh)
+        elif op == "query":
+            pool.query(STATE_CONTEXTS[args[0]])
+        else:
+            pool.capacity = args[0]
+            pool.sort_and_evict()
+    with tempfile.TemporaryDirectory() as d:
+        save_pool(os.path.join(d, "pool.json"), pool)
+        loaded = load_pool(os.path.join(d, "pool.json"))
+    for e in loaded.entries.values():
+        refit = fit(e.train_X, e.train_y, STATE_PARAMS, FEATURE_NAMES)
+        assert e.model.trees.to_dict() == refit.trees.to_dict()
+        assert e.model.oob_r2 == refit.oob_r2
