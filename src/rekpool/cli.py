@@ -8,6 +8,7 @@ requires an explicit --seed so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -180,9 +181,7 @@ def cmd_pool(args, parser) -> int:
                 print(f"  {a}: {row}")
     elif args.action == "evict":
         if args.capacity is not None:
-            if args.capacity < 1:
-                return _fail("capacity must be >= 1")
-            pool.capacity = args.capacity
+            pool = dataclasses.replace(pool, capacity=args.capacity)
         removed = pool.sort_and_evict()
         save_pool(args.pool_file, pool)
         print(f"evicted {len(removed)} entries: {removed}")

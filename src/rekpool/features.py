@@ -18,13 +18,12 @@ bounding-box diagonal, so the learner never sees NaN/inf.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Scene, as_int, as_vec3, atomic_write_text, row_norms
+from .geometry import Scene, as_int, as_vec3, atomic_write_text, csv_text, row_norms
 # perfbench's tracer tests expect segment_blocked in this module's namespace
 from .geometry import segment_blocked  # noqa: F401
 from .propagation import InsideScatterer, Trace, _validate_rx, trace, trace_all
@@ -194,14 +193,10 @@ def realize(scene: Scene, rx, cfg: RealizationConfig, position_id: int = 0,
 # ---------------------------------------------------------------------------
 
 def dataset_to_csv(rows) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(DATASET_HEADER)
-    for r in sorted(rows, key=lambda r: (r.position_id, r.realization_id)):
-        w.writerow([r.position_id, r.realization_id]
-                   + [repr(float(x)) for x in r.features]
-                   + [repr(float(r.path_loss_db)), int(r.los), repr(float(r.timestamp))])
-    return buf.getvalue()
+    return csv_text(DATASET_HEADER, (
+        [r.position_id, r.realization_id] + [repr(float(x)) for x in r.features]
+        + [repr(float(r.path_loss_db)), int(r.los), repr(float(r.timestamp))]
+        for r in sorted(rows, key=lambda r: (r.position_id, r.realization_id))))
 
 
 def save_dataset(path, rows):

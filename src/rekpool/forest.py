@@ -29,11 +29,11 @@ not depend on the other trees, on their number or on the order of the
 steps, and the trees, thresholds and out-of-bag R2 are those of growing
 each tree on its own.
 
-Prediction and out-of-bag R2 walk all trees of the table at once, for
-as many steps as the deepest tree is deep.  Rows go through in blocks
-of at most TREE_ROW_BUDGET (tree, row) pairs, which bounds the memory of
-a walk, and the tree outputs are added in tree order, as one tree at a
-time would add them.
+Prediction and out-of-bag R2 both read `Trees.sums`, which walks all
+trees of the table at once, for as many steps as the deepest tree is
+deep.  Rows go through in blocks of at most TREE_ROW_BUDGET (tree, row)
+pairs, which bounds the memory of a walk, and the tree outputs are added
+in tree order, as one tree at a time would add them.
 """
 
 from __future__ import annotations
@@ -93,7 +93,8 @@ class Trees:
     Tree t's nodes are rows `roots[t]` up to the next tree's root.
     `left` and `right` hold table rows, and a leaf points to itself.
     `depth` is the largest tree depth, so that many steps take every row
-    to its leaf.  `len` gives the number of trees.
+    to its leaf.  `len` gives the number of trees.  `sums` is the one walk
+    that adds tree outputs: prediction and out-of-bag R2 both read it.
     """
 
     feature: np.ndarray     # split feature per node; -1 marks a leaf
@@ -142,9 +143,12 @@ class Trees:
                      np.concatenate([self.roots, other.roots + shift]),
                      max(self.depth, other.depth))
 
-    def walk(self, X):
-        """Yield (first row, (trees, rows) leaf values) for each block of
-        at most TREE_ROW_BUDGET // trees rows of X."""
+    def sums(self, X, keep=None) -> np.ndarray:
+        """Each row of X's leaf values added up in tree order, undivided.
+        With `keep`, a (trees, rows) mask, only the kept (tree, row) values
+        are added.  Rows go through in blocks of at most
+        TREE_ROW_BUDGET // trees rows."""
+        out = np.zeros(len(X))
         step = max(1, TREE_ROW_BUDGET // len(self.roots))
         for lo in range(0, len(X), step):
             block = X[lo:lo + step]
@@ -153,7 +157,11 @@ class Trees:
             for _ in range(self.depth):
                 node = np.where(block[rows, self.feature[node]] <= self.threshold[node],
                                 self.left[node], self.right[node])
-            yield lo, self.value[node]
+            total = out[lo:lo + step]
+            for t, v in enumerate(self.value[node]):
+                # a sum from +0.0 is never -0.0, so adding a masked 0.0 changes nothing
+                total += v if keep is None else np.where(keep[t, lo:lo + step], v, 0.0)
+        return out
 
     def to_dict(self) -> dict:
         inner = self.feature >= 0
@@ -299,12 +307,7 @@ class RandomForestModel:
         if X.shape[1] != len(self.feature_names):
             raise ValueError(
                 f"expected {len(self.feature_names)} features, got {X.shape[1]}")
-        preds = np.zeros(len(X))
-        for lo, values in self.trees.walk(X):
-            block = preds[lo:lo + values.shape[1]]
-            for v in values:  # tree outputs added in tree order
-                block += v
-        return preds / len(self.trees)
+        return self.trees.sums(X) / len(self.trees)
 
     def predict_one(self, x) -> float:
         return float(self.predict(np.asarray(x, dtype=float)[None, :])[0])
@@ -337,11 +340,7 @@ def compute_oob_r2(trees: Trees, bootstraps, X, y) -> float | None:
     n = len(y)
     oob = np.ones((len(trees), n), dtype=bool)
     oob[np.repeat(np.arange(len(trees)), n), np.concatenate(bootstraps)] = False
-    pred_sum = np.zeros(n)
-    for lo, values in trees.walk(X):
-        block = pred_sum[lo:lo + values.shape[1]]
-        for left_out, v in zip(oob[:, lo:lo + len(block)], values):
-            block += np.where(left_out, v, 0.0)  # a sum from +0.0 is never -0.0
+    pred_sum = trees.sums(X, keep=oob)
     pred_cnt = oob.sum(axis=0)
     covered = pred_cnt > 0
     if not covered.any():
@@ -353,10 +352,12 @@ def compute_oob_r2(trees: Trees, bootstraps, X, y) -> float | None:
     return float(1.0 - (resid ** 2).sum() / ss_tot)
 
 
-def check_rows(X, y, min_rows: int, n_features: int | None = None):
-    """(X, y) as float arrays if a forest can be fit on them: X 2-D with
-    `n_features` columns (any number if None), one target per row, every
-    value finite and at least `min_rows` rows; ValueError otherwise."""
+def check_rows(X, y, params: ForestParams, n_features: int | None = None):
+    """(X, y) as float arrays if a forest with `params` can be fit on them:
+    X 2-D with `n_features` columns (any number if None), one target per
+    row, every value finite and at least 2 * `params.min_leaf` rows, the
+    fewest a root can be split with; ValueError otherwise."""
+    min_rows = 2 * params.min_leaf
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2:
@@ -373,8 +374,7 @@ def check_rows(X, y, min_rows: int, n_features: int | None = None):
 
 
 def fit(X, y, params: ForestParams, feature_names=None) -> RandomForestModel:
-    X, y = check_rows(X, y, 2 * params.min_leaf,
-                      None if feature_names is None else len(feature_names))
+    X, y = check_rows(X, y, params, None if feature_names is None else len(feature_names))
     if feature_names is None:
         feature_names = tuple(f"x{i}" for i in range(X.shape[1]))
     trees, bootstraps = _grow(X, y, params)

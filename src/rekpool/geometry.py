@@ -8,6 +8,8 @@ keeps the propagation oracle exact and testable.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
@@ -431,6 +433,16 @@ def atomic_write_text(path, text: str):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def csv_text(header, rows) -> str:
+    """The CSV text of `header` and then each of `rows`, one line each,
+    every line ended by a bare newline."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
 
 
 def save_scene(path, scene: Scene, trajectory: Trajectory):

@@ -12,15 +12,13 @@ holds each stored forest, so those rows are not fit again.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import forest as rf
 from .features import RealizationConfig, realize
-from .geometry import Scene, Trajectory
+from .geometry import Scene, Trajectory, csv_text
 from .pool import FitCache, Pool, derive_knowledge
 from .predict import (Prediction, fit_logdistance, predict_knn, serve,
                       trajectory_contexts, evaluate, DEFAULT_KNN_K, DEFAULT_TAU)
@@ -101,15 +99,12 @@ def build_pool(rows, contexts, pool: Pool, skip_positions=()) -> Pool:
 
 
 def spectrum_csv(knowledge) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(SPECTRUM_HEADER)
-    for k in knowledge:
+    def row(k):
         gw, sp = k.weights, k.spectrum
         vals = [""] * len(SUBSETS) if sp is None else [repr(v) for v in sp.values]
-        w.writerow([k.position_id, int(k.los),
-                    repr(gw.w_L), repr(gw.w_V), repr(gw.w_B), repr(gw.w_D)] + vals)
-    return buf.getvalue()
+        return [k.position_id, int(k.los),
+                repr(gw.w_L), repr(gw.w_V), repr(gw.w_B), repr(gw.w_D)] + vals
+    return csv_text(SPECTRUM_HEADER, map(row, knowledge))
 
 
 def loo_evaluate(scene: Scene, trajectory: Trajectory, rows,
@@ -146,21 +141,12 @@ def loo_evaluate(scene: Scene, trajectory: Trajectory, rows,
 
 
 def cdf_csv(reports) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(("method", "error_db", "cum_fraction"))
-    for method in sorted(reports):
-        for err, frac in reports[method].cdf:
-            w.writerow([method, repr(float(err)), repr(float(frac))])
-    return buf.getvalue()
+    return csv_text(("method", "error_db", "cum_fraction"), (
+        [method, repr(float(err)), repr(float(frac))]
+        for method in sorted(reports) for err, frac in reports[method].cdf))
 
 
 def summary_csv(reports) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(("method", "mean", "rmse", "p80", "n", "n_capped"))
-    for method in sorted(reports):
-        r = reports[method]
-        w.writerow([method, repr(r.mean), repr(r.rmse), repr(r.p80),
-                    len(r.errors), r.n_capped])
-    return buf.getvalue()
+    return csv_text(("method", "mean", "rmse", "p80", "n", "n_capped"), (
+        [method, repr(r.mean), repr(r.rmse), repr(r.p80), len(r.errors), r.n_capped]
+        for method, r in sorted(reports.items())))

@@ -218,6 +218,14 @@ class KnowledgeEntry:
         return self.weights.spectrum
 
 
+def _time(value, name: str) -> float:
+    """`value` as a logical time, which must be finite so that a pool file
+    can hold it."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, not {value!r}")
+    return float(value)
+
+
 @dataclass
 class Pool:
     capacity: int = 32
@@ -269,10 +277,8 @@ class Pool:
         The rows are checked here, whatever the outcome, as `forest.fit`
         checks them; a refined or new entry's knowledge is derived on its
         first read (see `KnowledgeEntry`)."""
-        X, y = rf.check_rows(X, y, 2 * self.forest_params.min_leaf, len(FEATURE_NAMES))
-        if not math.isfinite(now):
-            raise ValueError(f"now must be finite, not {now!r}")
-        now = float(now)
+        X, y = rf.check_rows(X, y, self.forest_params, len(FEATURE_NAMES))
+        now = _time(now, "now")
         best = self._best_match(ctx)
         if best is not None and best[1] >= self.theta_high:
             entry = self.entries[best[0]]
@@ -405,7 +411,7 @@ def pool_from_dict(doc: dict) -> Pool:
             # the rows an entry's model was fit on, checked as `ingest` checks them
             train_X, train_y = rf.check_rows(
                 json_field(ed, "train_X", np.ndarray), json_field(ed, "train_y", np.ndarray),
-                2 * pool.forest_params.min_leaf, len(FEATURE_NAMES))
+                pool.forest_params, len(FEATURE_NAMES))
             entry = KnowledgeEntry(
                 entry_id=json_field(ed, "entry_id", int),
                 context=_context_from_dict(ed["context"]),
@@ -414,8 +420,8 @@ def pool_from_dict(doc: dict) -> Pool:
                                                    FEATURE_NAMES),
                     _weights_from_dict(ed["weights"])),
                 train_X=train_X, train_y=train_y,
-                created_at=json_field(ed, "created_at", float),
-                updated_at=json_field(ed, "updated_at", float),
+                created_at=_time(json_field(ed, "created_at", float), "created_at"),
+                updated_at=_time(json_field(ed, "updated_at", float), "updated_at"),
                 utilization_count=json_field(ed, "utilization_count", int))
             if entry.utilization_count < 0:
                 raise ValueError(f"utilization_count must be >= 0: {entry.utilization_count}")

@@ -6,6 +6,10 @@ linter is a dependency.
   re-exports the public names and is not scanned.
 - Every JSON input is parsed by `geometry.load_json`, which rejects
   NaN and infinities: no other function calls `json.load`/`json.loads`.
+- Every CSV file is written by `geometry.csv_text`, the one place that
+  fixes the line ending: no other function calls `csv.writer`.
+- The fewest rows a forest can be fit on is derived in `forest.py`
+  alone: no other module reads a `.min_leaf`.
 - The CLI restates no library default: `cli.py` holds no
   `<x> if <y> is not None else <literal>`; an unset option is left out
   of the call so that the library's own default applies.
@@ -62,10 +66,10 @@ def test_scanner_finds_an_unused_import():
     assert unused_imports(source) == ["dumps (line 3)", "os (line 1)"]
 
 
-def json_parse_calls(source: str) -> list:
-    """(enclosing function, line) of every json.load/json.loads call and
-    of every `from json import load/loads`; the function is None at
-    module level."""
+def module_calls(source: str, module: str, names) -> list:
+    """(enclosing function, line) of every `module.<name>(...)` call and
+    of every `from module import <name>`, for each name in `names`; the
+    function is None at module level."""
     found = []
 
     def visit(node, func):
@@ -75,15 +79,19 @@ def json_parse_calls(source: str) -> list:
                 continue
             if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
                     and isinstance(child.func.value, ast.Name)
-                    and child.func.value.id == "json"
-                    and child.func.attr in ("load", "loads")):
+                    and child.func.value.id == module
+                    and child.func.attr in names):
                 found.append((func, child.lineno))
-            if (isinstance(child, ast.ImportFrom) and child.module == "json"
-                    and any(a.name in ("load", "loads") for a in child.names)):
+            if (isinstance(child, ast.ImportFrom) and child.module == module
+                    and any(a.name in names for a in child.names)):
                 found.append((func, child.lineno))
             visit(child, func)
     visit(ast.parse(source), None)
     return found
+
+
+def json_parse_calls(source: str) -> list:
+    return module_calls(source, "json", ("load", "loads"))
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -98,6 +106,42 @@ def test_json_scanner_finds_calls():
               "def f(p):\n    return json.load(open(p))\n"
               "def g(s):\n    return json.dumps(s)\n")
     assert json_parse_calls(source) == [(None, 2), (None, 3), ("f", 5)]
+
+
+def csv_writer_calls(source: str) -> list:
+    return module_calls(source, "csv", ("writer",))
+
+
+def test_csv_written_only_by_csv_text():
+    calls = [(p.name, func) for p in MODULES for func, _ in csv_writer_calls(p.read_text())]
+    assert calls == [("geometry.py", "csv_text")]
+
+
+def test_csv_scanner_finds_calls():
+    source = ("import csv\nfrom csv import writer\n"
+              "def csv_text(buf):\n    return csv.writer(buf)\n"
+              "class Report:\n    def dump(self, buf):\n"
+              "        csv.writer(buf).writerow(csv.reader(buf))\n")
+    assert csv_writer_calls(source) == [(None, 2), ("csv_text", 4), ("dump", 7)]
+
+
+def attribute_lines(source: str, attr: str) -> list:
+    """Line of every `.<attr>` attribute in `source`, in line order."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Attribute) and n.attr == attr)
+
+
+def test_row_minimum_derived_in_forest():
+    reads = {p.name: attribute_lines(p.read_text(), "min_leaf") for p in MODULES}
+    assert [m for m, lines in reads.items() if lines] == ["forest.py"]
+
+
+def test_attribute_scanner_finds_planted_reads():
+    source = ("def f(params, min_leaf=2):\n"
+              "    rows = 2 * params.min_leaf\n"
+              "    return g(min_leaf=min_leaf, leaf=self.pool.forest_params.min_leaf)\n"
+              "NAME = 'params.min_leaf'\n")
+    assert attribute_lines(source, "min_leaf") == [2, 3]
 
 
 def restated_defaults(source: str) -> list:

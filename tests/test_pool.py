@@ -631,6 +631,19 @@ class TestValidation:
             pool.ingest(ctx(), *data(), now=math.nan)
         assert pool.entries == {}
 
+    @pytest.mark.parametrize("field, value", [
+        ("created_at", math.nan), ("created_at", -math.inf),
+        ("updated_at", math.inf), ("updated_at", math.nan)])
+    def test_loaded_times_must_be_finite(self, field, value):
+        """A time that a pool file cannot hold is rejected on loading, as
+        `ingest` rejects it, so every pool that loads saves a file that loads."""
+        pool = small_pool()
+        pool.ingest(ctx(), *data(), now=1.0)
+        doc = pool_to_dict(pool)
+        doc["entries"][0][field] = value
+        with pytest.raises(PoolFileError, match=field):
+            pool_from_dict(doc)
+
     @pytest.mark.parametrize("pool_kw, ctx_kw, now", [
         ({}, {"f": 28_000_000_000}, 1.0),
         ({}, {}, 1),
