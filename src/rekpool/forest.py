@@ -34,6 +34,14 @@ trees of the table at once, for as many steps as the deepest tree is
 deep.  Rows go through in blocks of at most TREE_ROW_BUDGET (tree, row)
 pairs, which bounds the memory of a walk, and the tree outputs are added
 in tree order, as one tree at a time would add them.
+
+Permutation importance does not predict each permuted copy of X.  A
+permuted column j can change a row's leaf only in the trees whose path
+for that row splits on j, so X is walked once, and each copy re-walks
+just those (tree, row) pairs from the first node on j, in blocks of at
+most TREE_ROW_BUDGET // 2 pairs.  The copies' leaf values are added in
+tree order, so the importances are those that predicting every copy
+would give, bit for bit.
 """
 
 from __future__ import annotations
@@ -93,8 +101,9 @@ class Trees:
     Tree t's nodes are rows `roots[t]` up to the next tree's root.
     `left` and `right` hold table rows, and a leaf points to itself.
     `depth` is the largest tree depth, so that many steps take every row
-    to its leaf.  `len` gives the number of trees.  `sums` is the one walk
-    that adds tree outputs: prediction and out-of-bag R2 both read it.
+    to its leaf.  `len` gives the number of trees.  `sums` is the walk
+    that adds tree outputs for prediction and out-of-bag R2;
+    `permutation_importance` adds them in the same tree order.
     """
 
     feature: np.ndarray     # split feature per node; -1 marks a leaf
@@ -352,12 +361,13 @@ def compute_oob_r2(trees: Trees, bootstraps, X, y) -> float | None:
     return float(1.0 - (resid ** 2).sum() / ss_tot)
 
 
-def check_rows(X, y, params: ForestParams, n_features: int | None = None):
-    """(X, y) as float arrays if a forest with `params` can be fit on them:
-    X 2-D with `n_features` columns (any number if None), one target per
-    row, every value finite and at least 2 * `params.min_leaf` rows, the
-    fewest a root can be split with; ValueError otherwise."""
-    min_rows = 2 * params.min_leaf
+def check_rows(X, y, params: ForestParams | None, n_features: int | None = None):
+    """(X, y) as float arrays if a forest can read them: X 2-D with
+    `n_features` columns (any number if None), one target per row and
+    every value finite.  With `params`, at least 2 * `params.min_leaf`
+    rows, the fewest a root can be split with, as fitting needs; without,
+    at least one row.  ValueError otherwise."""
+    min_rows = 1 if params is None else 2 * params.min_leaf
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2:
@@ -367,7 +377,8 @@ def check_rows(X, y, params: ForestParams, n_features: int | None = None):
     if y.shape != (len(X),):
         raise ValueError(f"need one target per row: {len(X)} rows, targets of shape {y.shape}")
     if len(X) < min_rows:
-        raise ValueError(f"need at least {min_rows} rows, got {len(X)}")
+        raise ValueError("dataset must be nonempty" if params is None
+                         else f"need at least {min_rows} rows, got {len(X)}")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError("rows and targets must be finite")
     return X, y
@@ -398,20 +409,69 @@ def _permutation(seed: int, j: int, r: int, n: int) -> np.ndarray:
 
 def permutation_importance(model: RandomForestModel, X, y, seed: int = 0) -> np.ndarray:
     """Mean MSE increase per feature over IMPORTANCE_REPEATS column
-    permutations, clipped at 0."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if len(X) == 0:
-        raise ValueError("dataset must be nonempty")
-    base_mse = float(((model.predict(X) - y) ** 2).mean())
+    permutations, clipped at 0; ValueError unless `check_rows` accepts
+    (X, y) for the model's features.
+
+    Permuting column j can change a tree's leaf for a row only if the
+    row's path in that tree splits on j (Breiman 2001, Random Forests,
+    section 10; Louppe 2014, Understanding Random Forests, ch. 6).  So X
+    is walked once, noting where each path first splits on each feature,
+    and each (feature, repeat) copy of X re-walks only the (tree, row)
+    pairs whose path splits on its feature, from that node on; every
+    other pair keeps its leaf.  All copies go through together, trees in
+    order and at most TREE_ROW_BUDGET // 2 pairs a block, and each copy's
+    leaf values are added in tree order from zero, as `predict` adds
+    them, so every importance is bit for bit that of predicting each
+    permuted copy of X."""
+    t = model.trees
+    X, y = check_rows(X, y, None, n_features=len(model.feature_names))
     n, p = X.shape
+    n_trees, depth, repeats = len(t), t.depth, IMPORTANCE_REPEATS
+    flat = X.ravel()  # row i's value of feature f is flat[i * p + f]
+    child = np.stack([t.right, t.left], axis=1).ravel()  # go left: child[2 * node + 1]
+    # first[tree, row, j]: the node where that path first splits on feature j, or -1
+    first = np.full((n_trees, n, p), -1, dtype=np.int32)
+    by_pair = first.reshape(-1, p)  # pair tree * n + row, a view
+    pairs = np.arange(n_trees * n)
+    at_row = pairs % n * p
+    node = np.repeat(t.roots, n)
+    for _ in range(depth):
+        f = t.feature[node]
+        new = np.flatnonzero((f >= 0) & (by_pair[pairs, f] < 0))
+        by_pair[new, f[new]] = node[new]
+        node = child[2 * node + (flat[at_row + f] <= t.threshold[node])]
+    base = t.value[node].reshape(n_trees, n)
+
     used = sorted(model.features_used())  # an unused feature cannot change predictions
-    Xp = np.tile(X, (len(used), IMPORTANCE_REPEATS, 1, 1))  # one copy of X per (feature, repeat)
-    for u, j in enumerate(used):
-        for r in range(IMPORTANCE_REPEATS):
-            Xp[u, r, :, j] = X[_permutation(seed & 0xFFFFFFFFFFFFFFFF, j, r, n), j]
-    # one predict over all the permuted copies, then one MSE per copy
-    preds = model.predict(Xp.reshape(-1, p)).reshape(len(used), IMPORTANCE_REPEATS, n)
+    slot = np.zeros(p, dtype=np.intp)  # each used feature's place in `used`
+    slot[used] = np.arange(len(used))
+    order = np.array([[_permutation(seed & 0xFFFFFFFFFFFFFFFF, j, r, n)
+                       for r in range(repeats)] for j in used], dtype=np.intp)
+    # copy (u, r) permutes column used[u] by order[u, r], and re-walks
+    # every (tree, row) pair noted for used[u]; a group of trees at a time
+    base_sum, totals = np.zeros(n), np.zeros((len(used) * repeats, n))
+    block = max(1, TREE_ROW_BUDGET // 2)
+    group = max(1, block // (repeats * n * p))  # trees whose pairs surely fit one block
+    for k in range(0, n_trees, group):
+        firsts = first[k:k + group]
+        g, rows, feats = np.nonzero(firsts >= 0)
+        leaves = np.tile(base[k:k + group], (len(totals), 1, 1))  # (copies, trees, rows)
+        for lo in range(0, repeats * len(rows), block):
+            r, e = np.divmod(np.arange(lo, min(lo + block, repeats * len(rows))), len(rows))
+            i, j = rows[e], feats[e]
+            node = firsts[g[e], i, j]
+            # the copy holds, at row i, row order[slot[j], r, i]'s value of j
+            at_i, at_src = i * p, order[slot[j], r, i] * p
+            for _ in range(depth):
+                f = t.feature.take(node)
+                x = flat.take(np.where(f == j, at_src, at_i) + f)
+                node = child.take(2 * node + (x <= t.threshold.take(node)))
+            leaves[slot[j] * repeats + r, g[e], i] = t.value.take(node)
+        for b, v in zip(base[k:k + group], leaves.transpose(1, 0, 2)):
+            base_sum += b
+            totals += v
+    base_mse = float(((base_sum / n_trees - y) ** 2).mean())
+    preds = (totals / n_trees).reshape(len(used), repeats, n)
     deltas = ((preds - y) ** 2).mean(axis=-1) - base_mse
     importances = np.zeros(p)
     for j, delta in zip(used, deltas.mean(axis=-1).tolist()):

@@ -512,6 +512,100 @@ class TestPermutationImportance:
         b = permutation_importance(model, X, y, seed=3)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("case, message", [
+        ("one target", "one target per row"),
+        ("nan target", "must be finite"),
+        ("nan row", "must be finite"),
+        ("inf row", "must be finite"),
+        ("1-D rows", "must be 2-D"),
+        ("too few columns", "3 columns for 4 feature names"),
+        ("no rows", "dataset must be nonempty"),
+    ])
+    def test_bad_rows_rejected(self, case, message):
+        X, y = linear_benchmark(n=40)
+        model = fit(X, y, ForestParams(n_trees=5, seed=0))
+        X, y = X.copy(), y.copy()
+        if case == "one target":  # y[:1] would broadcast over every row
+            y = y[:1]
+        elif case == "nan target":
+            y[3] = np.nan
+        elif case in ("nan row", "inf row"):  # NaN would be walked as "go right"
+            X[5, 0] = np.nan if case == "nan row" else np.inf
+        elif case == "1-D rows":
+            X = X[0]
+        elif case == "too few columns":
+            X = X[:, :3]
+        else:
+            X, y = X[:0], y[:0]
+        with pytest.raises(ValueError, match=message):
+            permutation_importance(model, X, y)
+
+
+@st.composite
+def threshold_forest(draw):
+    """A forest over 4 features, possibly of single leaves only, and rows
+    that take the thresholds' own values.  Thresholds and row values come
+    from one grid, so permuted values land exactly on thresholds; trees
+    have any depth up to 5, and the forest may be two tables joined by
+    `Trees.__add__`, as a transfer basis is."""
+    trees = draw(st.lists(preorder_tree(), min_size=1, max_size=6))
+    grid = st.integers(0, 4).map(lambda k: 0.5 * k)
+    tables = []
+    for part in np.array_split(np.arange(len(trees)), draw(st.integers(1, 2))):
+        feature = np.array([f for k in part.tolist() for f in trees[k]], dtype=int)
+        if not len(feature):
+            continue
+        inner = feature >= 0
+        threshold = np.where(inner, draw(st.lists(grid, min_size=len(feature),
+                                                  max_size=len(feature))), 0.0)
+        value = np.where(inner, 0.0, draw(st.lists(
+            st.floats(-10, 10, allow_nan=False), min_size=len(feature),
+            max_size=len(feature))))
+        tables.append(Trees.parse(feature, threshold, value))
+    table = tables[0] if len(tables) == 1 else tables[0] + tables[1]
+    n = draw(st.integers(1, 25))
+    X = np.array(draw(st.lists(grid, min_size=4 * n, max_size=4 * n))).reshape(n, 4)
+    y = np.array(draw(st.lists(st.floats(-10, 10, allow_nan=False), min_size=n,
+                               max_size=n)))
+    model = RandomForestModel(trees=table, params=ForestParams(n_trees=len(table)),
+                              feature_names=("a", "b", "c", "d"), oob_r2=None)
+    return model, X, y
+
+
+class TestPathLocalImportance:
+    """Re-walking only the (tree, row) pairs whose path splits on the
+    permuted feature gives, bit for bit, the importances of predicting
+    every permuted copy of X through every tree."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(forest_rows=threshold_forest(), seed=st.integers(0, 2 ** 32 - 1),
+           budget=st.sampled_from([2, 7, 64, TREE_ROW_BUDGET]))
+    def test_equals_scalar_reference(self, forest_rows, seed, budget):
+        model, X, y = forest_rows
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forest, "TREE_ROW_BUDGET", budget)
+            got = permutation_importance(model, X, y, seed=seed)
+        assert np.array_equal(got, scalar_importance(model, X, y, seed=seed))
+
+    def test_single_leaf_forest_scores_zero(self):
+        leaves = Trees.parse(np.array([-1, -1, -1]), np.zeros(3), np.array([1.0, -2.0, 0.5]))
+        model = RandomForestModel(trees=leaves, params=ForestParams(n_trees=3),
+                                  feature_names=("a", "b"), oob_r2=None)
+        X = np.random.default_rng(1).normal(size=(9, 2))
+        assert model.features_used() == set()
+        assert np.array_equal(permutation_importance(model, X, np.zeros(9)), np.zeros(2))
+
+    @pytest.mark.parametrize("budget", [2, 64])
+    def test_copies_span_many_blocks(self, monkeypatch, budget):
+        X, y = linear_benchmark(n=30, noise=0.5)
+        a = fit(X, y, ForestParams(n_trees=4, min_leaf=2, seed=1))
+        b = fit(X[::-1], y[::-1], ForestParams(n_trees=3, max_depth=2, seed=2))
+        basis = dataclasses.replace(a, trees=a.trees + b.trees)
+        monkeypatch.setattr(forest, "TREE_ROW_BUDGET", budget)
+        for model in (a, basis):
+            assert np.array_equal(permutation_importance(model, X, y, seed=7),
+                                  scalar_importance(model, X, y, seed=7))
+
 
 class TestFitCache:
     def test_equal_roots_different_leaves_not_shared(self):
