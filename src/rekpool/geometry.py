@@ -169,10 +169,6 @@ class Scene:
         """Padded AABB (lo, hi) covering TX and all scatterers."""
         return self._bounds
 
-    def bounds_diagonal(self) -> float:
-        lo, hi = self._bounds
-        return float(np.linalg.norm(hi - lo))
-
     def ids_containing(self, p) -> list:
         """Ids of the scatterers whose closed box, padded by EPS_EXACT, holds p."""
         p = np.asarray(p, dtype=float)
@@ -198,6 +194,7 @@ class Trajectory:
         return len(self.positions)
 
 
+@np.errstate(over="ignore")  # as in _slab_test
 def ray_box_intersect(origin, direction, box: Scatterer):
     """Slab-method ray/box intersection.
 
@@ -260,6 +257,9 @@ class Blockage:
 SLAB_ROW_BUDGET = 1 << 16
 
 
+# A direction component so small that (box - p) / d overflows gives the
+# +-inf slab bound that it stands for, so the overflow is no error.
+@np.errstate(over="ignore")
 def _slab_test(p, q, lo, hi, of):
     """Slab test of the segments p[m]-q[m] (M, 3), segment m against the
     boxes lo[of[m]], hi[of[m]] of the stacked box corners lo, hi (R, S, 3)
@@ -311,14 +311,6 @@ def segment_blocked(p, q, scene: Scene, exclude_ids=()) -> Blockage:
     for sid in exclude_ids:
         hit &= scene.box_ids != sid
     return Blockage.from_slab(hit, enter, leave, scene.box_ids)
-
-
-def mirror_point(p, axis: int, value: float) -> np.ndarray:
-    """Reflect p across the axis-aligned plane {x_axis = value}."""
-    p = as_vec3(p)
-    out = p.copy()
-    out[axis] = 2.0 * value - p[axis]
-    return out
 
 
 # ---------------------------------------------------------------------------

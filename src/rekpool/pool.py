@@ -24,7 +24,7 @@ import numpy as np
 from . import forest as rf
 from .features import FEATURE_NAMES
 from .geometry import as_int, as_vec3, atomic_write_text, json_field, load_json
-from .spectrum import SUM_TOL, GroupWeights, KnowledgeSpectrum, group_weights
+from .spectrum import SUM_TOL, GroupWeights, group_weights
 
 POOL_FORMAT_VERSION = 6
 
@@ -89,7 +89,10 @@ def similarity(a: Context, b: Context) -> float:
 
     0.4 scene fingerprint match + 0.3 RX proximity + 0.2 LOS-state
     match + 0.1 frequency proximity; equals 1 only for identical
-    contexts.
+    contexts, and similarity(a, b) == similarity(b, a) bit for bit.
+    The frequency term is the lower frequency over the higher: that
+    equals exp(-|ln(fa / fb)|), and stays defined where fa / fb
+    underflows to 0.
     """
     s = 0.0
     if a.scene_fingerprint == b.scene_fingerprint:
@@ -97,7 +100,8 @@ def similarity(a: Context, b: Context) -> float:
     s += 0.3 * math.exp(-float(np.linalg.norm(a.rx - b.rx)) / SIMILARITY_RX_SCALE_M)
     if a.los == b.los:
         s += 0.2
-    s += 0.1 * math.exp(-abs(math.log(a.frequency_hz / b.frequency_hz)))
+    fa, fb = a.frequency_hz, b.frequency_hz
+    s += 0.1 * (min(fa, fb) / max(fa, fb))
     return s
 
 
@@ -186,7 +190,7 @@ class KnowledgeEntry:
     the source was when this entry was ingested.  The source trees are
     used only for that derivation and are never stored, so transfer
     never biases the predictive path toward the source's position.  The
-    knowledge spectrum is not stored: it is a function of the weights.
+    knowledge spectrum is not stored: it is `weights.spectrum`.
 
     Both are read-only views of one `Knowledge` cell, derived on the
     first read: when the entry is served, saved or shown.  The forest of
@@ -212,10 +216,6 @@ class KnowledgeEntry:
     @property
     def weights(self) -> GroupWeights:
         return self.knowledge.get()[1]
-
-    @property
-    def spectrum(self) -> KnowledgeSpectrum | None:
-        return self.weights.spectrum
 
 
 def _time(value, name: str) -> float:

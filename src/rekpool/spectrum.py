@@ -1,10 +1,10 @@
-"""Group weights, the 15-combination knowledge spectrum, and the
-single/double-feature relationship graph.
+"""Group weights and the 15-combination knowledge spectrum.
 
 Combination values are additive in the group weights: K(S) is the sum
 of the normalized weights of the groups in S.  This makes the full
 combination maximal by construction and keeps every subset value in
-[0, 1].
+[0, 1].  The single-group and group-pair values are the nodes and edges
+of the paper's single/double-feature relationship graph.
 """
 
 from __future__ import annotations
@@ -64,12 +64,6 @@ class KnowledgeSpectrum:
         return self.values[SUBSETS.index(subset)]
 
 
-@dataclass(frozen=True)
-class RelationshipGraph:
-    nodes: dict  # group -> K({group})
-    edges: dict  # pair string (canonical order) -> K(pair)
-
-
 def group_weights(importances) -> GroupWeights:
     """Sum the importances (one per member) over the fixed partition
     GROUP_MEMBER_INDEX and normalize to unit total; all 0 when none is > 0."""
@@ -91,13 +85,6 @@ def spectrum(w: GroupWeights) -> KnowledgeSpectrum:
         raise DegenerateWeightsError("no learnable knowledge at this position")
     values = tuple(float(sum(w[g] for g in s)) for s in SUBSETS)
     return KnowledgeSpectrum(values=values)
-
-
-def build_graph(w: GroupWeights) -> RelationshipGraph:
-    sp = spectrum(w)
-    nodes = {g: sp.value(g) for g in GROUPS}
-    edges = {s: sp.value(s) for s in SUBSETS if len(s) == 2}
-    return RelationshipGraph(nodes=nodes, edges=edges)
 
 
 def knowledge_delta(a: KnowledgeSpectrum, b: KnowledgeSpectrum) -> float:

@@ -40,7 +40,8 @@ class TestExtractFeatures:
         scene = Scene(tx=(0, 0, 10), frequency_hz=1e9)
         rx = np.array([30.0, 0.0, 10.0])
         f = dict(zip(FEATURE_NAMES, extract_features(scene, rx)))
-        sentinel = scene.bounds_diagonal()
+        lo, hi = scene.bounds()
+        sentinel = np.linalg.norm(hi - lo)
         assert (f["L_cx"], f["L_cy"], f["L_cz"]) == (0.0, 0.0, 0.0)
         assert (f["L_rx"], f["L_ry"], f["L_rz"]) == pytest.approx((30, 0, 10))
         assert f["V_total"] == f["V_maxh"] == f["V_area"] == 0.0
@@ -64,7 +65,8 @@ class TestExtractFeatures:
         assert f["D_txs"] == pytest.approx(10.0)
         assert f["D_srx"] == pytest.approx(10.0)
         # no path at all: sentinel fills the path-length slot
-        assert f["D_pathlen"] == pytest.approx(scene.bounds_diagonal())
+        lo, hi = scene.bounds()
+        assert f["D_pathlen"] == pytest.approx(np.linalg.norm(hi - lo))
 
     def test_canonical_first_position_recomputed(self):
         """Independent arithmetic re-derivation from the known scene layout."""

@@ -13,8 +13,11 @@ linter is a dependency.
 - The CLI restates no library default: `cli.py` holds no
   `<x> if <y> is not None else <literal>`; an unset option is left out
   of the call so that the library's own default applies.
-- Every private top-level function and every private method is named
-  somewhere in the package's code, so no dead helper is left behind.
+- Every top-level function and class, and every method and property, is
+  named somewhere in the package's code outside its own def, so no dead
+  helper is left behind.  A public name may instead be read by the
+  acceptance tests, the benchmark, README's "Library entry points" or
+  the console script; `UNREAD_ALLOWED` names the one exception.
 - Importing the CLI does not import scipy, which only stream alignment
   needs and which costs every CLI call about half a second.
 - Knowledge is derived in one place: only `FitCache.importance` runs
@@ -28,12 +31,14 @@ linter is a dependency.
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "rekpool"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "rekpool"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -177,33 +182,81 @@ def test_default_scanner_finds_literals():
     assert restated_defaults(source) == [1, 2, 5]
 
 
-def unreferenced_private_functions(sources: dict) -> list:
-    """(module, name) of each private top-level function and private method
-    in `sources` ({module: source}) that no module's code names."""
-    def private(name):
-        return name.startswith("_") and not name.endswith("__")
+#: A public name that only unit tests read, and why it stays.
+UNREAD_ALLOWED = {("pool.py", "Knowledge.derived"): "tests observe laziness through it"}
 
-    def functions(body):
-        return [n.name for n in body
-                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and private(n.name)]
-    defined, named = [], set()
+
+def unreferenced_functions(sources: dict, readers=frozenset()) -> list:
+    """(module, name) of each top-level function and class, and of each
+    method and property, in `sources` ({module: source}) that no module's
+    code names outside its own def.  A method is written `Class.method`;
+    dunder methods, which Python calls itself, are skipped.  A public name
+    also counts as read when it is in `readers`."""
+    defined, uses = [], {}   # uses: name -> [(module, scope) of each use]
     for module, source in sources.items():
         tree = ast.parse(source)
-        defined += [(module, f) for f in functions(tree.body)]
-        for cls in tree.body:
-            if isinstance(cls, ast.ClassDef):
-                defined += [(module, f) for f in functions(cls.body)]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
-    return sorted(d for d in defined if d[1] not in named)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(module, f"{node.name}.{m.name}") for m in node.body
+                            if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node, scope in scoped_nodes(source):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name is not None:
+                uses.setdefault(name, []).append((module, scope or ""))
+
+    def read(module, qualified):
+        name = qualified.rsplit(".", 1)[-1]
+        own = qualified + "."
+        return (name.startswith("__") and name.endswith("__")
+                or any(m != module or not (scope + ".").startswith(own)
+                       for m, scope in uses.get(name, ()))
+                or not name.startswith("_") and name in readers)
+    return sorted(d for d in defined if not read(*d))
 
 
-def test_no_dead_private_functions():
+def named_in(source: str, strings: bool = False) -> set:
+    """Every name that `source` uses or imports; with `strings`, also every
+    word of its string constants."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(re.findall(r"\w+", node.value))
+    return names
+
+
+def readme_entry_points() -> str:
+    """The code of README's "Library entry points" block."""
+    readme = (ROOT / "README.md").read_text()
+    return re.search(r"## Library entry points\n\n```python\n(.*?)```", readme, re.S).group(1)
+
+
+def public_readers() -> set:
+    """The names that a user or the benchmark reads: those of the
+    acceptance tests, of every `perfbench` module (whose tracer tables
+    name functions in strings), of README's "Library entry points" block
+    and of the console script."""
+    names = named_in((ROOT / "tests" / "test_acceptance.py").read_text())
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        names |= named_in(path.read_text(), strings=True)
+    names |= named_in(readme_entry_points())
+    return names | set(re.findall(r'"rekpool\.\w+:(\w+)"', (ROOT / "pyproject.toml").read_text()))
+
+
+def test_no_dead_functions():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    assert unreferenced_private_functions(sources) == []
+    assert unreferenced_functions(sources, public_readers()) == sorted(UNREAD_ALLOWED)
+
+
+def test_readme_entry_points_import():
+    exec(readme_entry_points(), {})
 
 
 def test_dead_function_scanner_finds_unused_helpers():
@@ -211,8 +264,25 @@ def test_dead_function_scanner_finds_unused_helpers():
          "class C:\n    def _method(self):\n        return _used()\n"
          "    def _dead_method(self):\n        pass\n    def __init__(self):\n        pass\n")
     b = "import a\na.C()._method()\n"
-    assert unreferenced_private_functions({"a.py": a, "b.py": b}) == [
-        ("a.py", "_dead"), ("a.py", "_dead_method")]
+    assert unreferenced_functions({"a.py": a, "b.py": b}) == [
+        ("a.py", "C._dead_method"), ("a.py", "_dead")]
+
+
+def test_dead_function_scanner_finds_unread_public_names():
+    a = ("def used():\n    return helper()\n"
+         "def helper():\n    return 1\n"
+         "def recursive(n):\n    return recursive(n - 1)\n"
+         "def documented():\n    pass\n"
+         "def _documented():\n    pass\n"
+         "class Api:\n"
+         "    def method(self):\n        return Api()\n"
+         "    @property\n    def prop(self):\n        return self.prop\n"
+         "    def __repr__(self):\n        return ''\n"
+         "class Unread:\n    pass\n")
+    b = "import a\nx = a.used(), a.Api().method()\n"
+    assert unreferenced_functions({"a.py": a, "b.py": b}, {"documented", "_documented"}) == [
+        ("a.py", "Api.prop"), ("a.py", "Unread"), ("a.py", "_documented"),
+        ("a.py", "recursive")]
 
 
 def test_cli_import_leaves_scipy_out():

@@ -85,6 +85,27 @@ class TestSimilarity:
             assert 0.0 <= s <= 1.0
             assert s == pytest.approx(similarity(b, a), abs=1e-12)
 
+    @pytest.mark.parametrize("fa, fb", [(1e-300, 1e300), (5e-324, 1.0), (1.0, 1.7e308),
+                                        (28e9, 28e9)])
+    def test_extreme_frequencies_exactly_symmetric(self, fa, fb):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            a = ctx(fp=int(rng.integers(0, 2)), rx=rng.uniform(-30, 30, 3), f=fa)
+            b = ctx(fp=int(rng.integers(0, 2)), rx=rng.uniform(-30, 30, 3), f=fb,
+                    los=bool(rng.integers(0, 2)))
+            s = similarity(a, b)
+            assert 0.0 <= s <= 1.0
+            assert s == similarity(b, a)
+
+    def test_frequency_term_equals_log_ratio_form(self):
+        # scene, RX and LOS terms all 0: the similarity is the frequency term
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            fa, fb = 10.0 ** rng.uniform(6, 12, 2)
+            s = similarity(ctx(fp=1, f=fa), ctx(fp=2, rx=(1e6, 0, 0), los=False, f=fb))
+            assert s == pytest.approx(0.1 * math.exp(-abs(math.log(fa / fb))), abs=1e-15)
+        assert similarity(ctx(fp=1), ctx(fp=2, rx=(1e6, 0, 0), los=False)) == 0.1
+
 
 class TestQuery:
     def test_empty_pool(self):
@@ -173,7 +194,7 @@ class TestIngest:
         combined = dataclasses.replace(entry.model, trees=entry.model.trees + source.trees)
         imp = permutation_importance(combined, X2, y2, seed=SMALL_PARAMS.seed)
         assert entry.weights == group_weights(imp)
-        assert entry.spectrum == spectrum(entry.weights)
+        assert entry.weights.spectrum == spectrum(entry.weights)
         fresh_only = permutation_importance(entry.model, X2, y2, seed=SMALL_PARAMS.seed)
         assert entry.weights != group_weights(fresh_only)
 
@@ -288,7 +309,7 @@ class TestKnowledgeMemo:
                                        *design_matrices(by_pos[k.position_id]))
             assert outcome is Outcome.GENERATED_NEW
             assert k.weights == pool.entries[eid].weights
-            assert k.spectrum == pool.entries[eid].spectrum
+            assert k.spectrum == pool.entries[eid].weights.spectrum
 
 
 class TestIngestRows:
@@ -763,7 +784,8 @@ class PoolMachine(RuleBasedStateMachine):
     @rule()
     def save_and_load(self):
         def derived(pool):
-            return {eid: (e.spectrum, e.weights.degenerate) for eid, e in pool.entries.items()}
+            return {eid: (e.weights.spectrum, e.weights.degenerate)
+                    for eid, e in pool.entries.items()}
         before = derived(self.pool)
         path = os.path.join(self.dir.name, "pool.json")
         save_pool(path, self.pool)

@@ -6,9 +6,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from rekpool import geometry, propagation
 from rekpool.geometry import (EPS_EXACT, Scatterer, Scene, canonical_street_scene,
-                              mirror_point, segment_blocked)
+                              segment_blocked)
 from rekpool.propagation import (OUTAGE_CAP_DB, SPEED_OF_LIGHT, fspl_db, path_loss,
                                  trace, trace_paths)
+
+from test_geometry import mirror_point
 
 
 def one_wall_scene():

@@ -4,8 +4,8 @@ from hypothesis import given, strategies as st
 
 from rekpool.features import GROUP_MEMBER_INDEX
 from rekpool.spectrum import (SUBSETS, DegenerateWeightsError, GroupWeights,
-                              KnowledgeSpectrum, build_graph, group_weights,
-                              knowledge_delta, spectrum)
+                              KnowledgeSpectrum, group_weights, knowledge_delta,
+                              spectrum)
 
 
 def weights_from(vals):
@@ -82,14 +82,6 @@ class TestSpectrum:
                     assert by_set[a] <= by_set[b] + 1e-12
         assert by_set["LVBD"] == pytest.approx(1.0, abs=1e-9)
         assert all(-1e-12 <= v <= 1.0 + 1e-12 for v in by_set.values())
-
-
-class TestGraph:
-    def test_nodes_and_edges(self):
-        g = build_graph(weights_from([0.4, 0.3, 0.2, 0.1]))
-        assert set(g.nodes) == {"L", "V", "B", "D"}
-        assert set(g.edges) == {"LV", "LB", "LD", "VB", "VD", "BD"}
-        assert g.edges["LV"] == pytest.approx(g.nodes["L"] + g.nodes["V"])
 
 
 class TestKnowledgeDelta:
