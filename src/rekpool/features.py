@@ -26,7 +26,8 @@ import numpy as np
 from .geometry import Scene, as_int, as_vec3, atomic_write_text, csv_text, row_norms
 # perfbench's tracer tests expect segment_blocked in this module's namespace
 from .geometry import segment_blocked  # noqa: F401
-from .propagation import InsideScatterer, Trace, _validate_rx, trace, trace_all
+from .propagation import (RX_FAULTS, RX_FREE, RX_INSIDE, Trace, _rx_faults, _validate_rx,
+                          trace, trace_all)
 
 FEATURE_NAMES = (
     "L_cx", "L_cy", "L_cz", "L_rx", "L_ry", "L_rz",
@@ -59,6 +60,7 @@ def trace_features(tr: Trace) -> np.ndarray:
     return feature_rows([tr])[0]
 
 
+@np.errstate(over="ignore")  # a distance too long for a float is inf, which `realize` rejects
 def feature_rows(traces) -> np.ndarray:
     """(R, 16) feature rows of R traces, in FEATURE_NAMES order, computed
     over all R at once.  The traces' scenes are realizations of one scene
@@ -146,16 +148,54 @@ class DatasetRow:
     timestamp: float
 
 
+#: Candidates drawn for one jittered receiver before `realize` gives up.
+RX_DRAWS = 100
+
+
+def _jittered_receivers(scenes, rx, rngs, sigma: float, position_id: int) -> np.ndarray:
+    """(R, 3): the receiver of each realization scenes[r], the first candidate
+    rx + N(0, sigma^2) drawn from rngs[r] that `_validate_rx` accepts, at
+    most RX_DRAWS draws; one inside a box is drawn again.
+
+    Round by round, every realization still unplaced draws one candidate
+    from its own stream, and the round is tested in one array pass, so each
+    stream draws what placing the realizations one by one draws.  Raises
+    what that would raise first: the error of the lowest failing realization.
+    """
+    placed = np.empty((len(scenes), 3))
+    bounds = np.array([s.bounds() for s in scenes]).reshape(-1, 2, 3)
+    box_lo = np.array([s.box_lo for s in scenes])
+    box_hi = np.array([s.box_hi for s in scenes])
+    todo, errors = np.arange(len(scenes)), {}
+    for _draw in range(RX_DRAWS):
+        if not len(todo):
+            break
+        candidates = np.array([rx + rngs[r].normal(0.0, sigma, 3) for r in todo.tolist()])
+        fault = _rx_faults(scenes[0].tx, bounds[todo, 0], bounds[todo, 1], box_lo[todo],
+                           box_hi[todo], candidates)
+        placed[todo[fault == RX_FREE]] = candidates[fault == RX_FREE]
+        errors.update((r, ValueError(RX_FAULTS[f]))
+                      for r, f in zip(todo.tolist(), fault.tolist()) if f in RX_FAULTS)
+        todo = todo[fault == RX_INSIDE]
+    for r in todo.tolist():
+        errors[r] = ValueError(
+            f"could not place jittered RX outside scatterers at position {position_id}")
+    if errors:
+        raise errors[min(errors)]
+    return placed
+
+
 def realize(scene: Scene, rx, cfg: RealizationConfig, position_id: int = 0,
             timestamp: float = 0.0) -> list:
     """Per-position Monte Carlo realizations of the perturbed environment.
 
     Realization 0 is always the unperturbed scene.  Each realization's
     random stream is derived from (seed, position_id, i) so any subset
-    is reproducible independently of execution order.  The draws are made
-    one realization at a time; then all realizations are traced, and
-    their features computed, in one pass.  An invalid realization raises
-    what tracing realizations one by one would raise first.
+    is reproducible independently of execution order.  Each stream draws
+    its box centers, then its receiver (`_jittered_receivers`); then all
+    realizations are traced, and their features computed, in one pass.  An
+    invalid realization raises what tracing realizations one by one would
+    raise first, and so does one whose features or path loss are not finite.
     """
     rx = _validate_rx(scene, rx)
     rngs = [np.random.default_rng(np.random.SeedSequence(
@@ -164,28 +204,20 @@ def realize(scene: Scene, rx, cfg: RealizationConfig, position_id: int = 0,
     scenes, error = scene.realizations([
         scene.box_center + rng.normal(0.0, cfg.scatterer_jitter_sigma, scene.box_center.shape)
         for rng in rngs])
-    rxs = [rx]
-    for sc, rng in zip(scenes, rngs):
-        # each candidate is tested once; one inside a box is drawn again
-        for _attempt in range(100):
-            try:
-                rxs.append(_validate_rx(sc, rx + rng.normal(0.0, cfg.rx_jitter_sigma, 3)))
-                break
-            except InsideScatterer:
-                pass
-        else:
-            raise ValueError(
-                f"could not place jittered RX outside scatterers at position {position_id}")
+    rxs = _jittered_receivers(scenes, rx, rngs, cfg.rx_jitter_sigma, position_id)
     if error is not None:
         raise error
-    traces = trace_all([scene, *scenes], rxs)
-    rows = []
-    for i, (tr, features) in enumerate(zip(traces, feature_rows(traces))):
-        sample = tr.sample(position_id=position_id)
-        rows.append(DatasetRow(position_id=position_id, realization_id=i, features=features,
-                               path_loss_db=sample.path_loss_db, los=sample.los,
-                               timestamp=timestamp))
-    return rows
+    traces = trace_all([scene, *scenes], [rx, *rxs])
+    features = feature_rows(traces)
+    samples = [tr.sample(position_id=position_id) for tr in traces]
+    finite = np.isfinite(features).all(axis=1) & np.isfinite([s.path_loss_db for s in samples])
+    if not finite.all():
+        raise ValueError(f"realization {int(np.argmin(finite))} at position {position_id} has "
+                         "non-finite features or path loss: its boxes lie too far apart "
+                         "for float distances")
+    return [DatasetRow(position_id=position_id, realization_id=i, features=f,
+                       path_loss_db=sample.path_loss_db, los=sample.los, timestamp=timestamp)
+            for i, (sample, f) in enumerate(zip(samples, features))]
 
 
 # ---------------------------------------------------------------------------

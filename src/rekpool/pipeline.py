@@ -5,9 +5,10 @@ out evaluation rebuilds a pool per held-out position from the remaining
 positions' realizations.  A pool entry derives its knowledge on first
 read (see `pool.KnowledgeEntry`), so a rebuilt pool fits only the entry
 it serves and that entry's transfer source; the rebuilt pools share one
-memo (`FitCache`), so a position's forest is fit, and an importance run
-over the same trees made, at most once.  A loaded pool's memo already
-holds each stored forest, so those rows are not fit again.
+memo (`FitCache`), so a position's forest is fit, and its knowledge
+derived from the same rows and transfer source, at most once.  A loaded
+pool's memo already holds each stored forest and each stored derivation,
+so neither is made again.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from . import forest as rf
 from .features import RealizationConfig, realize
 from .geometry import Scene, Trajectory, csv_text
-from .pool import FitCache, Pool, derive_knowledge
+from .pool import FitCache, Pool
 from .predict import (Prediction, fit_logdistance, predict_knn, serve,
                       trajectory_contexts, evaluate, DEFAULT_KNN_K, DEFAULT_TAU)
 from .propagation import trace
@@ -73,7 +74,7 @@ def learn_positions(scene: Scene, trajectory: Trajectory, rows,
     for pid in sorted(by_pos):
         X, y = design_matrices(by_pos[pid])
         los = by_pos[pid][0].los  # realization 0 is unperturbed
-        _, weights = derive_knowledge(cache, X, y, params)
+        _, weights = cache.importance(X, y, params)
         out.append(PositionKnowledge(position_id=pid, los=los, weights=weights))
     return out
 
@@ -117,8 +118,9 @@ def loo_evaluate(scene: Scene, trajectory: Trajectory, rows,
     remaining positions' realizations; the held-out position's data never
     enters that pool.  One trace per position serves every round.  The
     pools share `cache`, by default the template's memo, which loading
-    seeds with the stored forests, so a loaded pool's forests are not fit
-    again.  Returns (predictions, reports-by-method).
+    seeds with the stored forests and derivations, so a round derives only
+    what the loaded file does not hold.  Returns (predictions,
+    reports-by-method).
     """
     cache = cache or pool_template.cache
     traces = trace_trajectory(scene, trajectory)

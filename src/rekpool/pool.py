@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -26,7 +27,17 @@ from .features import FEATURE_NAMES
 from .geometry import as_int, as_vec3, atomic_write_text, json_field, load_json
 from .spectrum import SUM_TOL, GroupWeights, group_weights
 
-POOL_FORMAT_VERSION = 6
+# CPython's own sha256 module: `hashlib` would also load OpenSSL, which adds
+# about 3.5 MiB of resident memory to every process that imports the pool
+try:
+    from _sha256 import sha256
+except ImportError:  # CPython 3.12 on
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
+
+POOL_FORMAT_VERSION = 7
 
 FNV64_OFFSET = 0xCBF29CE484222325
 FNV64_PRIME = 0x100000001B3
@@ -105,50 +116,72 @@ def similarity(a: Context, b: Context) -> float:
     return s
 
 
-class FitCache:
-    """Memoizes forest fits and permutation-importance runs by content.
+def rows_sha256(X, y) -> str:
+    """sha256 hex digest of the rows (X, y): each array's shape, then its
+    C-order float64 bytes, so rows built at ingest and the same rows read
+    from a pool file give the same digest."""
+    h = sha256()
+    for a in (X, y):
+        a = np.ascontiguousarray(a, dtype=np.float64)
+        h.update(repr(a.shape).encode())
+        h.update(a)
+    return h.hexdigest()
 
-    A memo may hand one model to two entries fit on the same rows, so a
-    model is never changed in place."""
+
+class FitCache:
+    """Memoizes forest fits and knowledge derivations by content.
+
+    Forests are keyed by (rows digest, params) and derivations by (rows
+    digest, source rows digest or None, params), all digests of
+    `rows_sha256`, so the memo keeps no copy of the rows it has seen.  A
+    memo may hand one model to two entries fit on the same rows, so a model
+    is never changed in place."""
 
     def __init__(self):
         self._fits = {}
-        self._imps = {}
+        self._derived = {}
 
     def fit(self, X, y, params):
-        key = (X.tobytes(), y.tobytes(), params)
+        key = (rows_sha256(X, y), params)
         if key not in self._fits:
             self._fits[key] = rf.fit(X, y, params, feature_names=FEATURE_NAMES)
         return self._fits[key]
 
-    def add(self, X, y, model):
-        """Record `model` as the fit of (X, y) under its own params: what a
-        pool file stores for each entry."""
-        self._fits[(X.tobytes(), y.tobytes(), model.params)] = model
+    def importance(self, X, y, params, source=None):
+        """(model, weights): `derive_knowledge` of these rows, transfer source
+        rows and params, made on the key's first lookup only; so each key
+        costs at most one permutation-importance run, which names the
+        method (perfbench's tracer counts its lookups and hits by it)."""
+        key = (rows_sha256(X, y), None if source is None else rows_sha256(*source), params)
+        if key not in self._derived:
+            self._derived[key] = derive_knowledge(self, X, y, params, source)
+        return self._derived[key]
 
-    def importance(self, model, X, y, seed=0):
-        t = model.trees
-        key = (t.feature.tobytes(), t.threshold.tobytes(), t.value.tobytes(),
-               X.tobytes(), y.tobytes(), seed)
-        if key not in self._imps:
-            self._imps[key] = rf.permutation_importance(model, X, y, seed=seed)
-        return self._imps[key]
+    def add(self, X, y, model, weights, source_sha256):
+        """Record `model` as the fit of (X, y) under its own params, and
+        (model, weights) as their derivation with the source rows of digest
+        `source_sha256`: what a pool file stores for each entry."""
+        digest = rows_sha256(X, y)
+        self._fits[(digest, model.params)] = model
+        self._derived[(digest, source_sha256, model.params)] = (model, weights)
 
 
 def derive_knowledge(cache: FitCache, X, y, params: rf.ForestParams, source=None):
-    """(model, weights): the forest fit on (X, y) and the group weights of its
-    permutation importances, both through `cache`; on a transfer the importances
+    """(model, weights): the forest fit on (X, y) through `cache` and the group
+    weights of its permutation importances; on a transfer the importances
     are taken over the fresh trees followed by the trees fit on `source`, the
-    source entry's (train_X, train_y) as they were at ingest time."""
+    source entry's (train_X, train_y) as they were at ingest time.  The miss
+    path of `FitCache.importance`, which memoizes it."""
     model = cache.fit(X, y, params)
     basis = model if source is None else replace(
         model, trees=model.trees + cache.fit(*source, params).trees)
-    return model, group_weights(cache.importance(basis, X, y, seed=params.seed))
+    return model, group_weights(rf.permutation_importance(basis, X, y, seed=params.seed))
 
 
 class Knowledge:
     """One entry's model and weights, derived together on the first read of
-    either, through `derive_knowledge` and the pool's memo.
+    either, through the pool's memo (`FitCache.importance`), with the digest
+    of the transfer source's rows that keys that derivation.
 
     Until then the cell holds only what that derivation needs: the memo,
     the rows, the forest parameters and, on a transfer, the source entry's
@@ -161,10 +194,11 @@ class Knowledge:
         self._value = None
 
     @classmethod
-    def of(cls, model: rf.RandomForestModel, weights: GroupWeights) -> Knowledge:
+    def of(cls, model: rf.RandomForestModel, weights: GroupWeights,
+           source_sha256: str | None) -> Knowledge:
         """A cell derived already, as a pool file holds it."""
         cell = cls.__new__(cls)
-        cell._pending, cell._value = None, (model, weights)
+        cell._pending, cell._value = None, (model, weights, source_sha256)
         return cell
 
     @property
@@ -172,9 +206,12 @@ class Knowledge:
         return self._value is not None
 
     def get(self):
-        """(model, weights), derived now if they were not."""
+        """(model, weights, source rows digest or None), derived now if they
+        were not."""
         if self._value is None:
-            self._value = derive_knowledge(*self._pending)
+            cache, X, y, params, source = self._pending
+            self._value = (*cache.importance(X, y, params, source),
+                           None if source is None else rows_sha256(*source))
             self._pending = None
         return self._value
 
@@ -189,10 +226,11 @@ class KnowledgeEntry:
     derived them over its own trees plus the source entry's trees, as
     the source was when this entry was ingested.  The source trees are
     used only for that derivation and are never stored, so transfer
-    never biases the predictive path toward the source's position.  The
-    knowledge spectrum is not stored: it is `weights.spectrum`.
+    never biases the predictive path toward the source's position; only
+    the digest of the source's rows is, as `source_sha256`.  The knowledge
+    spectrum is not stored: it is `weights.spectrum`.
 
-    Both are read-only views of one `Knowledge` cell, derived on the
+    All three are read-only views of one `Knowledge` cell, derived on the
     first read: when the entry is served, saved or shown.  The forest of
     its rows is also fit, through the memo, when an entry transferred
     from it is read.  Routing and eviction read only the context, the utilization
@@ -217,6 +255,13 @@ class KnowledgeEntry:
     def weights(self) -> GroupWeights:
         return self.knowledge.get()[1]
 
+    @property
+    def source_sha256(self) -> str | None:
+        """`rows_sha256` of the transfer source's rows as ingested, or None:
+        with the entry's rows and the forest parameters, the key of its
+        derivation."""
+        return self.knowledge.get()[2]
+
 
 def _time(value, name: str) -> float:
     """`value` as a logical time, which must be finite so that a pool file
@@ -234,9 +279,10 @@ class Pool:
     forest_params: rf.ForestParams = field(default_factory=rf.ForestParams)
     entries: dict = field(default_factory=dict)  # entry_id -> KnowledgeEntry
     next_entry_id: int = 1
-    #: memo of the pool's fits and importance runs for as long as it lives;
+    #: memo of the pool's fits and derivations for as long as it lives;
     #: `dataclasses.replace` shares it, and it is never persisted, but
-    #: loading seeds it with each stored forest as the fit of its rows
+    #: loading seeds it with each stored forest as the fit of its rows and
+    #: each stored (model, weights) as the derivation its entry's key names
     cache: FitCache = field(default_factory=FitCache, repr=False, compare=False)
 
     def __post_init__(self):
@@ -370,6 +416,16 @@ def _weights_from_dict(d: dict) -> GroupWeights:
     return GroupWeights(*values)
 
 
+def _sha256_from_dict(d: dict, key: str) -> str | None:
+    """d[key]: null, or a digest as `rows_sha256` writes it."""
+    if d[key] is None:
+        return None
+    value = json_field(d, key, str)
+    if not re.fullmatch("[0-9a-f]{64}", value):
+        raise ValueError(f"{key} must be 64 lowercase hex digits or null, not {value!r}")
+    return value
+
+
 def pool_to_dict(pool: Pool) -> dict:
     entries = []
     for eid in sorted(pool.entries):
@@ -378,6 +434,7 @@ def pool_to_dict(pool: Pool) -> dict:
             "entry_id": e.entry_id,
             "context": _context_to_dict(e.context),
             "weights": _weights_to_dict(e.weights),
+            "source_sha256": e.source_sha256,
             "model": e.model.to_dict(),
             "train_X": e.train_X.tolist(),
             "train_y": e.train_y.tolist(),
@@ -412,13 +469,14 @@ def pool_from_dict(doc: dict) -> Pool:
             train_X, train_y = rf.check_rows(
                 json_field(ed, "train_X", np.ndarray), json_field(ed, "train_y", np.ndarray),
                 pool.forest_params, len(FEATURE_NAMES))
+            model = rf.RandomForestModel.from_dict(ed["model"], pool.forest_params,
+                                                   FEATURE_NAMES)
+            weights = _weights_from_dict(ed["weights"])
+            source_sha256 = _sha256_from_dict(ed, "source_sha256")
             entry = KnowledgeEntry(
                 entry_id=json_field(ed, "entry_id", int),
                 context=_context_from_dict(ed["context"]),
-                knowledge=Knowledge.of(
-                    rf.RandomForestModel.from_dict(ed["model"], pool.forest_params,
-                                                   FEATURE_NAMES),
-                    _weights_from_dict(ed["weights"])),
+                knowledge=Knowledge.of(model, weights, source_sha256),
                 train_X=train_X, train_y=train_y,
                 created_at=_time(json_field(ed, "created_at", float), "created_at"),
                 updated_at=_time(json_field(ed, "updated_at", float), "updated_at"),
@@ -428,9 +486,11 @@ def pool_from_dict(doc: dict) -> Pool:
             if entry.entry_id in pool.entries:
                 raise ValueError(f"entry_id {entry.entry_id} is stored twice")
             pool.entries[entry.entry_id] = entry
-            # the stored forest is the fit of the stored rows, as this program
-            # writes every pool, so a transfer from this entry fits nothing
-            pool.cache.add(train_X, train_y, entry.model)
+            # the stored forest is the fit of the stored rows, and the stored
+            # weights their derivation with the source rows of the stored
+            # digest, as this program writes every pool: so a transfer from
+            # this entry fits nothing, and the same derivation runs nothing
+            pool.cache.add(train_X, train_y, model, weights, source_sha256)
         if len(pool.entries) > pool.capacity:
             raise ValueError(f"{len(pool.entries)} entries exceed capacity {pool.capacity}")
         if pool.entries and pool.next_entry_id <= max(pool.entries):

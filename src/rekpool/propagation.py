@@ -88,17 +88,41 @@ class InsideScatterer(ValueError):
     """The receiver lies inside a scatterer."""
 
 
+#: `_rx_faults` codes, in the order `_validate_rx` tests them.
+RX_FREE, RX_INSIDE, RX_NOT_FINITE, RX_OUTSIDE, RX_AT_TX = range(5)
+
+#: The ValueError message of each fault but a box holding the receiver.
+RX_FAULTS = {RX_NOT_FINITE: "vector components must be finite",
+             RX_OUTSIDE: "rx outside scene bounds", RX_AT_TX: "rx must differ from the TX"}
+
+
+@np.errstate(over="ignore")  # a square that overflows is not 0, which is all the TX test asks
+def _rx_faults(tx, bound_lo, bound_hi, box_lo, box_hi, rx) -> np.ndarray:
+    """The first fault of each receiver rx[r] (R, 3) in realization r, whose
+    padded bounds are bound_lo[r], bound_hi[r] (3,) and box corners
+    box_lo[r], box_hi[r] (S, 3), tested for every r in one array pass:
+    RX_FREE, or the code of what `_validate_rx` raises for it.  A box holds
+    a receiver as in `Scene.ids_containing`: closed, padded by EPS_EXACT."""
+    d = rx - tx
+    inside = ((rx[:, None] >= box_lo - EPS_EXACT) & (rx[:, None] <= box_hi + EPS_EXACT))
+    return np.select([~np.isfinite(rx).all(axis=1),
+                      ((rx < bound_lo) | (rx > bound_hi)).any(axis=1),
+                      inside.all(axis=2).any(axis=1),
+                      # the squared norm is 0 also where the norm underflows
+                      (d * d == 0.0).all(axis=1)],
+                     [RX_NOT_FINITE, RX_OUTSIDE, RX_INSIDE, RX_AT_TX], RX_FREE)
+
+
 def _validate_rx(scene: Scene, rx):
+    """rx as a finite (3,) array, if it lies in the scene's bounds, outside
+    every box and away from the TX: `_rx_faults` of one receiver."""
     rx = as_vec3(rx)
-    lo, hi = scene.bounds()
-    if np.any(rx < lo) or np.any(rx > hi):
-        raise ValueError("rx outside scene bounds")
-    inside = scene.ids_containing(rx)
-    if inside:
-        raise InsideScatterer(f"rx lies inside scatterer {inside[0]}")
-    d = rx - scene.tx
-    if d @ d == 0.0:  # the squared norm: zero also where the norm underflows
-        raise ValueError("rx must differ from the TX")
+    fault = _rx_faults(scene.tx, *scene.bounds(), scene.box_lo[None], scene.box_hi[None],
+                       rx[None])[0]
+    if fault == RX_INSIDE:
+        raise InsideScatterer(f"rx lies inside scatterer {scene.ids_containing(rx)[0]}")
+    if fault != RX_FREE:
+        raise ValueError(RX_FAULTS[fault])
     return rx
 
 

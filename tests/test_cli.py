@@ -90,6 +90,17 @@ class TestSimulate:
         assert len(err) == 1 and err[0].startswith("error: ") and name in err[0]
         assert not (tmp_path / "dataset.csv").exists()
 
+    def test_huge_jitter_exit_1(self, workdir, tmp_path, capsys):
+        """A valid sigma that puts boxes too far apart for a float distance: one
+        error line, and no overflow warning (pytest turns one into an error)."""
+        assert run("--seed", "3", "--out-dir", str(tmp_path), "simulate",
+                   "--scene", str(workdir / "scene.json"), "--n-realizations", "4",
+                   "--scatterer-jitter", "1e155") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: realization 1 at position 1 has non-finite")
+        assert not (tmp_path / "dataset.csv").exists()
+
 
 class TestLearn:
     def test_spectrum_shape(self, workdir):
@@ -212,7 +223,7 @@ class TestGolden:
     DIGESTS = {
         "dataset.csv": "49d02848761a1c0a98b1b6f60d629d06062107919b608df454286f5fa28b31f7",
         "spectrum.csv": "8336fc9291975b642169db2dbbd2f2f57bdba60fee40976665c8b101ccf087bb",
-        "pool.json": "53c863c3011dcb7b7048701b33d7df7f14feeb6f73477e948af262b03da7aadd",
+        "pool.json": "53fada48f5d2b1c978de0c81ace04b837552ef9b337238ab5305f64b46b2c469",
         "summary.csv": "7de504d0b3727837665a81429820b0ac143df3ffd8ce8eb9f0c0325caa01b039",
     }
 
@@ -333,6 +344,32 @@ class TestMalformedInput:
         self.assert_one_error_line(capsys, ["pool", "merge", str(workdir / "pool.json"),
                                             "--into", str(path)])
         assert json.loads(path.read_text()) == doc
+
+    @pytest.mark.parametrize("value", [5, True, ["0" * 64], "A" * 64, "a" * 63, "a" * 65,
+                                       "g" * 64, " " + "a" * 63, "format 6"],
+                             ids=["int", "bool", "list", "upper", "63 digits", "65 digits",
+                                  "not hex", "space", "format 6"])
+    def test_source_sha256(self, workdir, tmp_path, capsys, value):
+        """An entry's source digest is null or 64 lowercase hex digits, and a
+        format-6 file, which stores none, is refused by its version."""
+        doc = json.loads((workdir / "pool.json").read_text())
+        if value == "format 6":
+            doc["version"] = 6
+            for e in doc["entries"]:
+                del e["source_sha256"]
+        else:
+            doc["entries"][1]["source_sha256"] = value
+        path = tmp_path / "pool.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["pool", "show", str(path)],
+                     ["--out-dir", str(tmp_path), "predict", "--scene",
+                      str(workdir / "scene.json"), "--dataset",
+                      str(workdir / "dataset.csv"), "--pool", str(path)]):
+            assert run(*argv) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ")
+            assert ("version: 6" if value == "format 6" else "source_sha256") in err[0]
+        assert not (tmp_path / "summary.csv").exists()
 
     def test_non_finite_pool_value(self, workdir, tmp_path, capsys):
         doc = json.loads((workdir / "pool.json").read_text())

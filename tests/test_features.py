@@ -9,11 +9,12 @@ from rekpool.features import (DATASET_HEADER, FEATURE_NAMES, GROUP_MEMBER_INDEX,
                               GROUP_OF_MEMBER, GROUPS, DatasetRow, DropReport,
                               RealizationConfig, StreamRecord, align_streams,
                               dataset_to_csv, extract_features, feature_rows,
-                              load_dataset, realize, save_dataset, trace_features)
+                              _jittered_receivers, load_dataset, realize, save_dataset,
+                              trace_features)
 from rekpool import features, geometry, propagation
 from rekpool.geometry import EPS_EXACT, Scatterer, Scene, as_vec3, canonical_street_scene
 from rekpool.pipeline import simulate_trajectory
-from rekpool.propagation import trace, trace_all, trace_paths
+from rekpool.propagation import InsideScatterer, _validate_rx, trace, trace_all, trace_paths
 
 
 class TestFeatureLayout:
@@ -155,6 +156,23 @@ def scalar_realize(scene, rx, cfg, position_id=0, timestamp=0.0):
     return rows
 
 
+def sequential_receivers(scenes, rx, rngs, sigma, position_id):
+    """Reference: `_jittered_receivers` placing one realization at a time,
+    each candidate tested alone by `_validate_rx`."""
+    rxs = []
+    for sc, rng in zip(scenes, rngs):
+        for _attempt in range(100):
+            try:
+                rxs.append(_validate_rx(sc, rx + rng.normal(0.0, sigma, 3)))
+                break
+            except InsideScatterer:
+                pass
+        else:
+            raise ValueError(
+                f"could not place jittered RX outside scatterers at position {position_id}")
+    return np.array(rxs).reshape(-1, 3)
+
+
 def outcome(fn, *args, **kwargs):
     """The dataset CSV a realize function gives, or the error it raises."""
     try:
@@ -235,30 +253,140 @@ class TestRealize:
             realize(scene, (30.0, 0.0, 0.0), cfg)
 
     def test_each_receiver_tested_once(self, monkeypatch):
-        """One containment test per candidate receiver; a receiver drawn
-        inside a box is drawn again, as the reference does.  The jittered
-        scenes' TX tests run over all realizations at once, in
-        `Scene.realizations`, not through `ids_containing`."""
+        """One fault test per candidate receiver, one array pass per round of
+        draws; a receiver drawn inside a box is drawn again, as the reference
+        does.  The jittered scenes' TX tests run over all realizations at
+        once, in `Scene.realizations`, not through `_rx_faults`."""
         box = Scatterer(id=1, center=(10.0, 0.0, 1.5), dims=(2.0, 2.0, 3.0))
         scene = Scene(tx=(0.0, 0.0, 10.0), frequency_hz=28e9, scatterers=(box,))
         rx = (11.05, 0.0, 1.5)  # 5 cm from the box: many jittered receivers land inside
         cfg = RealizationConfig(n_realizations=12, scatterer_jitter_sigma=0.0, seed=2)
-        calls, inside = [], []
-        real = Scene.ids_containing
+        passes, tested, inside = [], [], []
+        real = propagation._rx_faults
 
-        def counted(self, p):
-            ids = real(self, p)
-            calls.append(np.array(p, dtype=float))
-            inside.append(bool(ids))
-            return ids
-        monkeypatch.setattr(Scene, "ids_containing", counted)
+        def counted(tx, bound_lo, bound_hi, box_lo, box_hi, rx):
+            faults = real(tx, bound_lo, bound_hi, box_lo, box_hi, rx)
+            passes.append(len(rx))
+            tested.extend(rx)
+            inside.extend((faults == propagation.RX_INSIDE).tolist())
+            return faults
+        for module in (propagation, features):
+            monkeypatch.setattr(module, "_rx_faults", counted)
         got = realize(scene, rx, cfg, position_id=3)
         redrawn = sum(inside)
         assert redrawn > 0
-        assert len(calls) == cfg.n_realizations + redrawn
-        assert not any(np.array_equal(p, scene.tx) for p in calls)
-        monkeypatch.setattr(Scene, "ids_containing", real)
+        assert len(tested) == cfg.n_realizations + redrawn
+        # the unperturbed receiver, then every jittered one at once, then the redraws
+        assert passes[:2] == [1, cfg.n_realizations - 1]
+        assert passes[2:] == sorted(passes[2:], reverse=True) and len(passes) > 2
+        assert not any(np.array_equal(p, scene.tx) for p in tested)
+        monkeypatch.undo()
         assert dataset_to_csv(got) == dataset_to_csv(scalar_realize(scene, rx, cfg, position_id=3))
+
+    class Counting:
+        """A stream that counts its receiver draws."""
+
+        def __init__(self, rng):
+            self.rng, self.draws = rng, 0
+
+        def normal(self, loc, scale, size):
+            self.draws += 1
+            return self.rng.normal(loc, scale, size)
+
+    def test_batched_placement_matches_sequential_reference(self):
+        """The same rows, the same number of draws from every stream and the
+        same first error as placing the realizations one by one.  The
+        receiver sits 5 cm off a box, so candidates are drawn again, the box
+        jitter can move the box over it, and with 30 m of jitter candidates
+        leave the scene bounds."""
+        box = Scatterer(id=1, center=(10.0, 0.0, 1.5), dims=(2.0, 2.0, 3.0))
+        wall = Scatterer(id=2, center=(11.0, 4.0, 2.0), dims=(4.0, 1.0, 4.0))
+        scene = Scene(tx=(0.0, 0.0, 10.0), frequency_hz=28e9, scatterers=(box, wall))
+        rx = np.array([11.05, 0.0, 1.5])
+        seen = set()
+        for rx_sigma in (0.05, 0.3, 3.0, 30.0):
+            for seed in range(6):
+                results = []
+                for place in (_jittered_receivers, sequential_receivers):
+                    rngs = [np.random.default_rng([seed, 5, i]) for i in range(40)]
+                    scenes, _ = scene.realizations([
+                        scene.box_center + rng.normal(0.0, 0.3, scene.box_center.shape)
+                        for rng in rngs])
+                    counted = [self.Counting(rng) for rng in rngs[:len(scenes)]]
+                    try:
+                        got = place(scenes, rx, counted, rx_sigma, 7)
+                    except ValueError as exc:
+                        results.append(str(exc))
+                    else:
+                        results.append((got.tobytes(), [c.draws for c in counted]))
+                assert results[0] == results[1]
+                seen.add(results[0] if isinstance(results[0], str)
+                         else "redrawn" if max(results[0][1]) > 1 else "placed")
+        assert seen >= {"redrawn", "rx outside scene bounds",
+                        "could not place jittered RX outside scatterers at position 7"}
+
+    class Scripted:
+        """A stream whose draws are given: each `normal` call returns the next
+        offset, whatever its scale."""
+
+        def __init__(self, offsets):
+            self.offsets = iter(offsets)
+
+        def normal(self, loc, scale, size):
+            return np.asarray(next(self.offsets), dtype=float)
+
+    @pytest.mark.parametrize("case, want", [
+        # realization 0 is drawn inside the box 100 times; 1 leaves the bounds
+        ("exhausted before outside", "could not place"),
+        # realization 0 lands on the TX after two redraws; 1 is exhausted
+        ("at TX before exhausted", "rx must differ from the TX"),
+        # realization 0 lands 1e-170 m from the TX, whose squared norm underflows
+        ("underflow at TX", "rx must differ from the TX"),
+        # realization 1 lands on the TX in the first round, 0 leaves the
+        # bounds in the second: the lower realization's error wins
+        ("outside before at TX", "rx outside scene bounds"),
+        ("not finite", "vector components must be finite"),
+        # the last realization is placed by its 100th draw
+        ("placed", None),
+    ])
+    def test_scripted_first_error(self, case, want):
+        """Every kind of fault, in either order: the lowest failing
+        realization's error is raised, as the sequential reference raises."""
+        box = Scatterer(id=1, center=(10.0, 0.0, 1.5), dims=(2.0, 2.0, 3.0))
+        scene = Scene(tx=(0.0, 0.0, 0.0), frequency_hz=28e9, scatterers=(box,))
+        rx = np.array([12.0, 0.0, 1.5])
+        into_box, free = (-2.0, 0.0, 0.0), (0.5, 0.0, 0.0)
+        at_tx, near_tx, outside = (-12.0, 0.0, -1.5), (-12.0, 1e-170, -1.5), (1e3, 0.0, 0.0)
+        scripts = {
+            "exhausted before outside": [[into_box] * 100, [outside]],
+            "at TX before exhausted": [[into_box, into_box, at_tx], [into_box] * 100],
+            "underflow at TX": [[near_tx], [free]],
+            "outside before at TX": [[into_box, outside], [at_tx]],
+            "not finite": [[(math.inf, 0.0, 0.0)], [into_box, free]],
+            "placed": [[into_box, free], [free], [into_box] * 99 + [free]],
+        }[case]
+        results = []
+        for place in (_jittered_receivers, sequential_receivers):
+            scenes, _ = scene.realizations([scene.box_center] * len(scripts))
+            rngs = [self.Scripted(s) for s in scripts]
+            try:
+                results.append(place(scenes, rx, rngs, 1.0, 4).tobytes())
+            except ValueError as exc:
+                results.append(str(exc))
+        assert results[0] == results[1]
+        assert (want is None) == isinstance(results[0], bytes)
+        if want is not None:
+            assert results[0].startswith(want)
+
+    @pytest.mark.parametrize("sigma", [1e155, 1e160, 1e300])
+    def test_huge_jitter_rejected(self, sigma):
+        """A valid but huge box jitter makes distances that overflow: the
+        realization is refused by name, with no overflow warning, rather
+        than giving rows of inf."""
+        scene, traj = canonical_street_scene()
+        cfg = RealizationConfig(n_realizations=5, scatterer_jitter_sigma=sigma, seed=1)
+        with pytest.raises(ValueError, match="^realization 1 at position 4 has non-finite"):
+            realize(scene, traj.positions[3], cfg, position_id=4)
 
     def test_unplaceable_receiver_rejected(self):
         # with no receiver jitter, a box jittered over the receiver keeps every draw inside

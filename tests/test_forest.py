@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rekpool import forest, pipeline, predict, propagation
+from rekpool import pool as pool_module
 from rekpool.features import RealizationConfig
 from rekpool.forest import (TREE_ROW_BUDGET, ForestParams, RandomForestModel, Trees, fit,
                             permutation_importance)
 from rekpool.geometry import canonical_street_scene
 from rekpool.pipeline import (FitCache, build_pool, design_matrices, loo_evaluate,
                               rows_by_position, simulate_trajectory, trace_trajectory)
-from rekpool.pool import Pool, load_pool, save_pool
+from rekpool.pool import Pool, derive_knowledge, load_pool, rows_sha256, save_pool
 from rekpool.predict import trajectory_contexts
 
 
@@ -608,20 +609,34 @@ class TestPathLocalImportance:
 
 
 class TestFitCache:
-    def test_equal_roots_different_leaves_not_shared(self):
-        X, y = linear_benchmark(n=120)
-        a = fit(X, y, ForestParams(n_trees=5, seed=4))
-        b = copy.deepcopy(a)
-        assert np.all(b.trees.feature[b.trees.roots] >= 0)
-        b.trees.value[b.trees.feature < 0] = 0.0
-        cache = FitCache()
-        imp_a = cache.importance(a, X, y, seed=1)
-        imp_b = cache.importance(b, X, y, seed=1)
-        assert np.array_equal(imp_a, permutation_importance(a, X, y, seed=1))
-        assert np.array_equal(imp_b, permutation_importance(b, X, y, seed=1))
-        assert not np.array_equal(imp_a, imp_b)
-        assert cache.importance(a, X, y, seed=1) is imp_a
+    def test_equal_rows_different_sources_not_shared(self, monkeypatch):
+        """A derivation is keyed by its rows, its transfer source's rows and the
+        forest parameters: equal rows with another source derive again."""
+        rng = np.random.default_rng(4)
+        X, A, B = (rng.uniform(-1, 1, size=(40, 16)) for _ in range(3))
+        rows = (X, 3.0 * X[:, 0]), (A, 2.0 * A[:, 1]), (B, -1.0 * B[:, 9])
+        params = ForestParams(n_trees=4, max_depth=4, min_leaf=2, seed=1)
+        runs = []
+        real = forest.permutation_importance
 
+        def counted(model, X, y, seed=0):
+            runs.append(len(model.trees))
+            return real(model, X, y, seed=seed)
+        monkeypatch.setattr(forest, "permutation_importance", counted)
+        cache = FitCache()
+        sources = (None, rows[1], rows[2])
+        derived = [cache.importance(*rows[0], params, src) for src in sources]
+        assert runs == [4, 8, 8]
+        assert all(d[0] is derived[0][0] for d in derived)  # one forest of the rows
+        weights = [d[1] for d in derived]
+        assert weights[0] != weights[1] != weights[2] != weights[0]
+        for src, w in zip(sources, weights):
+            assert w == derive_knowledge(FitCache(), *rows[0], params, src)[1]
+        runs.clear()
+        assert [cache.importance(*rows[0], params, src) for src in sources] == derived
+        assert cache.importance(*rows[0], dataclasses.replace(params, seed=2))[1] \
+            != weights[0]
+        assert runs == [4]
 
     def test_loaded_template_seeds_fits(self, tmp_path, monkeypatch):
         """A saved->loaded pool as LOO template: only the positions it does
@@ -647,6 +662,39 @@ class TestFitCache:
         keys = {pid: tuple(m.tobytes() for m in design_matrices(by_pos[pid]))
                 for pid in by_pos}
         assert sorted(fitted) == sorted(keys[pid] for pid in missing)
+        assert seeded == cold
+
+    def test_loaded_template_seeds_derivations(self, tmp_path, monkeypatch):
+        """LOO from a saved->loaded pool runs importance only for the
+        derivations the file does not hold, and predicts what a cold run does."""
+        scene, traj = canonical_street_scene()
+        rows = simulate_trajectory(scene, traj, RealizationConfig(n_realizations=10, seed=3))
+        params = ForestParams(n_trees=3, max_depth=4, min_leaf=2, seed=3)
+        contexts = trajectory_contexts(scene, traj, trace_trajectory(scene, traj))
+        save_pool(tmp_path / "pool.json", build_pool(rows, contexts, Pool(forest_params=params)))
+        template = load_pool(tmp_path / "pool.json")
+        stored = {(rows_sha256(e.train_X, e.train_y), e.source_sha256)
+                  for e in template.entries.values()}
+        derived, runs = [], []
+        real_derive, real_importance = pool_module.derive_knowledge, forest.permutation_importance
+
+        def derive(cache, X, y, params, source=None):
+            derived.append((rows_sha256(X, y), None if source is None else rows_sha256(*source)))
+            return real_derive(cache, X, y, params, source)
+
+        def importance(*args, **kwargs):
+            runs.append(1)
+            return real_importance(*args, **kwargs)
+        monkeypatch.setattr(pool_module, "derive_knowledge", derive)
+        monkeypatch.setattr(forest, "permutation_importance", importance)
+        cold, _ = loo_evaluate(scene, traj, rows, pool_template=Pool(forest_params=params))
+        needed = set(derived)
+        assert len(derived) == len(needed) == len(runs)
+        derived.clear()
+        runs.clear()
+        seeded, _ = loo_evaluate(scene, traj, rows, pool_template=template)
+        assert sorted(derived) == sorted(needed - stored)
+        assert len(runs) == len(derived) < len(needed)
         assert seeded == cold
 
     def test_unread_template_stays_unread(self):

@@ -20,9 +20,9 @@ linter is a dependency.
   the console script; `UNREAD_ALLOWED` names the one exception.
 - Importing the CLI does not import scipy, which only stream alignment
   needs and which costs every CLI call about half a second.
-- Knowledge is derived in one place: only `FitCache.importance` runs
-  `permutation_importance`, and only `pool.derive_knowledge` calls
-  `FitCache.importance` and `group_weights`.
+- Knowledge is derived in one place: only `pool.derive_knowledge` runs
+  `permutation_importance` and calls `group_weights`, and only the memo's
+  miss path, `FitCache.importance`, calls `derive_knowledge`.
 - A pool's memo and cells stay inside `pool.py`: only `pool_from_dict`
   records a forest with `FitCache.add`, and no other module touches an
   entry's `.knowledge`.
@@ -295,9 +295,9 @@ def test_cli_import_leaves_scipy_out():
 
 
 #: Each step of deriving knowledge, and the one function that may call it.
-DERIVATION_CALLERS = {"permutation_importance": "FitCache.importance",
-                      "importance": "derive_knowledge",
-                      "group_weights": "derive_knowledge"}
+DERIVATION_CALLERS = {"permutation_importance": "derive_knowledge",
+                      "group_weights": "derive_knowledge",
+                      "derive_knowledge": "FitCache.importance"}
 
 
 def scoped_nodes(source: str):
@@ -341,23 +341,23 @@ def test_knowledge_derived_in_one_place():
 
 def test_derivation_scanner_finds_planted_calls():
     source = ("class FitCache:\n"
-              "    def importance(self, m):\n"
-              "        return rf.permutation_importance(m)\n"
-              "def derive_knowledge(c):\n"
-              "    return group_weights(c.importance(1))\n"
+              "    def importance(self, X):\n"
+              "        return derive_knowledge(self, X)\n"
+              "def derive_knowledge(c, X):\n"
+              "    return group_weights(rf.permutation_importance(c.fit(X)))\n"
               "class Knowledge:\n"
               "    def get(self):\n"
               "        def again():\n"
               "            return permutation_importance(2)\n"
-              "        return group_weights(self.cache.importance(3))\n"
+              "        return group_weights(derive_knowledge(self.cache, 3))\n"
               "W = group_weights(4)\n")
     calls = derivation_calls(source)
-    assert calls[:3] == [("permutation_importance", "FitCache.importance", 3),
+    assert calls[:3] == [("derive_knowledge", "FitCache.importance", 3),
                          ("group_weights", "derive_knowledge", 5),
-                         ("importance", "derive_knowledge", 5)]
+                         ("permutation_importance", "derive_knowledge", 5)]
     assert stray(calls) == calls[3:] == [
         ("permutation_importance", "Knowledge.get.again", 9),
-        ("group_weights", "Knowledge.get", 10), ("importance", "Knowledge.get", 10),
+        ("group_weights", "Knowledge.get", 10), ("derive_knowledge", "Knowledge.get", 10),
         ("group_weights", None, 11)]
 
 

@@ -15,9 +15,10 @@ from rekpool.forest import ForestParams, fit, permutation_importance
 from rekpool.geometry import canonical_street_scene
 from rekpool.pipeline import (design_matrices, learn_positions, rows_by_position,
                               simulate_trajectory)
-from rekpool.pool import (POOL_FORMAT_VERSION, Context, Outcome, Pool, PoolFileError,
-                          PoolVersionError, fnv1a_64, load_pool, pool_from_dict,
-                          pool_to_dict, save_pool, similarity)
+from rekpool.pool import (POOL_FORMAT_VERSION, Context, FitCache, Outcome, Pool,
+                          PoolFileError, PoolVersionError, derive_knowledge, fnv1a_64,
+                          load_pool, pool_from_dict, pool_to_dict, rows_sha256, save_pool,
+                          similarity)
 from rekpool.spectrum import GroupWeights, group_weights, spectrum
 
 SMALL_PARAMS = ForestParams(n_trees=6, max_depth=4, min_leaf=2, seed=1)
@@ -574,7 +575,7 @@ class TestPersistence:
         # every key that is stored is read back: without it loading fails
         doc = json.loads(text)
         paths = list(key_paths(doc))
-        assert len(paths) == 13 + 22  # the pool's keys and one entry's
+        assert len(paths) == 13 + 23  # the pool's keys and one entry's
         for path in paths:
             broken = json.loads(text)
             parent = broken
@@ -585,7 +586,7 @@ class TestPersistence:
                 pool_from_dict(broken)
 
     def test_v1_and_keyless_files_rejected(self):
-        for version in (1, 2, 3, 4, 5):
+        for version in (1, 2, 3, 4, 5, 6):
             with pytest.raises(PoolVersionError):
                 pool_from_dict({"version": version})
         with pytest.raises(PoolFileError):
@@ -854,22 +855,36 @@ def test_lazy_pool_saves_what_a_forced_pool_saves(ops):
               ("ingest", 0, 3, True)])                           # then 0 is refined
 def test_stored_forest_is_the_fit_of_its_rows(ops):
     """What loading puts in the memo holds for every pool this program
-    writes: each entry's stored forest is the one its stored rows give."""
+    writes: each entry's stored forest is the one its stored rows give, and
+    its stored weights and source digest those of a fresh derivation from
+    its rows and its transfer source's rows as they were at ingest."""
     pool = Pool(capacity=3, forest_params=STATE_PARAMS)
+    seen = {}        # rows_sha256 -> rows, of every entry's rows at any time
+    transfer = {}    # entry id -> whether its knowledge came from a transfer
     for t, (op, *args) in enumerate(ops, start=1):
         if op == "ingest":
             i, seed, refresh = args
-            pool.ingest(STATE_CONTEXTS[i], *state_data(seed), now=float(t),
-                        force_refresh=refresh)
+            outcome, eid = pool.ingest(STATE_CONTEXTS[i], *state_data(seed), now=float(t),
+                                       force_refresh=refresh)
+            if outcome is not Outcome.ANSWERED_EXISTING:
+                transfer[eid] = outcome is Outcome.TRANSFERRED
         elif op == "query":
             pool.query(STATE_CONTEXTS[args[0]])
         else:
             pool.capacity = args[0]
             pool.sort_and_evict()
+        seen.update({rows_sha256(e.train_X, e.train_y): (e.train_X, e.train_y)
+                     for e in pool.entries.values()})
     with tempfile.TemporaryDirectory() as d:
         save_pool(os.path.join(d, "pool.json"), pool)
         loaded = load_pool(os.path.join(d, "pool.json"))
-    for e in loaded.entries.values():
+    for eid, e in loaded.entries.items():
         refit = fit(e.train_X, e.train_y, STATE_PARAMS, FEATURE_NAMES)
         assert e.model.trees.to_dict() == refit.trees.to_dict()
         assert e.model.oob_r2 == refit.oob_r2
+        assert (e.source_sha256 is not None) == transfer[eid]
+        source = None if e.source_sha256 is None else seen[e.source_sha256]
+        model, weights = derive_knowledge(FitCache(), e.train_X, e.train_y, STATE_PARAMS,
+                                          source)
+        assert model.trees.to_dict() == refit.trees.to_dict()
+        assert e.weights == weights

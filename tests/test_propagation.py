@@ -266,3 +266,26 @@ class TestTrace:
         scene = one_wall_scene()
         with pytest.raises(ValueError, match="differ"):
             trace(scene, scene.tx.copy())
+
+
+class TestRxFaults:
+    def test_box_rule_is_ids_containing(self):
+        """A box holds a receiver as `Scene.ids_containing` says: closed and
+        padded by EPS_EXACT, on every face, edge and corner."""
+        box = Scatterer(id=3, center=(10.0, 0.0, 1.5), dims=(2.0, 2.0, 3.0))
+        scene = Scene(tx=(0.0, 0.0, 10.0), frequency_hz=28e9, scatterers=(box,))
+        lo, hi = scene.box_lo[0], scene.box_hi[0]
+        offsets = [-2 * EPS_EXACT, -EPS_EXACT, -EPS_EXACT / 2, 0.0, EPS_EXACT / 2]
+        points = [np.where(np.arange(3) == axis, corner + sign * step, (lo + hi) / 2)
+                  for axis in range(3) for corner, sign in ((lo, 1.0), (hi, -1.0))
+                  for step in offsets]
+        points += [lo - EPS_EXACT, hi + EPS_EXACT, lo - 2 * EPS_EXACT, hi]
+        rx = np.array(points)
+        faults = propagation._rx_faults(scene.tx, *scene.bounds(), scene.box_lo[None],
+                                        scene.box_hi[None], rx)
+        inside = [bool(scene.ids_containing(p)) for p in rx]
+        assert (faults == propagation.RX_INSIDE).tolist() == inside
+        assert 0 < sum(inside) < len(inside)
+        assert set(faults.tolist()) == {propagation.RX_FREE, propagation.RX_INSIDE}
+        with pytest.raises(propagation.InsideScatterer, match="scatterer 3"):
+            propagation._validate_rx(scene, hi + EPS_EXACT)
