@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Scene, as_int, as_vec3, atomic_write_text, csv_text, row_norms
+from .geometry import Scene, as_int, as_vec3, atomic_write_text, csv_text, row_norms, stream
 # perfbench's tracer tests expect segment_blocked in this module's namespace
 from .geometry import segment_blocked  # noqa: F401
 from .propagation import (RX_FAULTS, RX_FREE, RX_INSIDE, Trace, _rx_faults, _validate_rx,
@@ -198,8 +198,7 @@ def realize(scene: Scene, rx, cfg: RealizationConfig, position_id: int = 0,
     raise first, and so does one whose features or path loss are not finite.
     """
     rx = _validate_rx(scene, rx)
-    rngs = [np.random.default_rng(np.random.SeedSequence(
-        [cfg.seed & 0xFFFFFFFFFFFFFFFF, position_id, i])) for i in range(1, cfg.n_realizations)]
+    rngs = [stream(cfg.seed, position_id, i) for i in range(1, cfg.n_realizations)]
     # one (S, 3) draw per realization: the values of S draws of size 3, box by box
     scenes, error = scene.realizations([
         scene.box_center + rng.normal(0.0, cfg.scatterer_jitter_sigma, scene.box_center.shape)
@@ -239,27 +238,30 @@ def load_dataset(path) -> list:
     rows = []
     with open(path) as f:
         reader = csv.reader(f)
-        header = tuple(next(reader, ()))
-        if header != DATASET_HEADER:
-            raise ValueError("unexpected dataset header")
-        seen = set()
-        for rec in reader:
-            where = f"dataset line {reader.line_num}"
-            if len(rec) != len(DATASET_HEADER):
-                raise ValueError(f"{where}: expected {len(DATASET_HEADER)} fields, "
-                                 f"got {len(rec)}")
-            if rec[-2] not in ("0", "1"):
-                raise ValueError(f"{where}: los must be 0 or 1, not {rec[-2]!r}")
-            key = (int(rec[0]), int(rec[1]))
-            if key in seen:
-                raise ValueError(f"{where}: position {key[0]} realization {key[1]} "
-                                 "is listed twice")
-            seen.add(key)
-            rows.append(DatasetRow(
-                position_id=key[0], realization_id=key[1],
-                features=np.array([float(x) for x in rec[2:2 + len(FEATURE_NAMES)]]),
-                path_loss_db=float(rec[-3]), los=rec[-2] == "1",
-                timestamp=float(rec[-1])))
+        try:
+            header = tuple(next(reader, ()))
+            if header != DATASET_HEADER:
+                raise ValueError("unexpected dataset header")
+            seen = set()
+            for rec in reader:
+                where = f"dataset line {reader.line_num}"
+                if len(rec) != len(DATASET_HEADER):
+                    raise ValueError(f"{where}: expected {len(DATASET_HEADER)} fields, "
+                                     f"got {len(rec)}")
+                if rec[-2] not in ("0", "1"):
+                    raise ValueError(f"{where}: los must be 0 or 1, not {rec[-2]!r}")
+                key = (int(rec[0]), int(rec[1]))
+                if key in seen:
+                    raise ValueError(f"{where}: position {key[0]} realization {key[1]} "
+                                     "is listed twice")
+                seen.add(key)
+                rows.append(DatasetRow(
+                    position_id=key[0], realization_id=key[1],
+                    features=np.array([float(x) for x in rec[2:2 + len(FEATURE_NAMES)]]),
+                    path_loss_db=float(rec[-3]), los=rec[-2] == "1",
+                    timestamp=float(rec[-1])))
+        except csv.Error as exc:  # such as a field over the csv module's size limit
+            raise ValueError(f"dataset line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError("dataset has no rows")
     return rows

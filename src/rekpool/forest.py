@@ -8,15 +8,15 @@ can be trained in any order.
 
 A forest is one `Trees` table: every tree's nodes in preorder, stacked
 tree after tree, as three parallel arrays `feature`, `threshold` and
-`value`; a leaf has `feature == -1`.  The child rows `left` and `right`
-(the layout of scikit-learn's `children_left`/`children_right`; a leaf
-points to itself), each tree's root row and the largest depth are
-derived from `feature` alone: in preorder an inner node's left child is
-the next node, its right child follows its left subtree, and a leaf that
-leaves no inner node waiting for a right child ends its tree.  Fit emits
-this table; prediction, out-of-bag R2, permutation importance and
-persistence read it, and a pool file stores only `feature`, the inner
-nodes' thresholds and the leaves' values.
+`value`; a leaf has `feature == -1`.  One child table `child` holds two
+rows per node: node i goes right to `child[2i]` and left to
+`child[2i + 1]`, and a leaf points to itself.  It, each tree's root row
+and the largest depth are derived from `feature` alone: in preorder an
+inner node's left child is the next node, its right child follows its
+left subtree, and a leaf that leaves no inner node waiting for a right
+child ends its tree.  Fit emits this table; prediction, out-of-bag R2,
+permutation importance and persistence read it, and a pool file stores
+only `feature`, the inner nodes' thresholds and the leaves' values.
 
 A forest is grown with all its trees in lockstep.  Each step takes every
 tree to its next node in preorder that is to be split, and scores all
@@ -29,11 +29,11 @@ not depend on the other trees, on their number or on the order of the
 steps, and the trees, thresholds and out-of-bag R2 are those of growing
 each tree on its own.
 
-Prediction and out-of-bag R2 both read `Trees.sums`, which walks all
-trees of the table at once, for as many steps as the deepest tree is
-deep.  Rows go through in blocks of at most TREE_ROW_BUDGET (tree, row)
-pairs, which bounds the memory of a walk, and the tree outputs are added
-in tree order, as one tree at a time would add them.
+Every walk moves its nodes by `Trees.step`, the one place that chooses
+a side.  Prediction and out-of-bag R2 read `Trees.sums`, which walks all
+trees at once, as many steps as the deepest tree is deep, rows in blocks
+of at most TREE_ROW_BUDGET (tree, row) pairs to bound its memory, and
+adds the tree outputs in tree order, as one tree at a time would.
 
 Permutation importance does not predict each permuted copy of X.  A
 permuted column j can change a row's leaf only in the trees whose path
@@ -48,12 +48,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 
-from .geometry import json_field
+from .geometry import json_field, stream
 
 #: Most (tree, row) pairs one block of a `Trees` walk holds.
 TREE_ROW_BUDGET = 1 << 14
@@ -80,8 +80,9 @@ class ForestParams:
             raise ValueError("features_per_split must be >= 1")
 
     def to_dict(self) -> dict:
-        """The fields in declaration order, which is their order in a pool file."""
-        return asdict(self)
+        """The fields in declaration order, which is their order in a pool
+        file; not `asdict`, whose deep copy recurses into a nested value."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @staticmethod
     def from_dict(d: dict) -> "ForestParams":
@@ -99,18 +100,17 @@ class Trees:
     """Every tree of a forest in one table of preorder nodes.
 
     Tree t's nodes are rows `roots[t]` up to the next tree's root.
-    `left` and `right` hold table rows, and a leaf points to itself.
-    `depth` is the largest tree depth, so that many steps take every row
-    to its leaf.  `len` gives the number of trees.  `sums` is the walk
-    that adds tree outputs for prediction and out-of-bag R2;
+    `child` holds table rows, a node's right then left child, and a leaf
+    points to itself; `step` walks it.  `depth` is the largest tree depth,
+    so that many steps take every row to its leaf.  `len` gives the number
+    of trees.  `sums` adds tree outputs for prediction and out-of-bag R2;
     `permutation_importance` adds them in the same tree order.
     """
 
     feature: np.ndarray     # split feature per node; -1 marks a leaf
     threshold: np.ndarray   # go left when x[feature] <= threshold; 0 at leaves
     value: np.ndarray       # mean target of a leaf's training rows; 0 at inner nodes
-    left: np.ndarray
-    right: np.ndarray
+    child: np.ndarray       # node i's right child at 2i, its left at 2i + 1
     roots: np.ndarray
     depth: int              # edges on the longest root-leaf path of any tree
 
@@ -122,21 +122,20 @@ class Trees:
         # its right then its left one, and a node that finds none open is
         # the root of the next tree
         n = len(feature)
-        left, right, depth = list(range(n)), list(range(n)), [0] * n
+        child, depth = [slot // 2 for slot in range(2 * n)], [0] * n
         roots, slots = [], []
         for i, f in enumerate(feature.tolist()):
             if slots:
-                parent, children = slots.pop()
-                children[parent] = i
-                depth[i] = depth[parent] + 1
+                slot = slots.pop()
+                child[slot] = i
+                depth[i] = depth[slot // 2] + 1
             else:
                 roots.append(i)
             if f >= 0:
-                slots += [(i, right), (i, left)]
+                slots += [2 * i, 2 * i + 1]
         if not roots or slots:
             raise ValueError("tree feature sequence does not end on a whole preorder tree")
-        return Trees(feature, threshold, value, np.array(left), np.array(right),
-                     np.array(roots), max(depth))
+        return Trees(feature, threshold, value, np.array(child), np.array(roots), max(depth))
 
     def __len__(self) -> int:
         return len(self.roots)
@@ -147,10 +146,14 @@ class Trees:
         return Trees(np.concatenate([self.feature, other.feature]),
                      np.concatenate([self.threshold, other.threshold]),
                      np.concatenate([self.value, other.value]),
-                     np.concatenate([self.left, other.left + shift]),
-                     np.concatenate([self.right, other.right + shift]),
+                     np.concatenate([self.child, other.child + shift]),
                      np.concatenate([self.roots, other.roots + shift]),
                      max(self.depth, other.depth))
+
+    def step(self, node, x) -> np.ndarray:
+        """Each node's child on the side its row's value x of the node's
+        feature takes: left where x <= the threshold.  A leaf stays."""
+        return self.child.take(node + node + (x <= self.threshold.take(node)))
 
     def sums(self, X, keep=None) -> np.ndarray:
         """Each row of X's leaf values added up in tree order, undivided.
@@ -164,12 +167,13 @@ class Trees:
             rows = np.arange(len(block))
             node = np.repeat(self.roots[:, None], len(block), axis=1)
             for _ in range(self.depth):
-                node = np.where(block[rows, self.feature[node]] <= self.threshold[node],
-                                self.left[node], self.right[node])
-            total = out[lo:lo + step]
-            for t, v in enumerate(self.value[node]):
-                # a sum from +0.0 is never -0.0, so adding a masked 0.0 changes nothing
-                total += v if keep is None else np.where(keep[t, lo:lo + step], v, 0.0)
+                node = self.step(node, block[rows, self.feature[node]])
+            leaves = self.value[node]
+            if keep is not None:
+                leaves = np.where(keep[:, lo:lo + step], leaves, 0.0)
+            # cumsum adds tree by tree in tree order, from the first tree's value;
+            # + 0.0 turns a -0.0 total into the 0.0 that adding from 0.0 gives
+            out[lo:lo + step] = np.cumsum(leaves, axis=0)[-1] + 0.0
         return out
 
     def to_dict(self) -> dict:
@@ -262,12 +266,8 @@ def _grow(X, y, params: ForestParams):
     split, and scores the candidates of all those nodes at once."""
     n, p = X.shape
     k = params.resolved_features_per_split(p)
-    rngs, boots = [], []
-    for t in range(params.n_trees):
-        rng = np.random.default_rng(np.random.SeedSequence(
-            [params.seed & 0xFFFFFFFFFFFFFFFF, t]))
-        boots.append(rng.integers(0, n, size=n))
-        rngs.append(rng)
+    rngs = [stream(params.seed, t) for t in range(params.n_trees)]
+    boots = [rng.integers(0, n, size=n) for rng in rngs]  # each stream's first draw
     nodes = [[] for _ in boots]              # per tree: [feature, threshold, value] rows
     stacks = [[(boot, 0)] for boot in boots]  # per tree: (rows, depth) still to grow
     X_pad = np.vstack([X, np.full(p, np.inf)])
@@ -402,7 +402,7 @@ IMPORTANCE_REPEATS = 5
 def _permutation(seed: int, j: int, r: int, n: int) -> np.ndarray:
     """The permutation of n rows for repeat r of feature j, read-only
     because every caller with the same key shares it."""
-    order = np.random.default_rng(np.random.SeedSequence([seed, j, r])).permutation(n)
+    order = stream(seed, j, r).permutation(n)
     order.flags.writeable = False
     return order
 
@@ -428,7 +428,6 @@ def permutation_importance(model: RandomForestModel, X, y, seed: int = 0) -> np.
     n, p = X.shape
     n_trees, depth, repeats = len(t), t.depth, IMPORTANCE_REPEATS
     flat = X.ravel()  # row i's value of feature f is flat[i * p + f]
-    child = np.stack([t.right, t.left], axis=1).ravel()  # go left: child[2 * node + 1]
     # first[tree, row, j]: the node where that path first splits on feature j, or -1
     first = np.full((n_trees, n, p), -1, dtype=np.int32)
     by_pair = first.reshape(-1, p)  # pair tree * n + row, a view
@@ -439,13 +438,13 @@ def permutation_importance(model: RandomForestModel, X, y, seed: int = 0) -> np.
         f = t.feature[node]
         new = np.flatnonzero((f >= 0) & (by_pair[pairs, f] < 0))
         by_pair[new, f[new]] = node[new]
-        node = child[2 * node + (flat[at_row + f] <= t.threshold[node])]
+        node = t.step(node, flat[at_row + f])
     base = t.value[node].reshape(n_trees, n)
 
     used = sorted(model.features_used())  # an unused feature cannot change predictions
     slot = np.zeros(p, dtype=np.intp)  # each used feature's place in `used`
     slot[used] = np.arange(len(used))
-    order = np.array([[_permutation(seed & 0xFFFFFFFFFFFFFFFF, j, r, n)
+    order = np.array([[_permutation(seed, j, r, n)
                        for r in range(repeats)] for j in used], dtype=np.intp)
     # copy (u, r) permutes column used[u] by order[u, r], and re-walks
     # every (tree, row) pair noted for used[u]; a group of trees at a time
@@ -465,7 +464,7 @@ def permutation_importance(model: RandomForestModel, X, y, seed: int = 0) -> np.
             for _ in range(depth):
                 f = t.feature.take(node)
                 x = flat.take(np.where(f == j, at_src, at_i) + f)
-                node = child.take(2 * node + (x <= t.threshold.take(node)))
+                node = t.step(node, x)
             leaves[slot[j] * repeats + r, g[e], i] = t.value.take(node)
         for b, v in zip(base[k:k + group], leaves.transpose(1, 0, 2)):
             base_sum += b

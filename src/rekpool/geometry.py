@@ -45,6 +45,16 @@ def as_int(value, name: str) -> int:
     return int(value)
 
 
+def stream(seed: int, *keys) -> np.random.Generator:
+    """The random stream of (seed mod 2**64, *keys): the one place a seed becomes draws."""
+    return np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, *keys]))
+
+
+def in_boxes(p, lo, hi) -> np.ndarray:
+    """Whether p lies in the closed box [lo, hi], padded by EPS_EXACT, along the last axis."""
+    return np.all((p >= lo - EPS_EXACT) & (p <= hi + EPS_EXACT), axis=-1)
+
+
 def row_norms(v) -> np.ndarray:
     """Euclidean norms of the rows of v (..., 3): each the float that
     `np.linalg.norm` gives for that row.  A row's squared norm is one
@@ -135,7 +145,7 @@ class Scene:
         bound_lo = np.minimum(self.tx, lo.min(axis=1, initial=np.inf)) - BOUNDS_MARGIN_M
         bound_hi = np.maximum(self.tx, hi.max(axis=1, initial=-np.inf)) + BOUNDS_MARGIN_M
         finite = np.isfinite(centers).all(axis=(1, 2))
-        holds_tx = np.all((self.tx >= lo - EPS_EXACT) & (self.tx <= hi + EPS_EXACT), axis=2)
+        holds_tx = in_boxes(self.tx, lo, hi)
         bad = ~finite | holds_tx.any(axis=1)
         n = int(np.argmax(bad)) if bad.any() else len(centers)
         scenes = []
@@ -171,9 +181,7 @@ class Scene:
 
     def ids_containing(self, p) -> list:
         """Ids of the scatterers whose closed box, padded by EPS_EXACT, holds p."""
-        p = np.asarray(p, dtype=float)
-        inside = np.all((p >= self.box_lo - EPS_EXACT) & (p <= self.box_hi + EPS_EXACT), axis=1)
-        return self.box_ids[inside].tolist()
+        return self.box_ids[in_boxes(p, self.box_lo, self.box_hi)].tolist()
 
     def point_free(self, p) -> bool:
         """True if p is outside every scatterer."""
@@ -454,9 +462,13 @@ def _reject_constant(name: str):
 
 def load_json(path):
     """Parse a JSON file, rejecting the NaN and Infinity literals that
-    Python's json accepts and numbers that overflow to infinity."""
+    Python's json accepts, numbers that overflow to infinity and lists or
+    objects nested deeper than the decoder's recursion can go."""
     with open(path) as f:
-        return json.load(f, parse_float=_finite_float, parse_constant=_reject_constant)
+        try:
+            return json.load(f, parse_float=_finite_float, parse_constant=_reject_constant)
+        except RecursionError:
+            raise ValueError("JSON input nested too deeply") from None
 
 
 #: What each kind that `json_field` reads is written as in a JSON file.
@@ -465,11 +477,19 @@ _JSON_TYPES = {bool: "true or false", int: "an integer", float: "a number", str:
 
 
 def _json_numbers(value) -> bool:
-    """Whether value is a list, nested to any depth, of JSON numbers only."""
-    if not isinstance(value, list):
-        return False
-    types = set(map(type, value))  # bool is its own type, not int
-    return all(map(_json_numbers, value)) if types == {list} else types <= {int, float}
+    """Whether value is a list, nested to any depth, of JSON numbers only;
+    a loop, not a recursion, so that no depth exhausts the stack."""
+    lists = [value]
+    while lists:
+        value = lists.pop()
+        if not isinstance(value, list):
+            return False
+        types = set(map(type, value))  # bool is its own type, not int
+        if types == {list}:
+            lists += value
+        elif not types <= {int, float}:
+            return False
+    return True
 
 
 def json_field(doc: dict, key: str, kind):

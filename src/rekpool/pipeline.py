@@ -74,7 +74,7 @@ def learn_positions(scene: Scene, trajectory: Trajectory, rows,
     for pid in sorted(by_pos):
         X, y = design_matrices(by_pos[pid])
         los = by_pos[pid][0].los  # realization 0 is unperturbed
-        _, weights = cache.importance(X, y, params)
+        weights = cache.importance(X, y, params)[1]
         out.append(PositionKnowledge(position_id=pid, los=los, weights=weights))
     return out
 

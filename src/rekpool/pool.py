@@ -148,22 +148,23 @@ class FitCache:
         return self._fits[key]
 
     def importance(self, X, y, params, source=None):
-        """(model, weights): `derive_knowledge` of these rows, transfer source
-        rows and params, made on the key's first lookup only; so each key
-        costs at most one permutation-importance run, which names the
-        method (perfbench's tracer counts its lookups and hits by it)."""
+        """(model, weights, source rows digest or None): `derive_knowledge` of
+        these rows, transfer source rows and params, made on the key's first
+        lookup only; so each key costs at most one permutation-importance
+        run, which names the method (perfbench's tracer counts its lookups
+        and hits by it)."""
         key = (rows_sha256(X, y), None if source is None else rows_sha256(*source), params)
         if key not in self._derived:
-            self._derived[key] = derive_knowledge(self, X, y, params, source)
+            self._derived[key] = (*derive_knowledge(self, X, y, params, source), key[1])
         return self._derived[key]
 
     def add(self, X, y, model, weights, source_sha256):
         """Record `model` as the fit of (X, y) under its own params, and
-        (model, weights) as their derivation with the source rows of digest
-        `source_sha256`: what a pool file stores for each entry."""
+        (model, weights, source_sha256) as their derivation with the source
+        rows of that digest: what a pool file stores for each entry."""
         digest = rows_sha256(X, y)
         self._fits[(digest, model.params)] = model
-        self._derived[(digest, source_sha256, model.params)] = (model, weights)
+        self._derived[(digest, source_sha256, model.params)] = (model, weights, source_sha256)
 
 
 def derive_knowledge(cache: FitCache, X, y, params: rf.ForestParams, source=None):
@@ -201,17 +202,12 @@ class Knowledge:
         cell._pending, cell._value = None, (model, weights, source_sha256)
         return cell
 
-    @property
-    def derived(self) -> bool:
-        return self._value is not None
-
     def get(self):
         """(model, weights, source rows digest or None), derived now if they
         were not."""
         if self._value is None:
-            cache, X, y, params, source = self._pending
-            self._value = (*cache.importance(X, y, params, source),
-                           None if source is None else rows_sha256(*source))
+            cache, *args = self._pending
+            self._value = cache.importance(*args)
             self._pending = None
         return self._value
 

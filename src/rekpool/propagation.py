@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import EPS_EXACT, Blockage, Scene, _slab_test, as_vec3, row_norms
+from .geometry import EPS_EXACT, Blockage, Scene, _slab_test, as_vec3, in_boxes, row_norms
 # perfbench's tracer tests expect segment_blocked in this module's namespace
 from .geometry import segment_blocked  # noqa: F401
 
@@ -102,12 +102,11 @@ def _rx_faults(tx, bound_lo, bound_hi, box_lo, box_hi, rx) -> np.ndarray:
     padded bounds are bound_lo[r], bound_hi[r] (3,) and box corners
     box_lo[r], box_hi[r] (S, 3), tested for every r in one array pass:
     RX_FREE, or the code of what `_validate_rx` raises for it.  A box holds
-    a receiver as in `Scene.ids_containing`: closed, padded by EPS_EXACT."""
+    a receiver as `geometry.in_boxes` says."""
     d = rx - tx
-    inside = ((rx[:, None] >= box_lo - EPS_EXACT) & (rx[:, None] <= box_hi + EPS_EXACT))
     return np.select([~np.isfinite(rx).all(axis=1),
                       ((rx < bound_lo) | (rx > bound_hi)).any(axis=1),
-                      inside.all(axis=2).any(axis=1),
+                      in_boxes(rx[:, None], box_lo, box_hi).any(axis=1),
                       # the squared norm is 0 also where the norm underflows
                       (d * d == 0.0).all(axis=1)],
                      [RX_NOT_FINITE, RX_OUTSIDE, RX_INSIDE, RX_AT_TX], RX_FREE)

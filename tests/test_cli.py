@@ -26,6 +26,26 @@ def run(*argv):
     return main(list(argv))
 
 
+#: List nestings from within to far beyond what Python's JSON decoder holds.
+NESTING_DEPTHS = [500, 990, 3000, 100000]
+
+
+def nested_json(depth):
+    """JSON text of the number 1.5 inside `depth` nested lists."""
+    return "[" * depth + "1.5" + "]" * depth
+
+
+def with_nested(path, keys, depth):
+    """The text of the JSON file at `path` with the value that `keys`
+    leads to replaced by `nested_json(depth)`."""
+    doc = json.loads(path.read_text())
+    holder = doc
+    for k in keys[:-1]:
+        holder = holder[k]
+    holder[keys[-1]] = "<nested>"
+    return json.dumps(doc).replace('"<nested>"', nested_json(depth))
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     """One small end-to-end pipeline run shared by the CLI tests."""
@@ -246,6 +266,7 @@ class TestMalformedInput:
         assert run(*argv) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+        return err[0]
 
     @pytest.mark.parametrize("doc", [
         {"version": 1},
@@ -458,6 +479,35 @@ class TestMalformedInput:
             "--scene", str(workdir / "scene.json"), "--dataset", str(path)])
 
 
+    def test_dataset_field_over_the_csv_limit(self, workdir, tmp_path, capsys):
+        lines = (workdir / "dataset.csv").read_text().splitlines(keepends=True)
+        fields = lines[2].split(",")
+        fields[4] = "1" * 131_073  # one character over the csv module's field limit
+        path = tmp_path / "dataset.csv"
+        path.write_text("".join(lines[:2] + [",".join(fields)] + lines[3:]))
+        err = self.assert_one_error_line(capsys, [
+            "--seed", "1", "--out-dir", str(tmp_path), "learn",
+            "--scene", str(workdir / "scene.json"), "--dataset", str(path)])
+        assert err.startswith("error: dataset line 3: field larger than field limit")
+        assert not (tmp_path / "pool.json").exists()
+
+    @pytest.mark.parametrize("depth", NESTING_DEPTHS)
+    def test_deeply_nested_scene(self, workdir, tmp_path, capsys, depth):
+        path = tmp_path / "scene.json"
+        path.write_text(with_nested(workdir / "scene.json", ["trajectory"], depth))
+        self.assert_one_error_line(capsys, [
+            "--seed", "1", "--out-dir", str(tmp_path), "simulate", "--scene", str(path)])
+        assert not (tmp_path / "dataset.csv").exists()
+
+    @pytest.mark.parametrize("keys", [["entries", 0, "train_X"],
+                                      ["forest_params", "n_trees"]],
+                             ids=["train_X", "n_trees"])
+    @pytest.mark.parametrize("depth", NESTING_DEPTHS)
+    def test_deeply_nested_pool(self, workdir, tmp_path, capsys, depth, keys):
+        path = tmp_path / "pool.json"
+        path.write_text(with_nested(workdir / "pool.json", keys, depth))
+        self.assert_one_error_line(capsys, ["pool", "show", str(path)])
+
     @pytest.mark.parametrize("pid", ["0", "16"])
     def test_dataset_position_off_the_trajectory(self, workdir, tmp_path, capsys, pid):
         lines = (workdir / "dataset.csv").read_text().splitlines(keepends=True)
@@ -583,6 +633,16 @@ class TestUsage:
     def test_bad_config_is_usage_error(self, workdir, tmp_path, capsys, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(config)
+        assert_usage_error(capsys, [
+            "--config", str(cfg), "--seed", "1", "--out-dir", str(tmp_path), "--quiet",
+            "learn", "--scene", str(workdir / "scene.json"),
+            "--dataset", str(workdir / "dataset.csv")])
+        assert not (tmp_path / "pool.json").exists()
+
+    @pytest.mark.parametrize("depth", NESTING_DEPTHS)
+    def test_deeply_nested_config_is_usage_error(self, workdir, tmp_path, capsys, depth):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"n_trees": %s}' % nested_json(depth))
         assert_usage_error(capsys, [
             "--config", str(cfg), "--seed", "1", "--out-dir", str(tmp_path), "--quiet",
             "learn", "--scene", str(workdir / "scene.json"),

@@ -20,12 +20,25 @@ from rekpool.pool import Pool, derive_knowledge, load_pool, rows_sha256, save_po
 from rekpool.predict import trajectory_contexts
 
 
+def children(t):
+    """(left, right): each node's left and right child rows, read from the
+    table's one child table, which holds node i's right child at 2i and
+    its left child at 2i + 1."""
+    return t.child[1::2], t.child[0::2]
+
+
+def interleave(left, right):
+    """The child table of per-node left and right child rows."""
+    return np.column_stack([right, left]).ravel()
+
+
 def tree_depth(t):
-    """Largest depth of the trees of a table, from its child arrays
+    """Largest depth of the trees of a table, from its child table
     (children follow parents, roots have none)."""
+    left, right = children(t)
     depth = np.zeros(len(t.feature), dtype=int)
     for i in np.flatnonzero(t.feature >= 0):
-        depth[t.left[i]] = depth[t.right[i]] = depth[i] + 1
+        depth[left[i]] = depth[right[i]] = depth[i] + 1
     return depth.max()
 
 
@@ -58,11 +71,12 @@ def reference_children(feature):
 def tree_leaves(t, X, root=0):
     """Reference walk: the leaf each row of X reaches from the root at row
     `root`, one row and one node at a time."""
+    left, right = children(t)
     out = []
     for x in X:
         node = root
         while t.feature[node] >= 0:
-            node = t.left[node] if x[t.feature[node]] <= t.threshold[node] else t.right[node]
+            node = left[node] if x[t.feature[node]] <= t.threshold[node] else right[node]
         out.append(node)
     return np.array(out, dtype=int)
 
@@ -71,13 +85,14 @@ def scalar_predict(model, X):
     """Reference predict: one row and one node at a time, each tree walked
     from its root, trees summed in order."""
     t = model.trees
+    left, right = children(t)
     out = np.zeros(len(X))
     for i, x in enumerate(X):
         for root in t.roots:
             node = root
             while t.feature[node] >= 0:
                 go_left = x[t.feature[node]] <= t.threshold[node]
-                node = t.left[node] if go_left else t.right[node]
+                node = left[node] if go_left else right[node]
             out[i] += t.value[node]
     return out / len(t.roots)
 
@@ -161,14 +176,14 @@ def reference_grow(X, y, rows, depth, params, k_features, rng, nodes):
 
 
 #: One tree of the reference: its preorder node arrays and the child
-#: arrays `reference_children` gives them.
-RefTree = namedtuple("RefTree", "feature threshold value left right")
+#: table of the children that `reference_children` gives them.
+RefTree = namedtuple("RefTree", "feature threshold value child")
 
 
 def reference_tree(nodes):
     feature, threshold, value = map(np.array, zip(*nodes))
     return RefTree(feature, threshold, value,
-                   *map(np.array, reference_children(feature.tolist())))
+                   interleave(*map(np.array, reference_children(feature.tolist()))))
 
 
 def reference_fit_tree(X, y, params, tree_index):
@@ -370,9 +385,9 @@ class TestRecursiveReference:
         got = model.trees
         roots = np.cumsum([0] + [len(t.feature) for t in trees[:-1]])
         assert got.roots.tolist() == roots.tolist()
-        for a in ("feature", "threshold", "value", "left", "right"):
+        for a in ("feature", "threshold", "value", "child"):
             # each tree's child rows are its own children shifted by its root
-            want = np.concatenate([getattr(t, a) + root if a in ("left", "right")
+            want = np.concatenate([getattr(t, a) + root if a == "child"
                                    else getattr(t, a) for t, root in zip(trees, roots)])
             assert getattr(got, a).dtype == want.dtype
             assert np.array_equal(getattr(got, a), want)
@@ -381,6 +396,18 @@ class TestRecursiveReference:
         assert np.array_equal(model.predict(Z), scalar_predict(model, Z))
         assert np.array_equal(permutation_importance(model, X, y, seed=seed),
                               scalar_importance(model, X, y, seed=seed))
+
+    def test_negative_zero_leaves_add_from_zero(self):
+        """Tree outputs add from 0.0, as the per-row walk adds them, so leaves
+        of -0.0, kept or masked, add up to 0.0, never -0.0."""
+        leaves = Trees.parse(np.array([-1, -1, -1]), np.zeros(3), np.full(3, -0.0))
+        model = RandomForestModel(trees=leaves, params=ForestParams(n_trees=3),
+                                  feature_names=("a",), oob_r2=None)
+        X = np.zeros((4, 1))
+        keep = np.array([[True, False, False, True]] * 2 + [[True, True, False, False]])
+        for got in (leaves.sums(X), leaves.sums(X, keep), model.predict(X)):
+            assert np.array_equal(got, scalar_predict(model, X))
+            assert not np.signbit(got).any()
 
     def test_predict_one_row(self):
         X, y = linear_benchmark(n=80)
@@ -445,15 +472,14 @@ class TestTable:
         feature = [f for tree in trees for f in tree]
         table = parse(feature)
         roots = np.cumsum([0] + [len(tree) for tree in trees[:-1]]).tolist()
-        left, right, depth = [], [], 0
+        child, depth = [], 0
         for root, tree in zip(roots, trees):
             ref = reference_tree([(f, 0.0, 0.0) for f in tree])
-            left += (ref.left + root).tolist()
-            right += (ref.right + root).tolist()
+            child += (ref.child + root).tolist()
             depth = max(depth, tree_depth(ref))
         assert len(table) == len(trees)
         assert table.roots.tolist() == roots
-        assert table.left.tolist() == left and table.right.tolist() == right
+        assert table.child.tolist() == child
         assert table.depth == depth
         # one node more, an inner one, leaves the last tree partial
         with pytest.raises(ValueError):
@@ -468,7 +494,7 @@ class TestTable:
             k = data.draw(st.integers(1, len(trees) - 1))
             head = [f for tree in trees[:k] for f in tree]
             joined = parse(head) + parse(feature[len(head):], first=len(head))
-            for a in ("feature", "threshold", "value", "left", "right", "roots"):
+            for a in ("feature", "threshold", "value", "child", "roots"):
                 assert getattr(joined, a).dtype == getattr(table, a).dtype
                 assert np.array_equal(getattr(joined, a), getattr(table, a))
             assert joined.depth == table.depth
@@ -697,16 +723,24 @@ class TestFitCache:
         assert len(runs) == len(derived) < len(needed)
         assert seeded == cold
 
-    def test_unread_template_stays_unread(self):
+    def test_unread_template_stays_unread(self, monkeypatch):
         """A template built in this process lends its memo, and LOO derives
-        none of its entries: each held-out pool fits what it reads."""
+        none of its entries: each held-out pool fits what it reads.  A cell
+        derives only on its first read, and no template cell is ever read."""
         scene, traj = canonical_street_scene()
         rows = simulate_trajectory(scene, traj, RealizationConfig(n_realizations=10, seed=3))
         params = ForestParams(n_trees=3, max_depth=4, min_leaf=2, seed=3)
         contexts = trajectory_contexts(scene, traj, trace_trajectory(scene, traj))
+        read, real_get = [], pool_module.Knowledge.get
+
+        def get(cell):
+            read.append(id(cell))
+            return real_get(cell)
+        monkeypatch.setattr(pool_module.Knowledge, "get", get)
         template = build_pool(rows, contexts, Pool(forest_params=params))
         lazy, _ = loo_evaluate(scene, traj, rows, pool_template=template)
-        assert not any(e.knowledge.derived for e in template.entries.values())
+        assert read  # the held-out pools' cells are read
+        assert not {id(e.knowledge) for e in template.entries.values()} & set(read)
         cold, _ = loo_evaluate(scene, traj, rows, pool_template=Pool(forest_params=params))
         assert lazy == cold
 
@@ -792,7 +826,7 @@ class TestSerialization:
         assert d == {"feature": [2, -1, -1], "threshold": [0.25], "value": [1.5, -3.0]}
         back = Trees.from_dict(d, n_features=3)
         assert back.to_dict() == tree.to_dict()
-        for a in ("feature", "threshold", "value", "left", "right", "roots"):
+        for a in ("feature", "threshold", "value", "child", "roots"):
             assert np.array_equal(getattr(back, a), getattr(tree, a))
         X = np.array([[0.0, 0.0, 0.25], [0.0, 0.0, 0.3]])
         assert np.array_equal(back.value[tree_leaves(back, X)], [1.5, -3.0])
@@ -800,15 +834,15 @@ class TestSerialization:
     def test_children_derived_from_preorder(self):
         # root splits on x2, its left child on x0; nodes 2, 3 and 4 are leaves
         t = Trees.from_dict(VALID_TREE, n_features=3)
-        assert t.left.tolist() == [1, 2, 2, 3, 4]
-        assert t.right.tolist() == [4, 3, 2, 3, 4]
+        # (right, left) per node; a leaf points to itself
+        assert t.child.tolist() == [4, 1, 3, 2, 2, 2, 3, 3, 4, 4]
         assert t.roots.tolist() == [0] and t.depth == 2
         X, y = linear_benchmark(n=150)
         t = fit(X, y, ForestParams(n_trees=8, seed=3)).trees
         for rows in tree_rows(t):
             left, right = reference_children(t.feature[rows].tolist())
-            assert (t.left[rows] - rows[0]).tolist() == left
-            assert (t.right[rows] - rows[0]).tolist() == right
+            assert (children(t)[0][rows] - rows[0]).tolist() == left
+            assert (children(t)[1][rows] - rows[0]).tolist() == right
 
     def test_fitted_inner_values_and_leaf_thresholds_zero(self):
         X, y = linear_benchmark(n=150)
@@ -816,7 +850,7 @@ class TestSerialization:
         assert np.all(t.value[t.feature >= 0] == 0.0)
         assert np.all(t.threshold[t.feature < 0] == 0.0)
         back = Trees.from_dict(json.loads(json.dumps(t.to_dict())), n_features=4)
-        for a in ("feature", "threshold", "value", "left", "right", "roots"):
+        for a in ("feature", "threshold", "value", "child", "roots"):
             assert getattr(back, a).tobytes() == getattr(t, a).tobytes()
         assert back.depth == t.depth
 

@@ -17,7 +17,7 @@ linter is a dependency.
   named somewhere in the package's code outside its own def, so no dead
   helper is left behind.  A public name may instead be read by the
   acceptance tests, the benchmark, README's "Library entry points" or
-  the console script; `UNREAD_ALLOWED` names the one exception.
+  the console script.
 - Importing the CLI does not import scipy, which only stream alignment
   needs and which costs every CLI call about half a second.
 - Knowledge is derived in one place: only `pool.derive_knowledge` runs
@@ -26,6 +26,9 @@ linter is a dependency.
 - A pool's memo and cells stay inside `pool.py`: only `pool_from_dict`
   records a forest with `FitCache.add`, and no other module touches an
   entry's `.knowledge`.
+- A seed becomes random numbers in one place: only `geometry.stream`
+  builds a `SeedSequence`, so every stream of the same (seed, keys)
+  draws the same numbers.
 """
 
 import ast
@@ -182,10 +185,6 @@ def test_default_scanner_finds_literals():
     assert restated_defaults(source) == [1, 2, 5]
 
 
-#: A public name that only unit tests read, and why it stays.
-UNREAD_ALLOWED = {("pool.py", "Knowledge.derived"): "tests observe laziness through it"}
-
-
 def unreferenced_functions(sources: dict, readers=frozenset()) -> list:
     """(module, name) of each top-level function and class, and of each
     method and property, in `sources` ({module: source}) that no module's
@@ -252,7 +251,7 @@ def public_readers() -> set:
 
 def test_no_dead_functions():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    assert unreferenced_functions(sources, public_readers()) == sorted(UNREAD_ALLOWED)
+    assert unreferenced_functions(sources, public_readers()) == []
 
 
 def test_readme_entry_points_import():
@@ -413,3 +412,35 @@ def test_pool_internals_scanner_finds_planted_uses():
     assert misused_pool_internals("pool.py", uses) == [
         u for u in uses if u[0] == "FitCache.add" and u[1] != "pool_from_dict"]
     assert misused_pool_internals("pipeline.py", uses) == uses
+
+
+def seed_sequences(source: str) -> list:
+    """(enclosing function, line) of every call to `SeedSequence`, as a
+    name or as an attribute such as `np.random.SeedSequence`."""
+    found = []
+    for node, scope in scoped_nodes(source):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "SeedSequence":
+                found.append((scope, node.lineno))
+    return found
+
+
+def test_seed_sequence_built_only_by_stream():
+    calls = [(p.name, *c) for p in MODULES for c in seed_sequences(p.read_text())]
+    assert [c[:2] for c in calls] == [("geometry.py", "stream")]  # exactly one call site
+
+
+def test_seed_sequence_scanner_finds_planted_calls():
+    source = ("import numpy as np\n"
+              "from numpy.random import SeedSequence\n"
+              "def stream(seed, *keys):\n"
+              "    return np.random.default_rng(np.random.SeedSequence([seed, *keys]))\n"
+              "def _grow(seed):\n"
+              "    return np.random.default_rng(SeedSequence([seed, 0]))\n"
+              "class Forest:\n"
+              "    def draw(self):\n"
+              "        return [np.random.SeedSequence(t) for t in range(2)]\n"
+              "RNG = np.random.default_rng(np.random.SeedSequence(1))\n")
+    assert seed_sequences(source) == [("stream", 4), ("_grow", 6), ("Forest.draw", 9),
+                                      (None, 10)]

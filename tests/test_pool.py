@@ -414,12 +414,12 @@ class TestLazyKnowledge:
         pool.ingest(ctx(pid=2, rx=(40, 0, 1.5)), X2, y2, now=2.0)
         pool.entries[2].weights
         assert counted == {"fit": [X2.tobytes(), X.tobytes()], "importance": 1}
-        assert not pool.entries[1].knowledge.derived
+        # entry 1's own derivation runs only now, so the transfer's read did not derive it
         pool.entries[1].weights  # its forest comes from the memo
         assert counted == {"fit": [X2.tobytes(), X.tobytes()], "importance": 2}
 
     @pytest.mark.parametrize("source_read", [False, True])
-    def test_pending_transfer_keeps_its_source_as_ingested(self, source_read):
+    def test_pending_transfer_keeps_its_source_as_ingested(self, counted, source_read):
         """A refine of the source before the transfer is first read leaves the
         transfer's weights as an eager pool derives them."""
         A, B = ctx(rx=(0, 0, 1.5)), ctx(pid=2, rx=(40, 0, 1.5))
@@ -433,8 +433,9 @@ class TestLazyKnowledge:
             force(eager)
             if source_read and t == 1:
                 force(lazy)
-        assert not lazy.entries[2].knowledge.derived
+        runs = counted["importance"]
         assert lazy.entries[2].weights == eager.entries[2].weights
+        assert counted["importance"] == runs + 1  # derived by this first read, not before
         assert json.dumps(pool_to_dict(lazy)) == json.dumps(pool_to_dict(eager))
         # the basis is the source's forest as ingested, not as refined
         model = lazy.entries[2].model
