@@ -14,12 +14,12 @@ import sys
 
 from .features import RealizationConfig, load_dataset, save_dataset
 from .forest import ForestParams
-from .geometry import (atomic_write_text, canonical_street_scene, json_field, load_json,
-                       load_scene, save_scene)
+from .geometry import (atomic_write_text, brief, canonical_street_scene, json_field,
+                       load_json, load_scene, save_scene)
 from .pipeline import (FitCache, build_pool, cdf_csv, learn_positions,
                        loo_evaluate, simulate_trajectory,
                        spectrum_csv, summary_csv, trace_trajectory)
-from .pool import Pool, load_pool, save_pool, similarity
+from .pool import ALPHA, BETA, GAMMA, Pool, load_pool, save_pool
 from .predict import trajectory_contexts
 from .propagation import path_loss
 
@@ -49,7 +49,7 @@ def _apply_config(args, parser):
     for key, value in cfg.items():
         attr = key.replace("-", "_")
         if attr not in known:
-            parser.error(f"config key {key!r} names no option")
+            parser.error(f"config key {brief(key)} names no option")
         if value is None or not hasattr(args, attr) or getattr(args, attr) is not None:
             continue
         try:  # a flag's kind is bool, a string option's None
@@ -174,11 +174,13 @@ def cmd_pool(args, parser) -> int:
                   f"utilization={e.utilization_count} {state}")
         if len(ids) > 1 and not args.quiet:
             print("similarity matrix:")
-            for a in ids:
-                row = " ".join(
-                    f"{similarity(pool.entries[a].context, pool.entries[b].context):.3f}"
-                    for b in ids)
-                print(f"  {a}: {row}")
+            for a, sims in zip(ids, pool.similarities()):
+                print(f"  {a}: " + " ".join(f"{s:.3f}" for s in sims))
+            print(f"eviction scores ({ALPHA} x max similarity (to entry) - {BETA} x "
+                  f"log1p(utilization) - {GAMMA} x age rank; the highest goes first):")
+            for t in pool.eviction_terms():
+                print(f"  {t.entry_id}: {t.redundancy:.3f} ({t.nearest_id}) - "
+                      f"{t.utilization:.3f} - {t.age:.3f} = {t.score:.3f}")
     elif args.action == "evict":
         if args.capacity is not None:
             pool = dataclasses.replace(pool, capacity=args.capacity)

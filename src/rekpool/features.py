@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Scene, as_int, as_vec3, atomic_write_text, csv_text, row_norms, stream
+from .geometry import (Scene, as_int, as_vec3, atomic_write_text, brief, csv_text, row_norms,
+                       stream)
 # perfbench's tracer tests expect segment_blocked in this module's namespace
 from .geometry import segment_blocked  # noqa: F401
 from .propagation import (RX_FAULTS, RX_FREE, RX_INSIDE, Trace, _rx_faults, _validate_rx,
@@ -135,7 +136,7 @@ class RealizationConfig:
         for name in ("scatterer_jitter_sigma", "rx_jitter_sigma"):
             sigma = getattr(self, name)
             if not (math.isfinite(sigma) and sigma >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, not {sigma!r}")
+                raise ValueError(f"{name} must be finite and >= 0, not {brief(sigma)}")
 
 
 @dataclass
@@ -249,7 +250,7 @@ def load_dataset(path) -> list:
                     raise ValueError(f"{where}: expected {len(DATASET_HEADER)} fields, "
                                      f"got {len(rec)}")
                 if rec[-2] not in ("0", "1"):
-                    raise ValueError(f"{where}: los must be 0 or 1, not {rec[-2]!r}")
+                    raise ValueError(f"{where}: los must be 0 or 1, not {brief(rec[-2])}")
                 key = (int(rec[0]), int(rec[1]))
                 if key in seen:
                     raise ValueError(f"{where}: position {key[0]} realization {key[1]} "

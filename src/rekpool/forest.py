@@ -53,7 +53,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import json_field, stream
+from .geometry import brief, json_field, stream
 
 #: Most (tree, row) pairs one block of a `Trees` walk holds.
 TREE_ROW_BUDGET = 1 << 14
@@ -72,7 +72,7 @@ class ForestParams:
             if v is None and name == "features_per_split":
                 continue
             if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                raise TypeError(f"forest parameter {name} must be an integer: {v!r}")
+                raise TypeError(f"forest parameter {name} must be an integer: {brief(v)}")
             object.__setattr__(self, name, int(v))  # as a pool file holds it
         if self.n_trees < 1 or self.max_depth < 1 or self.min_leaf < 1:
             raise ValueError("n_trees, max_depth and min_leaf must be >= 1")
@@ -338,7 +338,7 @@ class RandomForestModel:
             raise ValueError(f"forest holds {len(trees)} trees, not n_trees = {params.n_trees}")
         oob_r2 = d["oob_r2"]
         if oob_r2 is not None and not (isinstance(oob_r2, float) and math.isfinite(oob_r2)):
-            raise ValueError(f"oob_r2 must be a finite float or null: {oob_r2!r}")
+            raise ValueError(f"oob_r2 must be a finite float or null: {brief(oob_r2)}")
         return RandomForestModel(trees=trees, params=params,
                                  feature_names=tuple(feature_names), oob_r2=oob_r2)
 

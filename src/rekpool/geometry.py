@@ -13,6 +13,7 @@ import io
 import json
 import math
 import os
+import reprlib
 import tempfile
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,10 +39,23 @@ def as_vec3(p) -> np.ndarray:
     return v
 
 
+#: Reprs in error messages: a few levels and items of a container, a few
+#: dozen characters of anything else.
+_BRIEF = reprlib.Repr()
+_BRIEF.maxlevel, _BRIEF.maxstring, _BRIEF.maxother = 3, 40, 40
+
+
+def brief(value) -> str:
+    """repr(value) for an error message, at most 80 characters: never the
+    whole of a large or deeply nested input."""
+    text = _BRIEF.repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
 def as_int(value, name: str) -> int:
     """`value`, a Python or NumPy integer but not a bool, as an int."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, not {value!r}")
+        raise ValueError(f"{name} must be an integer, not {brief(value)}")
     return int(value)
 
 
@@ -396,7 +410,7 @@ def scene_from_dict(doc: dict):
         raise ValueError("not a scene file")
     version = doc.get("version")
     if type(version) is not int or version != SCENE_FORMAT_VERSION:
-        raise ValueError(f"unsupported scene format version: {version!r}")
+        raise ValueError(f"unsupported scene format version: {brief(version)}")
     try:
         scatterers = tuple(
             Scatterer(id=json_field(s, "id", int), center=json_field(s, "center", np.ndarray),
@@ -506,7 +520,7 @@ def json_field(doc: dict, key: str, kind):
     else:
         ok = isinstance(value, (int, float) if kind is float else kind)
     if not ok:
-        raise ValueError(f"{key} must be {_JSON_TYPES[kind]}, not {value!r}")
+        raise ValueError(f"{key} must be {_JSON_TYPES[kind]}, not {brief(value)}")
     try:
         return (float(value) if kind is float
                 else np.array(value, dtype=float) if kind is np.ndarray else value)

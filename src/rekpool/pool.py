@@ -14,17 +14,20 @@ ingest log reproduces the pool file byte-for-byte.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import forest as rf
 from .features import FEATURE_NAMES
-from .geometry import as_int, as_vec3, atomic_write_text, json_field, load_json
+from .geometry import as_int, as_vec3, atomic_write_text, brief, json_field, load_json, row_norms
 from .spectrum import SUM_TOL, GroupWeights, group_weights
 
 # CPython's own sha256 module: `hashlib` would also load OpenSSL, which adds
@@ -79,9 +82,12 @@ class Context:
         for name in ("scene_fingerprint", "position_id"):
             object.__setattr__(self, name, as_int(getattr(self, name), name))
         if not isinstance(self.los, (bool, np.bool_)):
-            raise ValueError(f"los must be a bool, not {self.los!r}")
+            raise ValueError(f"los must be a bool, not {brief(self.los)}")
         object.__setattr__(self, "los", bool(self.los))
-        object.__setattr__(self, "rx", as_vec3(self.rx))
+        # a copy no caller can change, since a pool keeps it in its record
+        rx = as_vec3(self.rx).copy()
+        rx.flags.writeable = False
+        object.__setattr__(self, "rx", rx)
         if not (np.isfinite(self.frequency_hz) and self.frequency_hz > 0):
             raise ValueError("frequency_hz must be finite and positive")
         object.__setattr__(self, "frequency_hz", float(self.frequency_hz))
@@ -95,25 +101,110 @@ SIMILARITY_RX_SCALE_M = 10.0
 ALPHA, BETA, GAMMA = 1.0, 0.5, 0.25
 
 
+#: `math.exp` of each element: numpy's own `exp` rounds some values to
+#: another float, and a pool's similarities are those of one pair at a time.
+_exp = np.frompyfunc(math.exp, 1, 1)
+
+
 def similarity(a: Context, b: Context) -> float:
     """Weighted context similarity in [0, 1].
 
     0.4 scene fingerprint match + 0.3 RX proximity + 0.2 LOS-state
     match + 0.1 frequency proximity; equals 1 only for identical
     contexts, and similarity(a, b) == similarity(b, a) bit for bit.
+    The RX distance is taken as `geometry.row_norms` takes it, which
+    gives the float that `np.linalg.norm` gives.
     The frequency term is the lower frequency over the higher: that
     equals exp(-|ln(fa / fb)|), and stays defined where fa / fb
     underflows to 0.
+
+    Either side may instead be a pool's record of many contexts, whose
+    fields are arrays (see `_Contexts`): the result is then the array of
+    the pairs' similarities, broadcast as numpy broadcasts, each the float
+    that its pair of contexts gives.
     """
-    s = 0.0
-    if a.scene_fingerprint == b.scene_fingerprint:
-        s += 0.4
-    s += 0.3 * math.exp(-float(np.linalg.norm(a.rx - b.rx)) / SIMILARITY_RX_SCALE_M)
-    if a.los == b.los:
-        s += 0.2
+    s = np.where(a.scene_fingerprint == b.scene_fingerprint, 0.4, 0.0)
+    s = s + 0.3 * np.asarray(_exp(-row_norms(a.rx - b.rx) / SIMILARITY_RX_SCALE_M),
+                             dtype=float)
+    s = s + np.where(a.los == b.los, 0.2, 0.0)
     fa, fb = a.frequency_hz, b.frequency_hz
-    s += 0.1 * (min(fa, fb) / max(fa, fb))
-    return s
+    s = s + 0.1 * (np.minimum(fa, fb) / np.maximum(fa, fb))
+    return s if s.ndim else float(s)
+
+
+class _Contexts:
+    """A pool's contexts in entry-id order, and each entry's maximum
+    similarity to the others with the id of the first entry, in id order,
+    that gives it: `maxima`, (0.0, None) for an entry with no other.
+
+    Its fields `scene_fingerprint`, `rx`, `los` and `frequency_hz` are
+    those of the contexts as arrays, so `similarity(record, ctx)` scores
+    every entry in one pass.  Fingerprints are the Python ints themselves,
+    in an object array, so that any integer compares exactly.  The record
+    holds the `Context` objects it was made from, and describes an
+    `entries` dict only while each of its ids maps to an entry holding the
+    same object."""
+
+    def __init__(self, entries: dict):
+        self.ids = sorted(entries)
+        self.contexts = [entries[eid].context for eid in self.ids]
+        self._index()
+        sims = self.similarities()
+        np.fill_diagonal(sims, -np.inf)
+        self.maxima = [self._nearest(row) for row in sims]
+
+    def _index(self):
+        cs = self.contexts
+        self.scene_fingerprint = np.array([c.scene_fingerprint for c in cs], dtype=object)
+        self.rx = np.array([c.rx for c in cs]).reshape(-1, 3)
+        self.los = np.array([c.los for c in cs], dtype=bool)
+        self.frequency_hz = np.array([c.frequency_hz for c in cs], dtype=float)
+
+    def _nearest(self, sims) -> tuple:
+        """(maximum, id of its first place) of `sims`, one similarity per
+        recorded entry and -inf in an entry's own place."""
+        k = int(np.argmax(sims)) if len(sims) else None
+        if k is None or sims[k] == -np.inf:
+            return 0.0, None
+        return float(sims[k]), self.ids[k]
+
+    def describes(self, entries: dict) -> bool:
+        return len(entries) == len(self.ids) and all(
+            (e := entries.get(eid)) is not None and e.context is c
+            for eid, c in zip(self.ids, self.contexts))
+
+    def similarities(self) -> np.ndarray:
+        """similarity(a, b) of every pair, rows a and columns b in id order."""
+        column = SimpleNamespace(scene_fingerprint=self.scene_fingerprint[:, None],
+                                 rx=self.rx[:, None, :], los=self.los[:, None],
+                                 frequency_hz=self.frequency_hz[:, None])
+        return similarity(column, self)
+
+    def add(self, eid: int, ctx: Context, sims: np.ndarray):
+        """Record entry `eid` with context `ctx`, whose similarity to each
+        entry recorded so far is `sims`: each of their maxima is compared
+        with the new entry only."""
+        for k, (s, (best, near)) in enumerate(zip(sims.tolist(), self.maxima)):
+            if near is None or s > best or (s == best and eid < near):
+                self.maxima[k] = s, eid
+        own, at = self._nearest(sims), bisect.bisect(self.ids, eid)
+        self.ids.insert(at, eid)
+        self.contexts.insert(at, ctx)
+        self.maxima.insert(at, own)
+        self._index()
+
+    def remove(self, eid: int):
+        """Forget entry `eid`; only the entries whose maximum it gave are
+        scored again."""
+        k = self.ids.index(eid)
+        for items in (self.ids, self.contexts, self.maxima):
+            del items[k]
+        self._index()
+        for k, (_, near) in enumerate(self.maxima):
+            if near == eid:
+                sims = similarity(self, self.contexts[k])
+                sims[k] = -np.inf
+                self.maxima[k] = self._nearest(sims)
 
 
 def rows_sha256(X, y) -> str:
@@ -259,11 +350,23 @@ class KnowledgeEntry:
         return self.knowledge.get()[2]
 
 
+class EvictionTerms(NamedTuple):
+    """One entry's eviction score and its terms (see `Pool.sort_and_evict`):
+    score = redundancy - utilization - age."""
+
+    entry_id: int
+    nearest_id: int | None  # the first entry, in id order, most similar to it
+    redundancy: float       # ALPHA * its similarity to that entry (0 if alone)
+    utilization: float      # BETA * log1p(its utilization count)
+    age: float              # GAMMA * its age rank, from 0 (oldest) to 1 (newest)
+    score: float
+
+
 def _time(value, name: str) -> float:
     """`value` as a logical time, which must be finite so that a pool file
     can hold it."""
     if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, not {value!r}")
+        raise ValueError(f"{name} must be finite, not {brief(value)}")
     return float(value)
 
 
@@ -280,6 +383,8 @@ class Pool:
     #: loading seeds it with each stored forest as the fit of its rows and
     #: each stored (model, weights) as the derivation its entry's key names
     cache: FitCache = field(default_factory=FitCache, repr=False, compare=False)
+    #: the kept record of the entries' contexts (see `_contexts`)
+    _record: _Contexts | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.capacity = as_int(self.capacity, "capacity")
@@ -291,20 +396,31 @@ class Pool:
 
     # -- read side ---------------------------------------------------------
 
+    def _contexts(self) -> _Contexts:
+        """The kept record of the entries' contexts; made again from
+        `entries` when a caller has swapped, added or removed an entry or a
+        context since."""
+        if self._record is None or not self._record.describes(self.entries):
+            self._record = _Contexts(self.entries)
+        return self._record
+
     def _best_match(self, ctx: Context):
-        best = None
-        for eid in sorted(self.entries):
-            s = similarity(self.entries[eid].context, ctx)
-            if best is None or s > best[1]:
-                best = (eid, s)
-        return best
+        """((entry id, similarity) of the first entry in id order most
+        similar to `ctx`, or None), and every entry's similarity to `ctx`
+        in id order, from one pass."""
+        record = self._contexts()
+        sims = similarity(record, ctx)
+        if not len(sims):
+            return None, sims
+        k = int(np.argmax(sims))
+        return (record.ids[k], float(sims[k])), sims
 
     def query(self, ctx: Context):
         """Best entry with similarity >= theta_low, or None.
 
         A returned hit counts as a utilization of that entry.
         """
-        best = self._best_match(ctx)
+        best, _ = self._best_match(ctx)
         if best is None or best[1] < self.theta_low:
             return None
         entry = self.entries[best[0]]
@@ -321,7 +437,7 @@ class Pool:
         first read (see `KnowledgeEntry`)."""
         X, y = rf.check_rows(X, y, self.forest_params, len(FEATURE_NAMES))
         now = _time(now, "now")
-        best = self._best_match(ctx)
+        best, sims = self._best_match(ctx)
         if best is not None and best[1] >= self.theta_high:
             entry = self.entries[best[0]]
             if not force_refresh:
@@ -349,34 +465,50 @@ class Pool:
                                train_X=X, train_y=y, created_at=now, updated_at=now)
         self.next_entry_id += 1
         self.entries[entry.entry_id] = entry
+        self._record.add(entry.entry_id, ctx, sims)
         if len(self.entries) > self.capacity:
             self.sort_and_evict()
         return outcome, entry.entry_id
 
+    def eviction_terms(self) -> list:
+        """Each entry's `EvictionTerms`, in id order: the score that
+        `sort_and_evict` ranks entries by, and its three terms."""
+        record = self._contexts()
+        by_age = sorted(record.ids, key=lambda i: (self.entries[i].created_at, i))
+        denom = max(len(by_age) - 1, 1)
+        age_rank = {eid: k / denom for k, eid in enumerate(by_age)}
+        terms = []
+        for eid, (best, near) in zip(record.ids, record.maxima):
+            redundancy = ALPHA * best
+            use = BETA * math.log1p(self.entries[eid].utilization_count)
+            age = GAMMA * age_rank[eid]
+            terms.append(EvictionTerms(eid, near, redundancy, use, age,
+                                       redundancy - use - age))
+        return terms
+
+    def similarities(self) -> np.ndarray:
+        """similarity(a, b) of every pair of entries in one pass, rows a and
+        columns b in id order."""
+        return self._contexts().similarities()
+
     def sort_and_evict(self) -> list:
-        """Evict highest-scoring entries until within capacity.
+        """Evict highest-scoring entries until within capacity; returns
+        their ids in eviction order.
 
         score = ALPHA * (max similarity to any other entry)
               - BETA * log(1 + utilization)
               - GAMMA * normalized age rank (oldest -> 0)
+
+        Each entry's maximum is kept in the pool's record of its contexts,
+        so an eviction scores again only the entries whose maximum the
+        evicted entry gave.
         """
         removed = []
         while len(self.entries) > self.capacity:
-            ids = sorted(self.entries)
-            by_age = sorted(ids, key=lambda i: (self.entries[i].created_at, i))
-            denom = max(len(ids) - 1, 1)
-            age_rank = {eid: k / denom for k, eid in enumerate(by_age)}
-            scored = []
-            for eid in ids:
-                e = self.entries[eid]
-                max_sim = max((similarity(e.context, self.entries[o].context)
-                               for o in ids if o != eid), default=0.0)
-                score = (ALPHA * max_sim - BETA * math.log1p(e.utilization_count)
-                         - GAMMA * age_rank[eid])
-                scored.append((score, eid))
             # highest score evicted; ties broken by highest entry id
-            _, victim = max(scored, key=lambda se: (se[0], se[1]))
+            _, victim = max((t.score, t.entry_id) for t in self.eviction_terms())
             del self.entries[victim]
+            self._record.remove(victim)
             removed.append(victim)
         return removed
 
@@ -418,7 +550,7 @@ def _sha256_from_dict(d: dict, key: str) -> str | None:
         return None
     value = json_field(d, key, str)
     if not re.fullmatch("[0-9a-f]{64}", value):
-        raise ValueError(f"{key} must be 64 lowercase hex digits or null, not {value!r}")
+        raise ValueError(f"{key} must be 64 lowercase hex digits or null, not {brief(value)}")
     return value
 
 
@@ -452,7 +584,7 @@ def pool_from_dict(doc: dict) -> Pool:
     if not isinstance(doc, dict) or "version" not in doc:
         raise PoolFileError("not a pool file")
     if type(doc["version"]) is not int or doc["version"] != POOL_FORMAT_VERSION:
-        raise PoolVersionError(f"unsupported pool format version: {doc['version']!r}")
+        raise PoolVersionError(f"unsupported pool format version: {brief(doc['version'])}")
     try:
         thresholds = doc["thresholds"]
         pool = Pool(capacity=json_field(doc, "capacity", int),

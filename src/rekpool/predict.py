@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import GROUP_MEMBER_INDEX, trace_features
-from .geometry import Scene, Trajectory, as_vec3, canonical_scene_json
+from .geometry import Scene, Trajectory, as_vec3, brief, canonical_scene_json
 from .pool import Context, Pool, fnv1a_64
 from .propagation import OUTAGE_CAP_DB, Trace, trace
 from .spectrum import GROUPS
@@ -72,7 +72,7 @@ class Prediction:
 def check_tau(tau: float):
     """Reject a masking coverage outside (0, 1], NaN included."""
     if not 0.0 < tau <= 1.0:
-        raise ValueError(f"tau must be in (0, 1], not {tau!r}")
+        raise ValueError(f"tau must be in (0, 1], not {brief(tau)}")
 
 
 def top_weight_groups(weights, tau: float) -> set:
@@ -174,7 +174,7 @@ def predict_knn(train, rx, k: int = DEFAULT_KNN_K) -> float:
     if not train:
         raise ValueError("train set must be nonempty")
     if k < 1:
-        raise ValueError(f"k must be >= 1, not {k!r}")
+        raise ValueError(f"k must be >= 1, not {brief(k)}")
     rx = as_vec3(rx)
     dists = [(float(np.linalg.norm(as_vec3(p) - rx)), i, v) for i, (p, v) in enumerate(train)]
     dists.sort(key=lambda t: (t[0], t[1]))

@@ -19,7 +19,8 @@ from rekpool.features import FEATURE_NAMES, load_dataset
 from rekpool.forest import ForestParams
 from rekpool.geometry import load_scene
 from rekpool.pipeline import SPECTRUM_HEADER, loo_evaluate
-from rekpool.pool import POOL_FORMAT_VERSION, Context, Pool, load_pool, pool_to_dict
+from rekpool.pool import (ALPHA, BETA, GAMMA, POOL_FORMAT_VERSION, Context, Pool, load_pool,
+                          pool_to_dict, similarity)
 
 
 def run(*argv):
@@ -201,6 +202,47 @@ class TestPoolCommand:
         assert run("pool", "show", str(workdir / "pool.json")) == 0
         out = capsys.readouterr().out
         assert "entries" in out
+
+    def test_show_prints_matrix_and_eviction_scores(self, workdir, tmp_path, capsys):
+        path = workdir / "pool.json"
+        assert run("pool", "show", str(path)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        pool = load_pool(path)
+        ids = sorted(pool.entries)
+        assert len(ids) > 2
+        start = lines.index("similarity matrix:")
+        assert lines[start + 1:start + 1 + len(ids)] == [
+            f"  {a}: " + " ".join(
+                f"{similarity(pool.entries[a].context, pool.entries[b].context):.3f}"
+                for b in ids)
+            for a in ids]
+        assert lines[start + 1 + len(ids)] == (
+            f"eviction scores ({ALPHA} x max similarity (to entry) - {BETA} x "
+            f"log1p(utilization) - {GAMMA} x age rank; the highest goes first):")
+        rows = lines[start + 2 + len(ids):]
+        assert len(rows) == len(ids)
+        for a, row in zip(ids, rows):
+            e = pool.entries[a]
+            others = [(similarity(e.context, pool.entries[b].context), b) for b in ids if b != a]
+            best = max(s for s, _ in others)
+            nearest = next(b for s, b in others if s == best)
+            use = BETA * math.log1p(e.utilization_count)
+            assert row.startswith(f"  {a}: {ALPHA * best:.3f} ({nearest}) - {use:.3f} - ")
+        # the entry `pool evict` takes first has the highest score, ties to the highest id
+        first = max((t.score, t.entry_id) for t in pool.eviction_terms())[1]
+        target = tmp_path / "pool.json"
+        target.write_bytes(path.read_bytes())
+        assert run("pool", "evict", str(target), "--capacity", str(len(ids) - 1)) == 0
+        assert capsys.readouterr().out == f"evicted 1 entries: [{first}]\n"
+
+    def test_quiet_show_prints_entries_only(self, workdir, capsys):
+        path = str(workdir / "pool.json")
+        assert run("pool", "show", path) == 0
+        loud = capsys.readouterr().out.splitlines()
+        assert run("--quiet", "pool", "show", path) == 0
+        quiet = capsys.readouterr().out.splitlines()
+        assert quiet == loud[:loud.index("similarity matrix:")]
+        assert len(quiet) == 1 + len(load_pool(path).entries)
 
     def test_evict(self, workdir, tmp_path):
         src = (workdir / "pool.json").read_bytes()
@@ -508,6 +550,20 @@ class TestMalformedInput:
         path.write_text(with_nested(workdir / "pool.json", keys, depth))
         self.assert_one_error_line(capsys, ["pool", "show", str(path)])
 
+    @pytest.mark.parametrize("case", ["los nested 500 deep", "train_X holding a string",
+                                      "version nested 500 deep"])
+    def test_error_line_is_brief(self, workdir, tmp_path, capsys, case):
+        path = tmp_path / "pool.json"
+        if case == "train_X holding a string":
+            doc = json.loads((workdir / "pool.json").read_text())
+            doc["entries"][0]["train_X"][-1][-1] = "x"
+            path.write_text(json.dumps(doc))
+        else:
+            keys = ["entries", 0, "context", "los"] if case.startswith("los") else ["version"]
+            path.write_text(with_nested(workdir / "pool.json", keys, 500))
+        err = self.assert_one_error_line(capsys, ["pool", "show", str(path)])
+        assert len(err) < 200
+
     @pytest.mark.parametrize("pid", ["0", "16"])
     def test_dataset_position_off_the_trajectory(self, workdir, tmp_path, capsys, pid):
         lines = (workdir / "dataset.csv").read_text().splitlines(keepends=True)
@@ -621,7 +677,8 @@ def assert_usage_error(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert sum("error:" in line for line in err.splitlines()) == 1
+    [line] = [line for line in err.splitlines() if "error:" in line]
+    return line
 
 
 class TestUsage:
@@ -648,6 +705,16 @@ class TestUsage:
             "learn", "--scene", str(workdir / "scene.json"),
             "--dataset", str(workdir / "dataset.csv")])
         assert not (tmp_path / "pool.json").exists()
+
+    def test_nested_config_value_gives_a_brief_error_line(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"n_trees": %s}' % nested_json(500))
+        line = assert_usage_error(capsys, [
+            "--config", str(cfg), "--seed", "1", "--out-dir", str(tmp_path), "--quiet",
+            "learn", "--scene", str(workdir / "scene.json"),
+            "--dataset", str(workdir / "dataset.csv")])
+        assert line.startswith("rekpool: error: config value n_trees must be an integer")
+        assert len(line) < 200
 
     def test_config_numbers_take_the_option_type(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -15,10 +15,10 @@ from rekpool.forest import ForestParams, fit, permutation_importance
 from rekpool.geometry import canonical_street_scene
 from rekpool.pipeline import (design_matrices, learn_positions, rows_by_position,
                               simulate_trajectory)
-from rekpool.pool import (POOL_FORMAT_VERSION, Context, FitCache, Outcome, Pool,
-                          PoolFileError, PoolVersionError, derive_knowledge, fnv1a_64,
-                          load_pool, pool_from_dict, pool_to_dict, rows_sha256, save_pool,
-                          similarity)
+from rekpool.pool import (ALPHA, BETA, GAMMA, POOL_FORMAT_VERSION, Context, FitCache,
+                          KnowledgeEntry, Outcome, Pool, PoolFileError, PoolVersionError,
+                          _Contexts, derive_knowledge, fnv1a_64, load_pool, pool_from_dict,
+                          pool_to_dict, rows_sha256, save_pool, similarity)
 from rekpool.spectrum import GroupWeights, group_weights, spectrum
 
 SMALL_PARAMS = ForestParams(n_trees=6, max_depth=4, min_leaf=2, seed=1)
@@ -106,6 +106,105 @@ class TestSimilarity:
             s = similarity(ctx(fp=1, f=fa), ctx(fp=2, rx=(1e6, 0, 0), los=False, f=fb))
             assert s == pytest.approx(0.1 * math.exp(-abs(math.log(fa / fb))), abs=1e-15)
         assert similarity(ctx(fp=1), ctx(fp=2, rx=(1e6, 0, 0), los=False)) == 0.1
+
+
+def reference_similarity(a, b):
+    """The similarity rule one pair at a time, as a pool scored every pair
+    before it kept its contexts as arrays."""
+    s = 0.0
+    if a.scene_fingerprint == b.scene_fingerprint:
+        s += 0.4
+    s += 0.3 * math.exp(-float(np.linalg.norm(a.rx - b.rx)) / 10.0)
+    if a.los == b.los:
+        s += 0.2
+    fa, fb = a.frequency_hz, b.frequency_hz
+    s += 0.1 * (min(fa, fb) / max(fa, fb))
+    return s
+
+
+#: Fingerprints that an int64 would wrap or lose: FNV values reach 2**64 - 1.
+BIG_FINGERPRINTS = (0, 1, -1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, -2**63 - 1, 2**80)
+
+CONTEXTS = st.builds(
+    Context,
+    scene_fingerprint=st.one_of(st.sampled_from(BIG_FINGERPRINTS), st.integers()),
+    position_id=st.just(1),
+    # metres apart, as in a street, where numpy's own exp and an axis norm
+    # round some pairs differently; or 1e6 m apart, where the exp is 0
+    rx=st.tuples(*[st.one_of(st.floats(-60, 60), st.sampled_from([0.0, 1e6, -1e6]),
+                             st.floats(-2e6, 2e6))] * 3),
+    los=st.booleans(),
+    # ratios down to 1e-300 and below, where the frequency term underflows
+    frequency_hz=st.one_of(st.sampled_from([1e-150, 1e150, 28e9, 5e-324, 1.7e308]),
+                           st.floats(1e-300, 1e300)))
+
+
+def entries_of(contexts):
+    """{entry id: entry} holding `contexts` as ids 1, 2, ...: all that a
+    pool's context record reads."""
+    return {i: KnowledgeEntry(entry_id=i, context=c, knowledge=None, train_X=None,
+                              train_y=None, created_at=float(i), updated_at=float(i))
+            for i, c in enumerate(contexts, start=1)}
+
+
+class TestArrayPass:
+    @settings(max_examples=200, deadline=None)
+    @given(contexts=st.lists(CONTEXTS, min_size=1, max_size=8), probe=CONTEXTS)
+    def test_equals_the_pair_rule_bit_for_bit(self, contexts, probe):
+        record = _Contexts(entries_of(contexts))
+        row = similarity(record, probe)
+        matrix = record.similarities()
+        for i, a in enumerate(contexts):
+            ref = reference_similarity(a, probe)
+            assert row[i] == similarity(a, probe) == similarity(probe, a) == ref
+            for j, b in enumerate(contexts):
+                assert matrix[i, j] == similarity(a, b) == reference_similarity(a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(contexts=st.lists(CONTEXTS, min_size=1, max_size=8))
+    def test_each_kept_maximum_is_the_first_in_id_order(self, contexts):
+        entries = entries_of(contexts)
+        record = _Contexts(entries)
+        assert record.maxima == all_pairs_maxima(entries)
+
+    def test_an_empty_record_scores_nothing(self):
+        record = _Contexts({})
+        assert similarity(record, ctx()).shape == (0,)
+        assert record.similarities().shape == (0, 0)
+        assert record.maxima == []
+
+    def test_ingest_query_and_evict_keep_one_record(self):
+        pool = small_pool(capacity=2)
+        pool.theta_high, pool.theta_low = 2.0, 1.5  # every ingest is new
+        for i in range(1, 6):
+            pool.ingest(ctx(pid=i, rx=(7.0 * i, 0, 1.5)), *data(seed=i), now=float(i))
+            if i == 1:
+                record = pool._record
+            pool.query(ctx())
+        assert pool._record is record and record.ids == sorted(pool.entries) == [4, 5]
+        assert record.maxima == all_pairs_maxima(pool.entries)
+
+    def test_context_keeps_its_own_receiver(self):
+        rx = np.array([1.0, 2.0, 3.0])
+        c = ctx(rx=rx)
+        rx[0] = 9.0
+        assert c.rx.tolist() == [1.0, 2.0, 3.0]
+        with pytest.raises(ValueError):
+            c.rx[0] = 9.0
+
+
+def all_pairs_maxima(entries):
+    """(maximum similarity to any other entry, the first id in id order that
+    gives it) of each entry in id order, (0.0, None) for a lone entry: by
+    the pair rule over every pair."""
+    ids = sorted(entries)
+    maxima = []
+    for a in ids:
+        sims = [(reference_similarity(entries[a].context, entries[b].context), b)
+                for b in ids if b != a]
+        best = max((s for s, _ in sims), default=0.0)
+        maxima.append((best, next((b for s, b in sims if s == best), None)))
+    return maxima
 
 
 class TestQuery:
@@ -813,6 +912,125 @@ class PoolMachine(RuleBasedStateMachine):
 
 TestPoolMachine = PoolMachine.TestCase
 TestPoolMachine.settings = settings(max_examples=40, stateful_step_count=15, deadline=None)
+
+
+#: Contexts for the record machine: two copies of one context (equal, but
+#: not the same object), ties at equal distances, big fingerprints, and
+#: pairs that transfer, answer or generate against one another.
+RECORD_CONTEXTS = (ctx(fp=2**64 - 1, pid=1, rx=(0, 0, 1.5)),
+                   ctx(fp=2**64 - 1, pid=1, rx=(0, 0, 1.5)),
+                   ctx(fp=2**64 - 1, pid=2, rx=(20, 0, 1.5)),
+                   ctx(fp=2**64 - 1, pid=3, rx=(10, 0, 1.5), los=False),
+                   ctx(fp=-3, pid=4, rx=(400, 0, 1.5)), ctx(fp=-3, pid=5, rx=(400, 30, 1.5)),
+                   ctx(fp=2**63, pid=6, rx=(1e6, 0, 1.5), f=3.5e9))
+
+
+def reference_eviction(state, capacity):
+    """Ids evicted, in order, from a pool whose entries are `state`
+    ({entry id: (context, created_at, utilization)}) down to `capacity`, by
+    the rule written with every pair scored on every eviction."""
+    state, removed = dict(state), []
+    while len(state) > capacity:
+        ids = sorted(state)
+        by_age = sorted(ids, key=lambda i: (state[i][1], i))
+        denom = max(len(ids) - 1, 1)
+        age_rank = {eid: k / denom for k, eid in enumerate(by_age)}
+        scored = []
+        for eid in ids:
+            c, _, used = state[eid]
+            max_sim = max((reference_similarity(c, state[o][0]) for o in ids if o != eid),
+                          default=0.0)
+            scored.append((ALPHA * max_sim - BETA * math.log1p(used) - GAMMA * age_rank[eid],
+                           eid))
+        _, victim = max(scored)
+        del state[victim]
+        removed.append(victim)
+    return removed
+
+
+class PoolRecordMachine(RuleBasedStateMachine):
+    """Ingest, refresh, query, evict, save->load and direct edits of
+    `entries` in any order: after every step each entry's kept maximum
+    similarity (and the entry giving it) equals an all-pairs recomputation,
+    and every eviction picks the victims of the all-pairs rule."""
+
+    def __init__(self):
+        super().__init__()
+        self.pool = Pool(capacity=4, forest_params=STATE_PARAMS)
+        self.clock = 0.0
+        self.dir = tempfile.TemporaryDirectory()
+
+    def teardown(self):
+        self.dir.cleanup()
+
+    def state(self):
+        return {eid: (e.context, e.created_at, e.utilization_count)
+                for eid, e in self.pool.entries.items()}
+
+    @rule(i=st.integers(0, len(RECORD_CONTEXTS) - 1), seed=st.integers(1, 4),
+          refresh=st.booleans())
+    def ingest(self, i, seed, refresh):
+        before = self.state()
+        self.clock += 1.0
+        outcome, eid = self.pool.ingest(RECORD_CONTEXTS[i], *state_data(seed),
+                                        now=self.clock, force_refresh=refresh)
+        if outcome in (Outcome.TRANSFERRED, Outcome.GENERATED_NEW):
+            before[eid] = (RECORD_CONTEXTS[i], self.clock, 0)
+            gone = reference_eviction(before, self.pool.capacity)
+            assert sorted(self.pool.entries) == sorted(set(before) - set(gone))
+
+    @rule(i=st.integers(0, len(RECORD_CONTEXTS) - 1))
+    def query(self, i):
+        sims = [(reference_similarity(self.pool.entries[eid].context, RECORD_CONTEXTS[i]), eid)
+                for eid in sorted(self.pool.entries)]
+        best = max((s for s, _ in sims), default=-1.0)
+        hit = self.pool.query(RECORD_CONTEXTS[i])
+        if best < self.pool.theta_low:
+            assert hit is None
+        else:
+            assert (hit[0].entry_id, hit[1]) == next((e, s) for s, e in sims if s == best)
+
+    @rule(capacity=st.integers(1, 4), through_a_copy=st.booleans())
+    def evict(self, capacity, through_a_copy):
+        expected = reference_eviction(self.state(), capacity)
+        if through_a_copy:  # as `pool evict --capacity` does: the copy shares `entries`
+            assert dataclasses.replace(self.pool, capacity=capacity).sort_and_evict() == expected
+        else:
+            self.pool.capacity = capacity
+            assert self.pool.sort_and_evict() == expected
+
+    @rule()
+    def save_and_load(self):
+        path = os.path.join(self.dir.name, "pool.json")
+        save_pool(path, self.pool)
+        self.pool = load_pool(path)
+
+    @rule(data=st.data())
+    def edit_entries(self, data):
+        entries = self.pool.entries
+        ids = sorted(entries)
+        how = data.draw(st.sampled_from(["swap context", "delete", "rebind", "replace"]))
+        if how == "swap context" and ids:
+            e = entries[data.draw(st.sampled_from(ids))]
+            e.context = data.draw(st.sampled_from(RECORD_CONTEXTS))
+        elif how == "delete" and ids:
+            del entries[data.draw(st.sampled_from(ids))]
+        elif how == "rebind":
+            self.pool.entries = dict(entries)
+        elif how == "replace":
+            self.pool = dataclasses.replace(self.pool, entries=dict(entries))
+
+    @invariant()
+    def kept_maxima_are_all_pairs_maxima(self):
+        terms = self.pool.eviction_terms()
+        assert [t.entry_id for t in terms] == sorted(self.pool.entries)
+        assert [(t.redundancy / ALPHA, t.nearest_id) for t in terms] == \
+            all_pairs_maxima(self.pool.entries)
+
+
+TestPoolRecordMachine = PoolRecordMachine.TestCase
+TestPoolRecordMachine.settings = settings(max_examples=40, stateful_step_count=20,
+                                          deadline=None)
 
 
 POOL_OPS = st.lists(st.one_of(
