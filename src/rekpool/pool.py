@@ -14,20 +14,18 @@ ingest log reproduces the pool file byte-for-byte.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
 from . import forest as rf
 from .features import FEATURE_NAMES
-from .geometry import as_int, as_vec3, atomic_write_text, brief, json_field, load_json, row_norms
+from .geometry import as_int, as_vec3, atomic_write_text, brief, json_field, load_json
 from .spectrum import SUM_TOL, GroupWeights, group_weights
 
 # CPython's own sha256 module: `hashlib` would also load OpenSSL, which adds
@@ -101,97 +99,67 @@ SIMILARITY_RX_SCALE_M = 10.0
 ALPHA, BETA, GAMMA = 1.0, 0.5, 0.25
 
 
-#: `math.exp` of each element: numpy's own `exp` rounds some values to
-#: another float, and a pool's similarities are those of one pair at a time.
-_exp = np.frompyfunc(math.exp, 1, 1)
-
-
 def similarity(a: Context, b: Context) -> float:
     """Weighted context similarity in [0, 1].
 
     0.4 scene fingerprint match + 0.3 RX proximity + 0.2 LOS-state
     match + 0.1 frequency proximity; equals 1 only for identical
     contexts, and similarity(a, b) == similarity(b, a) bit for bit.
-    The RX distance is taken as `geometry.row_norms` takes it, which
-    gives the float that `np.linalg.norm` gives.
     The frequency term is the lower frequency over the higher: that
     equals exp(-|ln(fa / fb)|), and stays defined where fa / fb
     underflows to 0.
-
-    Either side may instead be a pool's record of many contexts, whose
-    fields are arrays (see `_Contexts`): the result is then the array of
-    the pairs' similarities, broadcast as numpy broadcasts, each the float
-    that its pair of contexts gives.
     """
-    s = np.where(a.scene_fingerprint == b.scene_fingerprint, 0.4, 0.0)
-    s = s + 0.3 * np.asarray(_exp(-row_norms(a.rx - b.rx) / SIMILARITY_RX_SCALE_M),
-                             dtype=float)
-    s = s + np.where(a.los == b.los, 0.2, 0.0)
+    s = 0.0
+    if a.scene_fingerprint == b.scene_fingerprint:
+        s += 0.4
+    s += 0.3 * math.exp(-float(np.linalg.norm(a.rx - b.rx)) / SIMILARITY_RX_SCALE_M)
+    if a.los == b.los:
+        s += 0.2
     fa, fb = a.frequency_hz, b.frequency_hz
-    s = s + 0.1 * (np.minimum(fa, fb) / np.maximum(fa, fb))
-    return s if s.ndim else float(s)
+    s += 0.1 * (min(fa, fb) / max(fa, fb))
+    return s
+
+
+def _first_max(scored) -> tuple:
+    """(similarity, id) of the first maximum among (similarity, id) pairs
+    in id order, or (0.0, None) if there are none."""
+    best = (0.0, None)
+    for s, eid in scored:
+        if best[1] is None or s > best[0]:
+            best = (s, eid)
+    return best
 
 
 class _Contexts:
-    """A pool's contexts in entry-id order, and each entry's maximum
-    similarity to the others with the id of the first entry, in id order,
-    that gives it: `maxima`, (0.0, None) for an entry with no other.
+    """A pool's entry ids in order, the context of each, and each entry's
+    maximum similarity to the others with the id of the first entry, in id
+    order, that gives it: `maxima`, (0.0, None) for an entry with no other.
 
-    Its fields `scene_fingerprint`, `rx`, `los` and `frequency_hz` are
-    those of the contexts as arrays, so `similarity(record, ctx)` scores
-    every entry in one pass.  Fingerprints are the Python ints themselves,
-    in an object array, so that any integer compares exactly.  The record
-    holds the `Context` objects it was made from, and describes an
-    `entries` dict only while each of its ids maps to an entry holding the
-    same object."""
+    It describes an `entries` dict only while each of its ids maps to an
+    entry holding the same `Context` object."""
 
     def __init__(self, entries: dict):
-        self.ids = sorted(entries)
-        self.contexts = [entries[eid].context for eid in self.ids]
-        self._index()
-        sims = self.similarities()
-        np.fill_diagonal(sims, -np.inf)
-        self.maxima = [self._nearest(row) for row in sims]
-
-    def _index(self):
-        cs = self.contexts
-        self.scene_fingerprint = np.array([c.scene_fingerprint for c in cs], dtype=object)
-        self.rx = np.array([c.rx for c in cs]).reshape(-1, 3)
-        self.los = np.array([c.los for c in cs], dtype=bool)
-        self.frequency_hz = np.array([c.frequency_hz for c in cs], dtype=float)
-
-    def _nearest(self, sims) -> tuple:
-        """(maximum, id of its first place) of `sims`, one similarity per
-        recorded entry and -inf in an entry's own place."""
-        k = int(np.argmax(sims)) if len(sims) else None
-        if k is None or sims[k] == -np.inf:
-            return 0.0, None
-        return float(sims[k]), self.ids[k]
+        self.ids, self.contexts, self.maxima = [], [], []
+        for eid in sorted(entries):  # similarity is symmetric: each pair scored once
+            ctx = entries[eid].context
+            self.add(eid, ctx, [similarity(c, ctx) for c in self.contexts])
 
     def describes(self, entries: dict) -> bool:
         return len(entries) == len(self.ids) and all(
             (e := entries.get(eid)) is not None and e.context is c
             for eid, c in zip(self.ids, self.contexts))
 
-    def similarities(self) -> np.ndarray:
-        """similarity(a, b) of every pair, rows a and columns b in id order."""
-        column = SimpleNamespace(scene_fingerprint=self.scene_fingerprint[:, None],
-                                 rx=self.rx[:, None, :], los=self.los[:, None],
-                                 frequency_hz=self.frequency_hz[:, None])
-        return similarity(column, self)
-
-    def add(self, eid: int, ctx: Context, sims: np.ndarray):
-        """Record entry `eid` with context `ctx`, whose similarity to each
-        entry recorded so far is `sims`: each of their maxima is compared
-        with the new entry only."""
-        for k, (s, (best, near)) in enumerate(zip(sims.tolist(), self.maxima)):
-            if near is None or s > best or (s == best and eid < near):
+    def add(self, eid: int, ctx: Context, sims: list):
+        """Record entry `eid`, above every recorded id, with context `ctx`,
+        whose similarity to each entry recorded so far is `sims`: each of
+        their maxima is compared with the new entry only."""
+        for k, s in enumerate(sims):
+            best, near = self.maxima[k]
+            if near is None or s > best:
                 self.maxima[k] = s, eid
-        own, at = self._nearest(sims), bisect.bisect(self.ids, eid)
-        self.ids.insert(at, eid)
-        self.contexts.insert(at, ctx)
-        self.maxima.insert(at, own)
-        self._index()
+        self.maxima.append(_first_max(zip(sims, self.ids)))
+        self.ids.append(eid)
+        self.contexts.append(ctx)
 
     def remove(self, eid: int):
         """Forget entry `eid`; only the entries whose maximum it gave are
@@ -199,12 +167,12 @@ class _Contexts:
         k = self.ids.index(eid)
         for items in (self.ids, self.contexts, self.maxima):
             del items[k]
-        self._index()
         for k, (_, near) in enumerate(self.maxima):
             if near == eid:
-                sims = similarity(self, self.contexts[k])
-                sims[k] = -np.inf
-                self.maxima[k] = self._nearest(sims)
+                ctx = self.contexts[k]
+                self.maxima[k] = _first_max(
+                    (similarity(c, ctx), i)
+                    for j, (i, c) in enumerate(zip(self.ids, self.contexts)) if j != k)
 
 
 def rows_sha256(X, y) -> str:
@@ -407,13 +375,14 @@ class Pool:
     def _best_match(self, ctx: Context):
         """((entry id, similarity) of the first entry in id order most
         similar to `ctx`, or None), and every entry's similarity to `ctx`
-        in id order, from one pass."""
-        record = self._contexts()
-        sims = similarity(record, ctx)
-        if not len(sims):
-            return None, sims
-        k = int(np.argmax(sims))
-        return (record.ids[k], float(sims[k])), sims
+        in id order."""
+        best, sims = None, []
+        for eid in sorted(self.entries):
+            s = similarity(self.entries[eid].context, ctx)
+            sims.append(s)
+            if best is None or s > best[1]:
+                best = (eid, s)
+        return best, sims
 
     def query(self, ctx: Context):
         """Best entry with similarity >= theta_low, or None.
@@ -463,9 +432,10 @@ class Pool:
                                knowledge=Knowledge(self.cache, X, y, self.forest_params,
                                                    source),
                                train_X=X, train_y=y, created_at=now, updated_at=now)
+        record = self._contexts()  # of the entries `sims` scored
         self.next_entry_id += 1
         self.entries[entry.entry_id] = entry
-        self._record.add(entry.entry_id, ctx, sims)
+        record.add(entry.entry_id, ctx, sims)
         if len(self.entries) > self.capacity:
             self.sort_and_evict()
         return outcome, entry.entry_id
@@ -486,10 +456,11 @@ class Pool:
                                        redundancy - use - age))
         return terms
 
-    def similarities(self) -> np.ndarray:
-        """similarity(a, b) of every pair of entries in one pass, rows a and
-        columns b in id order."""
-        return self._contexts().similarities()
+    def similarities(self) -> list:
+        """similarity(a, b) of every pair of entries, rows a and columns b
+        in id order."""
+        contexts = [self.entries[eid].context for eid in sorted(self.entries)]
+        return [[similarity(a, b) for b in contexts] for a in contexts]
 
     def sort_and_evict(self) -> list:
         """Evict highest-scoring entries until within capacity; returns

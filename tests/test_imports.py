@@ -29,13 +29,9 @@ linter is a dependency.
 - A seed becomes random numbers in one place: only `geometry.stream`
   builds a `SeedSequence`, so every stream of the same (seed, keys)
   draws the same numbers.
-- A pool's entries change only inside `pool.py`, which keeps the record
-  of their contexts up to date as it changes them: no other module
-  assigns into, deletes from or calls a mutating method on an `.entries`
-  mapping.  (A caller that does so anyway makes the pool rebuild its
-  record; the rule keeps the package itself on the kept path.)
 - Similarities are scored through the pool: only `pool.py` calls
-  `similarity`, so `pool show` prints the matrix of the pool's own pass.
+  `similarity`, so `pool show` prints the matrix that `Pool.similarities`
+  scores.
 """
 
 import ast
@@ -451,52 +447,6 @@ def test_seed_sequence_scanner_finds_planted_calls():
               "RNG = np.random.default_rng(np.random.SeedSequence(1))\n")
     assert seed_sequences(source) == [("stream", 4), ("_grow", 6), ("Forest.draw", 9),
                                       (None, 10)]
-
-
-#: The methods that change a dict in place.
-MUTATING_METHODS = frozenset({"pop", "popitem", "clear", "update", "setdefault",
-                              "__setitem__", "__delitem__", "__ior__"})
-
-
-def entries_mutations(source: str) -> list:
-    """(enclosing function, line) of every `<x>.entries[k] = ...`,
-    `<x>.entries[k] += ...`, `del <x>.entries[k]`, `<x>.entries |= ...` and
-    `<x>.entries.<mutating method>(...)`."""
-    def is_entries(node):
-        return isinstance(node, ast.Attribute) and node.attr == "entries"
-    found = []
-    for node, scope in scoped_nodes(source):
-        if (isinstance(node, ast.Subscript) and is_entries(node.value)
-                and isinstance(node.ctx, (ast.Store, ast.Del))
-                or isinstance(node, ast.AugAssign) and is_entries(node.target)
-                or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr in MUTATING_METHODS and is_entries(node.func.value)):
-            found.append((scope, node.lineno))
-    return found
-
-
-def test_entries_change_only_in_pool():
-    found = {p.name: entries_mutations(p.read_text()) for p in MODULES}
-    assert [m for m, calls in found.items() if calls] == ["pool.py"]  # not vacuous
-
-
-def test_entries_scanner_finds_planted_changes():
-    source = ("def build(pool, e):\n"
-              "    pool.entries[e.entry_id] = e\n"
-              "    n = len(pool.entries) + pool.entries[1].utilization_count\n"
-              "class Pool:\n"
-              "    def evict(self, k):\n"
-              "        del self.entries[k]\n"
-              "        self.entries.pop(k, None)\n"
-              "        self.entries.get(k)\n"
-              "    def merge(self, other):\n"
-              "        self.entries |= other.entries\n"
-              "        self.entries[1].utilization_count += 1\n"
-              "        self.entries[2] += 1\n"
-              "copy.entries.clear()\n"
-              "copy.entries = {}\n")
-    assert entries_mutations(source) == [("build", 2), ("Pool.evict", 6), ("Pool.evict", 7),
-                                         ("Pool.merge", 10), ("Pool.merge", 12), (None, 13)]
 
 
 def similarity_calls(source: str) -> list:
