@@ -53,10 +53,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import brief, json_field, stream
+from .geometry import brief, from_blob, stream, to_blob
 
 #: Most (tree, row) pairs one block of a `Trees` walk holds.
 TREE_ROW_BUDGET = 1 << 14
+
+#: How a pool file stores a split feature index, -1 for a leaf.
+FEATURE_DTYPE = "<i2"
 
 
 @dataclass(frozen=True)
@@ -164,10 +167,11 @@ class Trees:
         step = max(1, TREE_ROW_BUDGET // len(self.roots))
         for lo in range(0, len(X), step):
             block = X[lo:lo + step]
-            rows = np.arange(len(block))
+            flat = block.ravel()  # row i's value of feature f is flat[i * p + f]
+            at_row = np.arange(len(block)) * block.shape[1]
             node = np.repeat(self.roots[:, None], len(block), axis=1)
             for _ in range(self.depth):
-                node = self.step(node, block[rows, self.feature[node]])
+                node = self.step(node, flat.take(at_row + self.feature.take(node)))
             leaves = self.value[node]
             if keep is not None:
                 leaves = np.where(keep[:, lo:lo + step], leaves, 0.0)
@@ -177,28 +181,27 @@ class Trees:
         return out
 
     def to_dict(self) -> dict:
+        """`feature` as int16, the inner nodes' thresholds and the leaves'
+        values as float64, each a `geometry.to_blob` object."""
         inner = self.feature >= 0
-        return {"feature": self.feature.tolist(),
-                "threshold": self.threshold[inner].tolist(),
-                "value": self.value[~inner].tolist()}
+        return {"feature": to_blob(self.feature, FEATURE_DTYPE),
+                "threshold": to_blob(self.threshold[inner], "<f8"),
+                "value": to_blob(self.value[~inner], "<f8")}
 
     @staticmethod
     def from_dict(d: dict, n_features: int) -> "Trees":
         """Rebuild the table from its stored preorder `feature` sequence,
         the inner nodes' thresholds and the leaves' values, rejecting any
         that do not form whole binary trees over `n_features` features."""
-        json_field(d, "feature", np.ndarray)  # numbers only: no true among the integers
-        feature = np.array(d["feature"])
-        if feature.ndim != 1 or len(feature) == 0 or feature.dtype.kind != "i":
-            raise ValueError("tree feature must be a nonempty list of integers")
+        feature = from_blob(d, "feature", FEATURE_DTYPE).astype(int)  # as `_grow` makes it
+        if feature.ndim != 1 or len(feature) == 0:
+            raise ValueError("tree feature must be a nonempty 1-D array")
         if feature.min() < -1 or feature.max() >= n_features:
             raise ValueError(f"tree feature index outside [-1, {n_features})")
         inner = feature >= 0
-        threshold, value = (json_field(d, k, np.ndarray) for k in ("threshold", "value"))
+        threshold, value = (from_blob(d, k, "<f8") for k in ("threshold", "value"))
         if threshold.shape != (inner.sum(),) or value.shape != ((~inner).sum(),):
             raise ValueError("tree needs one threshold per inner node and one value per leaf")
-        if not (np.all(np.isfinite(threshold)) and np.all(np.isfinite(value))):
-            raise ValueError("tree thresholds and values must be finite")
         full_threshold, full_value = np.zeros(len(feature)), np.zeros(len(feature))
         full_threshold[inner] = threshold
         full_value[~inner] = value

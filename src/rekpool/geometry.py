@@ -8,6 +8,7 @@ keeps the propagation oracle exact and testable.
 
 from __future__ import annotations
 
+import base64
 import csv
 import io
 import json
@@ -483,6 +484,50 @@ def load_json(path):
             return json.load(f, parse_float=_finite_float, parse_constant=_reject_constant)
         except RecursionError:
             raise ValueError("JSON input nested too deeply") from None
+
+
+def to_blob(a, dtype: str) -> dict:
+    """`a` as a JSON object: the dtype string `dtype`, the shape and the
+    base64 of the C-order bytes of `a` as `dtype`, as a `.npy` file holds
+    an array (NEP 1).  So every float round-trips bit for bit, and no
+    number becomes a Python object.  ValueError if a value of `a` does not
+    survive the cast to `dtype`."""
+    a = np.asarray(a)
+    b = np.ascontiguousarray(a, dtype=dtype)
+    if not np.can_cast(a.dtype, b.dtype) and not np.array_equal(a, b):
+        raise ValueError(f"array of {a.dtype} does not fit {dtype}")
+    return {"dtype": dtype, "shape": list(b.shape),
+            "data": base64.b64encode(b).decode("ascii")}
+
+
+def from_blob(doc: dict, key: str, dtype: str) -> np.ndarray:
+    """doc[key], a `to_blob` object, as a read-only array: ValueError
+    naming `key` unless it has exactly the keys dtype, shape and data, its
+    dtype is `dtype`, its shape a list of integers >= 0, its data base64 of
+    exactly the shape's bytes and, for a float dtype, every value finite."""
+    value = doc[key]
+    if not isinstance(value, dict) or sorted(value) != ["data", "dtype", "shape"]:
+        raise ValueError(f"{key} must be an object of dtype, shape and data, not {brief(value)}")
+    if value["dtype"] != dtype:
+        raise ValueError(f"{key} dtype must be {dtype}, not {brief(value['dtype'])}")
+    shape, data = value["shape"], value["data"]
+    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+        raise ValueError(f"{key} shape must be a list of integers >= 0, not {brief(shape)}")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except (TypeError, ValueError):  # not a string; binascii.Error is a ValueError
+        raise ValueError(f"{key} data must be a base64 string, not {brief(data)}") from None
+    dt = np.dtype(dtype)
+    if len(raw) != math.prod(shape) * dt.itemsize:
+        raise ValueError(f"{key} data holds {len(raw)} bytes, not {dt.itemsize} "
+                         f"per item of shape {brief(shape)}")
+    try:
+        a = np.frombuffer(raw, dtype=dt).reshape(shape)
+    except ValueError as exc:  # an empty shape with a dimension numpy cannot hold
+        raise ValueError(f"{key} shape {brief(shape)}: {exc}") from None
+    if dt.kind == "f" and not np.isfinite(a).all():
+        raise ValueError(f"{key} must be finite")
+    return a
 
 
 #: What each kind that `json_field` reads is written as in a JSON file.

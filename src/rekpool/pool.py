@@ -25,7 +25,8 @@ import numpy as np
 
 from . import forest as rf
 from .features import FEATURE_NAMES
-from .geometry import as_int, as_vec3, atomic_write_text, brief, json_field, load_json
+from .geometry import (as_int, as_vec3, atomic_write_text, brief, from_blob, json_field,
+                       load_json, to_blob)
 from .spectrum import SUM_TOL, GroupWeights, group_weights
 
 # CPython's own sha256 module: `hashlib` would also load OpenSSL, which adds
@@ -38,7 +39,7 @@ except ImportError:  # CPython 3.12 on
     except ImportError:
         from hashlib import sha256
 
-POOL_FORMAT_VERSION = 7
+POOL_FORMAT_VERSION = 8
 
 FNV64_OFFSET = 0xCBF29CE484222325
 FNV64_PRIME = 0x100000001B3
@@ -200,8 +201,11 @@ class FitCache:
         self._fits = {}
         self._derived = {}
 
-    def fit(self, X, y, params):
-        key = (rows_sha256(X, y), params)
+    def fit(self, X, y, params, digest=None):
+        """The forest of (X, y) under `params`, fit on the key's first
+        lookup only; `digest`, if given, is `rows_sha256(X, y)`, which the
+        caller has already taken."""
+        key = (rows_sha256(X, y) if digest is None else digest, params)
         if key not in self._fits:
             self._fits[key] = rf.fit(X, y, params, feature_names=FEATURE_NAMES)
         return self._fits[key]
@@ -214,7 +218,8 @@ class FitCache:
         and hits by it)."""
         key = (rows_sha256(X, y), None if source is None else rows_sha256(*source), params)
         if key not in self._derived:
-            self._derived[key] = (*derive_knowledge(self, X, y, params, source), key[1])
+            self._derived[key] = (*derive_knowledge(self, X, y, params, source, key[:2]),
+                                  key[1])
         return self._derived[key]
 
     def add(self, X, y, model, weights, source_sha256):
@@ -226,15 +231,18 @@ class FitCache:
         self._derived[(digest, source_sha256, model.params)] = (model, weights, source_sha256)
 
 
-def derive_knowledge(cache: FitCache, X, y, params: rf.ForestParams, source=None):
+def derive_knowledge(cache: FitCache, X, y, params: rf.ForestParams, source=None,
+                     digests=(None, None)):
     """(model, weights): the forest fit on (X, y) through `cache` and the group
     weights of its permutation importances; on a transfer the importances
     are taken over the fresh trees followed by the trees fit on `source`, the
     source entry's (train_X, train_y) as they were at ingest time.  The miss
-    path of `FitCache.importance`, which memoizes it."""
-    model = cache.fit(X, y, params)
+    path of `FitCache.importance`, which memoizes it and passes the
+    `rows_sha256` of the rows and of the source rows as `digests`, so that
+    no fit digests them again."""
+    model = cache.fit(X, y, params, digests[0])
     basis = model if source is None else replace(
-        model, trees=model.trees + cache.fit(*source, params).trees)
+        model, trees=model.trees + cache.fit(*source, params, digests[1]).trees)
     return model, group_weights(rf.permutation_importance(basis, X, y, seed=params.seed))
 
 
@@ -535,8 +543,8 @@ def pool_to_dict(pool: Pool) -> dict:
             "weights": _weights_to_dict(e.weights),
             "source_sha256": e.source_sha256,
             "model": e.model.to_dict(),
-            "train_X": e.train_X.tolist(),
-            "train_y": e.train_y.tolist(),
+            "train_X": to_blob(e.train_X, "<f8"),
+            "train_y": to_blob(e.train_y, "<f8"),
             "created_at": e.created_at,
             "updated_at": e.updated_at,
             "utilization_count": e.utilization_count,
@@ -566,7 +574,7 @@ def pool_from_dict(doc: dict) -> Pool:
         for ed in doc["entries"]:
             # the rows an entry's model was fit on, checked as `ingest` checks them
             train_X, train_y = rf.check_rows(
-                json_field(ed, "train_X", np.ndarray), json_field(ed, "train_y", np.ndarray),
+                from_blob(ed, "train_X", "<f8"), from_blob(ed, "train_y", "<f8"),
                 pool.forest_params, len(FEATURE_NAMES))
             model = rf.RandomForestModel.from_dict(ed["model"], pool.forest_params,
                                                    FEATURE_NAMES)

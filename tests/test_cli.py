@@ -17,7 +17,7 @@ from rekpool import cli
 from rekpool.cli import main
 from rekpool.features import FEATURE_NAMES, load_dataset
 from rekpool.forest import ForestParams
-from rekpool.geometry import load_scene
+from rekpool.geometry import from_blob, load_scene
 from rekpool.pipeline import SPECTRUM_HEADER, loo_evaluate
 from rekpool.pool import (ALPHA, BETA, GAMMA, POOL_FORMAT_VERSION, Context, Pool, load_pool,
                           pool_to_dict, similarity)
@@ -285,7 +285,7 @@ class TestGolden:
     DIGESTS = {
         "dataset.csv": "49d02848761a1c0a98b1b6f60d629d06062107919b608df454286f5fa28b31f7",
         "spectrum.csv": "8336fc9291975b642169db2dbbd2f2f57bdba60fee40976665c8b101ccf087bb",
-        "pool.json": "53fada48f5d2b1c978de0c81ace04b837552ef9b337238ab5305f64b46b2c469",
+        "pool.json": "1be8021a951c0cce754169aa8370ebd9816a3e230e03b517310d4c924aa516c4",
         "summary.csv": "7de504d0b3727837665a81429820b0ac143df3ffd8ce8eb9f0c0325caa01b039",
     }
 
@@ -324,27 +324,27 @@ class TestMalformedInput:
     @pytest.mark.parametrize("case", ["child out of range", "trailing nodes",
                                       "unequal lengths", "feature >= 16", "no trees",
                                       "one tree more", "version 2", "version 3",
-                                      "version 4"])
-    def test_malformed_tree(self, workdir, tmp_path, capsys, command, case):
+                                      "version 4", "version 7"])
+    def test_malformed_tree(self, workdir, tmp_path, capsys, edit_blob, command, case):
         doc = json.loads((workdir / "pool.json").read_text())
         model = doc["entries"][0]["model"]
         if case == "child out of range":  # the last right child lies past the end
-            model["feature"].pop()
-            model["value"].pop()
+            edit_blob(model, "feature", lambda a: a[:-1])
+            edit_blob(model, "value", lambda a: a[:-1])
         elif case == "trailing nodes":  # an inner node and its left leaf end the sequence
-            model["feature"] += [0, -1]
-            model["threshold"].append(0.5)
-            model["value"].append(0.0)
+            edit_blob(model, "feature", lambda a: np.append(a, [0, -1]))
+            edit_blob(model, "threshold", lambda a: np.append(a, 0.5))
+            edit_blob(model, "value", lambda a: np.append(a, 0.0))
         elif case == "unequal lengths":  # one value more than there are leaves
-            model["value"].append(0.0)
+            edit_blob(model, "value", lambda a: np.append(a, 0.0))
         elif case == "feature >= 16":
-            model["feature"][0] = 16
+            edit_blob(model, "feature", lambda a: np.append(16, a[1:]))
         elif case == "no trees":
             for key in ("feature", "threshold", "value"):
-                model[key] = []
+                edit_blob(model, key, lambda a: a[:0])
         elif case == "one tree more":  # a whole leaf tree beyond n_trees
-            model["feature"].append(-1)
-            model["value"].append(0.0)
+            edit_blob(model, "feature", lambda a: np.append(a, -1))
+            edit_blob(model, "value", lambda a: np.append(a, 0.0))
         else:
             doc["version"] = int(case[-1])
         path = tmp_path / "pool.json"
@@ -371,7 +371,7 @@ class TestMalformedInput:
                                       "integer too large for a float", "capacity 2.7",
                                       "scene_fingerprint 1.9", "los no", "created_at string",
                                       "utilization_count -5", "more entries than capacity"])
-    def test_pool_invariants(self, workdir, tmp_path, capsys, case):
+    def test_pool_invariants(self, workdir, tmp_path, capsys, edit_blob, case):
         doc = json.loads((workdir / "pool.json").read_text())
         first, second = doc["entries"][:2]
         if case == "duplicate entry_id":
@@ -379,11 +379,12 @@ class TestMalformedInput:
         elif case == "next_entry_id not above":
             doc["next_entry_id"] = max(e["entry_id"] for e in doc["entries"])
         elif case == "narrow train_X":
-            first["train_X"] = [row[:-1] for row in first["train_X"]]
+            edit_blob(first, "train_X", lambda a: a[:, :-1])
         elif case == "no rows":
-            first["train_X"], first["train_y"] = [], []
+            edit_blob(first, "train_X", lambda a: a[:0])
+            edit_blob(first, "train_y", lambda a: a[:0])
         elif case == "train_y length":
-            first["train_y"].pop()
+            edit_blob(first, "train_y", lambda a: a[:-1])
         elif case == "integer too large for a float":
             doc["thresholds"]["theta_high"] = 10 ** 400
         elif case == "capacity 2.7":  # loaded as 2
@@ -432,6 +433,51 @@ class TestMalformedInput:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error: ")
             assert ("version: 6" if value == "format 6" else "source_sha256") in err[0]
+        assert not (tmp_path / "summary.csv").exists()
+
+    @pytest.mark.parametrize("command", ["pool", "predict"])
+    @pytest.mark.parametrize("key, case", [
+        ("train_X", "bad base64"), ("train_y", "bad padding"), ("train_y", "wrong length"),
+        ("value", "wrong length"), ("threshold", "wrong dtype"), ("feature", "wrong dtype"),
+        ("train_X", "negative shape"), ("train_X", "shape of booleans"),
+        ("value", "shape not a list"), ("feature", "extra key"), ("train_y", "not an object"),
+        ("threshold", "nan"), ("value", "inf"), ("train_X", "nan"), ("train_y", "-inf")])
+    def test_malformed_array(self, workdir, tmp_path, capsys, edit_blob, command, key, case):
+        """A stored array that is not as `to_blob` writes it gives one short
+        `error:` line that names it."""
+        doc = json.loads((workdir / "pool.json").read_text())
+        holder = doc["entries"][0] if key.startswith("train") else doc["entries"][0]["model"]
+        blob = holder[key]
+        if case == "bad base64":  # which decoding without validate=True would skip
+            blob["data"] = blob["data"][:4] + "*" + blob["data"][4:]
+        elif case == "bad padding":
+            blob["data"] = blob["data"][:-1]
+        elif case == "wrong length":  # one item more in the shape than in the data
+            blob["shape"][0] += 1
+        elif case == "wrong dtype":  # the same bytes, read another way
+            blob["dtype"] = {"<f8": ">f8", "<i2": "<i8"}[blob["dtype"]]
+        elif case == "negative shape":
+            blob["shape"][0] = -1
+        elif case == "shape of booleans":
+            blob["shape"] = [True] * len(blob["shape"])
+        elif case == "shape not a list":
+            blob["shape"] = blob["shape"][0]
+        elif case == "extra key":
+            blob["order"] = "C"
+        elif case == "not an object":
+            holder[key] = blob["data"]
+        else:  # the first item's bytes are those of a non-finite float
+            edit_blob(holder, key,
+                      lambda a: np.append(float(case), a.ravel()[1:]).reshape(a.shape))
+        path = tmp_path / "pool.json"
+        path.write_text(json.dumps(doc))
+        argv = ["pool", "show", str(path)]
+        if command == "predict":
+            argv = ["--out-dir", str(tmp_path), "predict", "--scene",
+                    str(workdir / "scene.json"), "--dataset",
+                    str(workdir / "dataset.csv"), "--pool", str(path)]
+        err = self.assert_one_error_line(capsys, argv)
+        assert key in err and len(err) < 200
         assert not (tmp_path / "summary.csv").exists()
 
     def test_non_finite_pool_value(self, workdir, tmp_path, capsys):
@@ -554,9 +600,11 @@ class TestMalformedInput:
                                       "version nested 500 deep"])
     def test_error_line_is_brief(self, workdir, tmp_path, capsys, case):
         path = tmp_path / "pool.json"
-        if case == "train_X holding a string":
+        if case == "train_X holding a string":  # rows as lists, one of them a string
             doc = json.loads((workdir / "pool.json").read_text())
-            doc["entries"][0]["train_X"][-1][-1] = "x"
+            rows = from_blob(doc["entries"][0], "train_X", "<f8").tolist()
+            rows[-1][-1] = "x"
+            doc["entries"][0]["train_X"] = rows
             path.write_text(json.dumps(doc))
         else:
             keys = ["entries", 0, "context", "los"] if case.startswith("los") else ["version"]

@@ -1,3 +1,4 @@
+import base64
 import copy
 import dataclasses
 import json
@@ -13,7 +14,7 @@ from rekpool import pool as pool_module
 from rekpool.features import RealizationConfig
 from rekpool.forest import (TREE_ROW_BUDGET, ForestParams, RandomForestModel, Trees, fit,
                             permutation_importance)
-from rekpool.geometry import canonical_street_scene
+from rekpool.geometry import canonical_street_scene, from_blob, to_blob
 from rekpool.pipeline import (FitCache, build_pool, design_matrices, loo_evaluate,
                               rows_by_position, simulate_trajectory, trace_trajectory)
 from rekpool.pool import Pool, derive_knowledge, load_pool, rows_sha256, save_pool
@@ -49,8 +50,8 @@ def tree_rows(trees):
 
 
 #: Root splits on x2, its left child on x0; nodes 2, 3 and 4 are leaves.
-VALID_TREE = {"feature": [2, 0, -1, -1, -1], "threshold": [0.25, 0.5],
-              "value": [1.5, 0.5, -3.0]}
+VALID_TREE = {"feature": to_blob([2, 0, -1, -1, -1], "<i2"),
+              "threshold": to_blob([0.25, 0.5], "<f8"), "value": to_blob([1.5, 0.5, -3.0], "<f8")}
 
 
 def reference_children(feature):
@@ -664,6 +665,28 @@ class TestFitCache:
             != weights[0]
         assert runs == [4]
 
+    def test_each_row_set_digested_once_per_derivation(self, monkeypatch):
+        """A miss digests its rows and its source's rows once each: its two
+        forest lookups reuse the digests it keyed on."""
+        rng = np.random.default_rng(5)
+        X, A = (rng.uniform(-1, 1, size=(40, 16)) for _ in range(2))
+        params = ForestParams(n_trees=2, max_depth=3, min_leaf=2, seed=1)
+        digested = []
+        real = pool_module.rows_sha256
+
+        def counted(X, y):
+            digested.append(len(X))
+            return real(X, y)
+        monkeypatch.setattr(pool_module, "rows_sha256", counted)
+        cache = FitCache()
+        model = cache.importance(X, X[:, 0], params)[0]
+        assert digested == [40]
+        digested.clear()
+        assert cache.importance(X, X[:, 0], params, (A[:20], A[:20, 1]))[0] is model
+        assert digested == [40, 20]
+        assert cache.fit(A[:20], A[:20, 1], params) is cache.fit(
+            A[:20], A[:20, 1], params, real(A[:20], A[:20, 1]))  # one memo key either way
+
     def test_loaded_template_seeds_fits(self, tmp_path, monkeypatch):
         """A saved->loaded pool as LOO template: only the positions it does
         not hold are fit, and the predictions are those of a cold run."""
@@ -704,9 +727,9 @@ class TestFitCache:
         derived, runs = [], []
         real_derive, real_importance = pool_module.derive_knowledge, forest.permutation_importance
 
-        def derive(cache, X, y, params, source=None):
+        def derive(cache, X, y, params, source=None, digests=(None, None)):
             derived.append((rows_sha256(X, y), None if source is None else rows_sha256(*source)))
-            return real_derive(cache, X, y, params, source)
+            return real_derive(cache, X, y, params, source, digests)
 
         def importance(*args, **kwargs):
             runs.append(1)
@@ -823,7 +846,12 @@ class TestSerialization:
         tree = Trees.parse(np.array([2, -1, -1]), np.array([0.25, 0.0, 0.0]),
                            np.array([0.0, 1.5, -3.0]))
         d = json.loads(json.dumps(tree.to_dict()))
-        assert d == {"feature": [2, -1, -1], "threshold": [0.25], "value": [1.5, -3.0]}
+
+        def blob(dtype, items):
+            data = base64.b64encode(np.array(items, dtype=dtype).tobytes()).decode()
+            return {"dtype": dtype, "shape": [len(items)], "data": data}
+        assert d == {"feature": blob("<i2", [2, -1, -1]), "threshold": blob("<f8", [0.25]),
+                     "value": blob("<f8", [1.5, -3.0])}
         back = Trees.from_dict(d, n_features=3)
         assert back.to_dict() == tree.to_dict()
         for a in ("feature", "threshold", "value", "child", "roots"):
@@ -857,9 +885,9 @@ class TestSerialization:
     @pytest.mark.parametrize("field, index, value", [
         ("feature", 1, 3),             # feature >= n_features
         ("feature", 4, -2),            # feature < -1
-        ("feature", 0, 1.5),           # not an index
-        ("feature", 1, False),         # equals 0, but is not an integer
-        ("threshold", 0, "0.25"),      # a string, not a number
+        ("feature", 0, 1.5),           # not an index: stored as floats
+        ("feature", 1, False),         # equals 0, but is not an integer: stored as booleans
+        ("threshold", 0, "0.25"),      # a string, not a number: stored as strings
         ("threshold", 0, math.nan),
         ("threshold", 1, math.inf),
         ("value", 0, math.nan),
@@ -868,7 +896,11 @@ class TestSerialization:
     def test_malformed_tree_rejected(self, field, index, value):
         d = copy.deepcopy(VALID_TREE)
         Trees.from_dict(d, n_features=3)
-        d[field][index] = value
+        items = from_blob(d, field, d[field]["dtype"]).tolist()
+        items[index] = value
+        # an integer keeps the stored dtype; anything else takes its own
+        dtype = d[field]["dtype"] if type(value) is int else np.asarray(value).dtype.str
+        d[field] = to_blob(np.array(items, dtype=dtype), dtype)
         with pytest.raises(ValueError):
             Trees.from_dict(d, n_features=3)
 
@@ -883,17 +915,21 @@ class TestSerialization:
         Trailing nodes and an extra leaf parse as a second tree, which the
         tree count rejects."""
         inner = sum(f >= 0 for f in feature)
-        d = {"oob_r2": None, "feature": feature, "threshold": [0.5] * inner,
-             "value": [1.0] * (len(feature) - inner)}
+        d = {"oob_r2": None, "feature": to_blob(feature, "<i2"),
+             "threshold": to_blob([0.5] * inner, "<f8"),
+             "value": to_blob([1.0] * (len(feature) - inner), "<f8")}
         with pytest.raises(ValueError):
             RandomForestModel.from_dict(d, ForestParams(n_trees=1), ("a", "b", "c"))
 
-    def test_unequal_or_empty_arrays_rejected(self):
+    def test_unequal_or_empty_arrays_rejected(self, edit_blob):
         for key in ("threshold", "value"):
-            for grow in (lambda a: a.append(0.0), lambda a: a.pop()):
+            for grow in (lambda a: np.append(a, 0.0), lambda a: a[:-1]):
                 d = copy.deepcopy(VALID_TREE)
-                grow(d[key])
+                edit_blob(d, key, grow)
                 with pytest.raises(ValueError):
                     Trees.from_dict(d, n_features=3)
+        d = copy.deepcopy(VALID_TREE)
+        for key in d:
+            edit_blob(d, key, lambda a: a[:0])
         with pytest.raises(ValueError):
-            Trees.from_dict({k: [] for k in VALID_TREE}, n_features=3)
+            Trees.from_dict(d, n_features=3)

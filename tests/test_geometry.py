@@ -5,11 +5,13 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from rekpool.geometry import (EPS_EXACT, Blockage, Scatterer, Scene, Trajectory,
-                              canonical_scene_json, canonical_street_scene, json_field,
-                              load_json, load_scene, ray_box_intersect, save_scene,
-                              scene_from_dict, scene_to_dict, segment_blocked)
+                              canonical_scene_json, canonical_street_scene, from_blob,
+                              json_field, load_json, load_scene, ray_box_intersect,
+                              save_scene, scene_from_dict, scene_to_dict, segment_blocked,
+                              to_blob)
 from rekpool.geometry import _slab_test
 
 
@@ -374,6 +376,39 @@ class TestScenePersistence:
         doc["version"] = 99
         with pytest.raises(ValueError):
             scene_from_dict(doc)
+
+
+class TestArrayBlobs:
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=6),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+    @example(np.array([-0.0, 0.0, 5e-324, -2.2250738585072e-308, 1.79e308, -1.79e308,
+                       np.finfo(float).max, -np.finfo(float).tiny]))
+    @example(np.zeros((0, 16)))
+    def test_float64_round_trip_is_bit_exact(self, a):
+        doc = json.loads(json.dumps({"a": to_blob(a, "<f8")}))
+        back = from_blob(doc, "a", "<f8")
+        assert back.shape == a.shape and back.dtype == np.float64
+        assert back.tobytes() == a.tobytes()
+
+    ONE_AND_A_HALF = {"dtype": "<f8", "shape": [1], "data": "AAAAAAAA+D8="}
+
+    @pytest.mark.parametrize("change", [
+        {"shape": [True]},                  # a bool is no size, though True == 1
+        {"data": "AAAAAAAA\n+D8="},         # not strict base64
+        {"order": "C"},
+        {"data": "AAAAAAAA+H8="},           # NaN
+        {"shape": [1, 1], "data": "AAAAAAAA8P8="},  # -inf
+    ], ids=["bool shape", "newline in data", "extra key", "nan", "-inf"])
+    def test_malformed_blob_rejected(self, change):
+        assert from_blob({"x": self.ONE_AND_A_HALF}, "x", "<f8").tolist() == [1.5]
+        with pytest.raises(ValueError, match="^x "):
+            from_blob({"x": {**self.ONE_AND_A_HALF, **change}}, "x", "<f8")
+
+    def test_value_that_does_not_fit_rejected(self):
+        assert from_blob({"f": to_blob([-1, 32767], "<i2")}, "f", "<i2").tolist() == [-1, 32767]
+        with pytest.raises(ValueError, match="does not fit <i2"):
+            to_blob([-1, 32768], "<i2")
 
 
 class TestInvariants:

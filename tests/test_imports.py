@@ -32,9 +32,13 @@ linter is a dependency.
 - Similarities are scored through the pool: only `pool.py` calls
   `similarity`, so `pool show` prints the matrix that `Pool.similarities`
   scores.
+- A pool file's arrays have one format: only the blob helpers
+  `geometry.to_blob` and `geometry.from_blob` call `base64`, so every
+  stored array is written and checked in one place.
 """
 
 import ast
+import base64
 import os
 import pathlib
 import re
@@ -476,3 +480,25 @@ def test_similarity_scanner_finds_planted_calls():
               "        return rekpool.pool.similarity(a, b)\n"
               "S = similarity\n")
     assert similarity_calls(source) == [("show", 3), ("Report.nearest", 7)]
+
+
+BASE64_FUNCTIONS = tuple(n for n in dir(base64)
+                         if not n.startswith("_") and callable(getattr(base64, n)))
+
+
+def base64_calls(source: str) -> list:
+    return module_calls(source, "base64", BASE64_FUNCTIONS)
+
+
+def test_base64_called_only_by_blob_helpers():
+    calls = [(p.name, func) for p in MODULES for func, _ in base64_calls(p.read_text())]
+    assert calls == [("geometry.py", "to_blob"), ("geometry.py", "from_blob")]
+
+
+def test_base64_scanner_finds_planted_calls():
+    source = ("import base64\nfrom base64 import b64decode\n"
+              "def to_blob(a):\n    return base64.b64encode(a)\n"
+              "class Trees:\n    def to_dict(self):\n"
+              "        return base64.urlsafe_b64encode(self.feature.tobytes())\n"
+              "RAW = base64.b64decode('AA==')\n")
+    assert base64_calls(source) == [(None, 2), ("to_blob", 4), ("to_dict", 7), (None, 8)]

@@ -12,7 +12,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from rekpool import forest
 from rekpool.features import FEATURE_NAMES, RealizationConfig
 from rekpool.forest import ForestParams, fit, permutation_importance
-from rekpool.geometry import canonical_street_scene
+from rekpool.geometry import canonical_street_scene, to_blob
 from rekpool.pipeline import (design_matrices, learn_positions, rows_by_position,
                               simulate_trajectory)
 from rekpool.pool import (ALPHA, BETA, GAMMA, POOL_FORMAT_VERSION, Context, FitCache,
@@ -446,7 +446,8 @@ class TestIngestRows:
         pool = small_pool()
         pool.ingest(ctx(), *data(), now=1.0)
         doc = pool_to_dict(pool)
-        doc["entries"][0]["train_X"], doc["entries"][0]["train_y"] = X.tolist(), y.tolist()
+        doc["entries"][0]["train_X"], doc["entries"][0]["train_y"] = (to_blob(X, "<f8"),
+                                                                      to_blob(y, "<f8"))
         for call in (lambda: fit(X, y, SMALL_PARAMS, feature_names=FEATURE_NAMES),
                      lambda: small_pool().ingest(ctx(), X, y),
                      lambda: pool_from_dict(doc)):
@@ -662,7 +663,7 @@ class TestPersistence:
         # every key that is stored is read back: without it loading fails
         doc = json.loads(text)
         paths = list(key_paths(doc))
-        assert len(paths) == 13 + 23  # the pool's keys and one entry's
+        assert len(paths) == 13 + 38  # the pool's keys and one entry's
         for path in paths:
             broken = json.loads(text)
             parent = broken
@@ -673,17 +674,18 @@ class TestPersistence:
                 pool_from_dict(broken)
 
     def test_v1_and_keyless_files_rejected(self):
-        for version in (1, 2, 3, 4, 5, 6):
+        for version in (1, 2, 3, 4, 5, 6, 7):
             with pytest.raises(PoolVersionError):
                 pool_from_dict({"version": version})
         with pytest.raises(PoolFileError):
             pool_from_dict({"version": POOL_FORMAT_VERSION})
 
-    def test_malformed_tree_is_pool_file_error(self):
+    def test_malformed_tree_is_pool_file_error(self, edit_blob):
         doc = json.loads(json.dumps(pool_to_dict(self.build())))
         model = doc["entries"][0]["model"]
-        model["feature"].pop()  # truncated: the last right child is missing
-        model["value"].pop()
+        # truncated: the last right child is missing
+        edit_blob(model, "feature", lambda a: a[:-1])
+        edit_blob(model, "value", lambda a: a[:-1])
         with pytest.raises(PoolFileError):
             pool_from_dict(doc)
 
