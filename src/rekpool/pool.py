@@ -83,7 +83,7 @@ class Context:
         if not isinstance(self.los, (bool, np.bool_)):
             raise ValueError(f"los must be a bool, not {brief(self.los)}")
         object.__setattr__(self, "los", bool(self.los))
-        # a copy no caller can change, since a pool keeps it in its record
+        # a copy no caller can change, since every match compares it
         rx = as_vec3(self.rx).copy()
         rx.flags.writeable = False
         object.__setattr__(self, "rx", rx)
@@ -119,61 +119,6 @@ def similarity(a: Context, b: Context) -> float:
     fa, fb = a.frequency_hz, b.frequency_hz
     s += 0.1 * (min(fa, fb) / max(fa, fb))
     return s
-
-
-def _first_max(scored) -> tuple:
-    """(similarity, id) of the first maximum among (similarity, id) pairs
-    in id order, or (0.0, None) if there are none."""
-    best = (0.0, None)
-    for s, eid in scored:
-        if best[1] is None or s > best[0]:
-            best = (s, eid)
-    return best
-
-
-class _Contexts:
-    """A pool's entry ids in order, the context of each, and each entry's
-    maximum similarity to the others with the id of the first entry, in id
-    order, that gives it: `maxima`, (0.0, None) for an entry with no other.
-
-    It describes an `entries` dict only while each of its ids maps to an
-    entry holding the same `Context` object."""
-
-    def __init__(self, entries: dict):
-        self.ids, self.contexts, self.maxima = [], [], []
-        for eid in sorted(entries):  # similarity is symmetric: each pair scored once
-            ctx = entries[eid].context
-            self.add(eid, ctx, [similarity(c, ctx) for c in self.contexts])
-
-    def describes(self, entries: dict) -> bool:
-        return len(entries) == len(self.ids) and all(
-            (e := entries.get(eid)) is not None and e.context is c
-            for eid, c in zip(self.ids, self.contexts))
-
-    def add(self, eid: int, ctx: Context, sims: list):
-        """Record entry `eid`, above every recorded id, with context `ctx`,
-        whose similarity to each entry recorded so far is `sims`: each of
-        their maxima is compared with the new entry only."""
-        for k, s in enumerate(sims):
-            best, near = self.maxima[k]
-            if near is None or s > best:
-                self.maxima[k] = s, eid
-        self.maxima.append(_first_max(zip(sims, self.ids)))
-        self.ids.append(eid)
-        self.contexts.append(ctx)
-
-    def remove(self, eid: int):
-        """Forget entry `eid`; only the entries whose maximum it gave are
-        scored again."""
-        k = self.ids.index(eid)
-        for items in (self.ids, self.contexts, self.maxima):
-            del items[k]
-        for k, (_, near) in enumerate(self.maxima):
-            if near == eid:
-                ctx = self.contexts[k]
-                self.maxima[k] = _first_max(
-                    (similarity(c, ctx), i)
-                    for j, (i, c) in enumerate(zip(self.ids, self.contexts)) if j != k)
 
 
 def rows_sha256(X, y) -> str:
@@ -359,8 +304,6 @@ class Pool:
     #: loading seeds it with each stored forest as the fit of its rows and
     #: each stored (model, weights) as the derivation its entry's key names
     cache: FitCache = field(default_factory=FitCache, repr=False, compare=False)
-    #: the kept record of the entries' contexts (see `_contexts`)
-    _record: _Contexts | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.capacity = as_int(self.capacity, "capacity")
@@ -372,32 +315,22 @@ class Pool:
 
     # -- read side ---------------------------------------------------------
 
-    def _contexts(self) -> _Contexts:
-        """The kept record of the entries' contexts; made again from
-        `entries` when a caller has swapped, added or removed an entry or a
-        context since."""
-        if self._record is None or not self._record.describes(self.entries):
-            self._record = _Contexts(self.entries)
-        return self._record
-
     def _best_match(self, ctx: Context):
-        """((entry id, similarity) of the first entry in id order most
-        similar to `ctx`, or None), and every entry's similarity to `ctx`
-        in id order."""
-        best, sims = None, []
+        """(entry id, similarity) of the first entry in id order most
+        similar to `ctx`, or None."""
+        best = None
         for eid in sorted(self.entries):
             s = similarity(self.entries[eid].context, ctx)
-            sims.append(s)
             if best is None or s > best[1]:
                 best = (eid, s)
-        return best, sims
+        return best
 
     def query(self, ctx: Context):
         """Best entry with similarity >= theta_low, or None.
 
         A returned hit counts as a utilization of that entry.
         """
-        best, _ = self._best_match(ctx)
+        best = self._best_match(ctx)
         if best is None or best[1] < self.theta_low:
             return None
         entry = self.entries[best[0]]
@@ -414,7 +347,7 @@ class Pool:
         first read (see `KnowledgeEntry`)."""
         X, y = rf.check_rows(X, y, self.forest_params, len(FEATURE_NAMES))
         now = _time(now, "now")
-        best, sims = self._best_match(ctx)
+        best = self._best_match(ctx)
         if best is not None and best[1] >= self.theta_high:
             entry = self.entries[best[0]]
             if not force_refresh:
@@ -440,10 +373,8 @@ class Pool:
                                knowledge=Knowledge(self.cache, X, y, self.forest_params,
                                                    source),
                                train_X=X, train_y=y, created_at=now, updated_at=now)
-        record = self._contexts()  # of the entries `sims` scored
         self.next_entry_id += 1
         self.entries[entry.entry_id] = entry
-        record.add(entry.entry_id, ctx, sims)
         if len(self.entries) > self.capacity:
             self.sort_and_evict()
         return outcome, entry.entry_id
@@ -451,12 +382,16 @@ class Pool:
     def eviction_terms(self) -> list:
         """Each entry's `EvictionTerms`, in id order: the score that
         `sort_and_evict` ranks entries by, and its three terms."""
-        record = self._contexts()
-        by_age = sorted(record.ids, key=lambda i: (self.entries[i].created_at, i))
-        denom = max(len(by_age) - 1, 1)
+        ids = sorted(self.entries)
+        by_age = sorted(ids, key=lambda i: (self.entries[i].created_at, i))
+        denom = max(len(ids) - 1, 1)
         age_rank = {eid: k / denom for k, eid in enumerate(by_age)}
         terms = []
-        for eid, (best, near) in zip(record.ids, record.maxima):
+        for eid, sims in zip(ids, self.similarities()):
+            best, near = 0.0, None  # the first maximum in id order
+            for s, other in zip(sims, ids):
+                if other != eid and (near is None or s > best):
+                    best, near = s, other
             redundancy = ALPHA * best
             use = BETA * math.log1p(self.entries[eid].utilization_count)
             age = GAMMA * age_rank[eid]
@@ -466,9 +401,14 @@ class Pool:
 
     def similarities(self) -> list:
         """similarity(a, b) of every pair of entries, rows a and columns b
-        in id order."""
+        in id order; each pair is scored once, as similarity is symmetric
+        bit for bit."""
         contexts = [self.entries[eid].context for eid in sorted(self.entries)]
-        return [[similarity(a, b) for b in contexts] for a in contexts]
+        rows = [[0.0] * len(contexts) for _ in contexts]
+        for i, a in enumerate(contexts):
+            for j in range(i, len(contexts)):
+                rows[i][j] = rows[j][i] = similarity(a, contexts[j])
+        return rows
 
     def sort_and_evict(self) -> list:
         """Evict highest-scoring entries until within capacity; returns
@@ -477,17 +417,12 @@ class Pool:
         score = ALPHA * (max similarity to any other entry)
               - BETA * log(1 + utilization)
               - GAMMA * normalized age rank (oldest -> 0)
-
-        Each entry's maximum is kept in the pool's record of its contexts,
-        so an eviction scores again only the entries whose maximum the
-        evicted entry gave.
         """
         removed = []
         while len(self.entries) > self.capacity:
             # highest score evicted; ties broken by highest entry id
             _, victim = max((t.score, t.entry_id) for t in self.eviction_terms())
             del self.entries[victim]
-            self._record.remove(victim)
             removed.append(victim)
         return removed
 

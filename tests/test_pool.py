@@ -17,8 +17,8 @@ from rekpool.pipeline import (design_matrices, learn_positions, rows_by_position
                               simulate_trajectory)
 from rekpool.pool import (ALPHA, BETA, GAMMA, POOL_FORMAT_VERSION, Context, FitCache,
                           KnowledgeEntry, Outcome, Pool, PoolFileError, PoolVersionError,
-                          _Contexts, derive_knowledge, fnv1a_64, load_pool, pool_from_dict,
-                          pool_to_dict, rows_sha256, save_pool, similarity)
+                          derive_knowledge, fnv1a_64, load_pool, pool_from_dict, pool_to_dict,
+                          rows_sha256, save_pool, similarity)
 from rekpool.spectrum import GroupWeights, group_weights, spectrum
 
 SMALL_PARAMS = ForestParams(n_trees=6, max_depth=4, min_leaf=2, seed=1)
@@ -125,8 +125,8 @@ CONTEXTS = st.builds(
 
 
 def entries_of(contexts):
-    """{entry id: entry} holding `contexts` as ids 1, 2, ...: all that a
-    pool's context record reads."""
+    """{entry id: entry} holding `contexts` as ids 1, 2, ...: all that
+    eviction reads."""
     return {i: KnowledgeEntry(entry_id=i, context=c, knowledge=None, train_X=None,
                               train_y=None, created_at=float(i), updated_at=float(i))
             for i, c in enumerate(contexts, start=1)}
@@ -136,30 +136,19 @@ class TestContextRecord:
     @settings(max_examples=200, deadline=None)
     @given(a=CONTEXTS, b=CONTEXTS)
     def test_similarity_is_symmetric_bit_for_bit(self, a, b):
-        # a kept maximum scores each pair once, for both of its entries
+        # `Pool.similarities` scores each pair once and mirrors it
         assert similarity(a, b) == similarity(b, a)
 
     @settings(max_examples=100, deadline=None)
     @given(contexts=st.lists(CONTEXTS, min_size=1, max_size=8))
-    def test_each_kept_maximum_is_the_first_in_id_order(self, contexts):
+    def test_each_maximum_is_the_first_in_id_order(self, contexts):
         entries = entries_of(contexts)
-        record = _Contexts(entries)
-        assert record.maxima == all_pairs_maxima(entries)
+        terms = Pool(entries=entries).eviction_terms()
+        assert [(t.redundancy / ALPHA, t.nearest_id) for t in terms] == \
+            all_pairs_maxima(entries)
 
-    def test_an_empty_record_holds_nothing(self):
-        record = _Contexts({})
-        assert record.ids == record.contexts == record.maxima == []
-
-    def test_ingest_query_and_evict_keep_one_record(self):
-        pool = small_pool(capacity=2)
-        pool.theta_high, pool.theta_low = 2.0, 1.5  # every ingest is new
-        for i in range(1, 6):
-            pool.ingest(ctx(pid=i, rx=(7.0 * i, 0, 1.5)), *data(seed=i), now=float(i))
-            if i == 1:
-                record = pool._record
-            pool.query(ctx())
-        assert pool._record is record and record.ids == sorted(pool.entries) == [4, 5]
-        assert record.maxima == all_pairs_maxima(pool.entries)
+    def test_an_empty_pool_has_no_eviction_terms(self):
+        assert Pool().eviction_terms() == []
 
     def test_a_swapped_context_remakes_the_record(self):
         pool = small_pool()
@@ -169,7 +158,6 @@ class TestContextRecord:
         before = pool.eviction_terms()
         pool.entries[2].context = ctx(fp=2, pid=2, rx=(1e6, 0, 1.5), los=False)
         assert pool.eviction_terms() != before
-        assert pool._record.maxima == all_pairs_maxima(pool.entries)
 
     def test_context_keeps_its_own_receiver(self):
         rx = np.array([1.0, 2.0, 3.0])
@@ -939,7 +927,7 @@ def reference_eviction(state, capacity):
 
 class PoolRecordMachine(RuleBasedStateMachine):
     """Ingest, refresh, query, evict, save->load and direct edits of
-    `entries` in any order: after every step each entry's kept maximum
+    `entries` in any order: after every step each entry's maximum
     similarity (and the entry giving it) equals an all-pairs recomputation,
     and every eviction picks the victims of the all-pairs rule."""
 
@@ -1010,7 +998,7 @@ class PoolRecordMachine(RuleBasedStateMachine):
             self.pool = dataclasses.replace(self.pool, entries=dict(entries))
 
     @invariant()
-    def kept_maxima_are_all_pairs_maxima(self):
+    def maxima_are_all_pairs_maxima(self):
         terms = self.pool.eviction_terms()
         assert [t.entry_id for t in terms] == sorted(self.pool.entries)
         assert [(t.redundancy / ALPHA, t.nearest_id) for t in terms] == \
@@ -1020,6 +1008,31 @@ class PoolRecordMachine(RuleBasedStateMachine):
 TestPoolRecordMachine = PoolRecordMachine.TestCase
 TestPoolRecordMachine.settings = settings(max_examples=40, stateful_step_count=20,
                                           deadline=None)
+
+
+#: Contexts for eviction at sizes the record machine never reaches: drawn
+#: with repeats, they tie maxima; three at one receiver that differ only in
+#: LOS state or frequency tie scores too (see the example).
+SIZE_CONTEXTS = (ctx(), ctx(los=False), ctx(f=7e9), ctx(f=14e9), ctx(rx=(10, 0, 1.5)),
+                 ctx(fp=2), ctx(rx=(1e6, 0, 1.5)), ctx(fp=2, rx=(1e6, 0, 1.5), los=False))
+
+
+class TestEvictionAtSize:
+    @settings(max_examples=100, deadline=None)
+    @given(contexts=st.lists(st.sampled_from(SIZE_CONTEXTS), min_size=2, max_size=33),
+           uses=st.lists(st.sampled_from([0, 0, 1, 3]), max_size=33),
+           capacity=st.integers(1, 32))
+    # entries 1 and 2 tie at score 0.8 for the first eviction
+    @example(contexts=[SIZE_CONTEXTS[1], SIZE_CONTEXTS[2], SIZE_CONTEXTS[0]], uses=[],
+             capacity=1)
+    def test_sort_and_evict_picks_the_all_pairs_victims(self, contexts, uses, capacity):
+        entries = entries_of(contexts)
+        for e, used in zip(entries.values(), uses):
+            e.utilization_count = used
+        state = {eid: (e.context, e.created_at, e.utilization_count)
+                 for eid, e in entries.items()}
+        pool = Pool(capacity=capacity, entries=entries)
+        assert pool.sort_and_evict() == reference_eviction(state, capacity)
 
 
 POOL_OPS = st.lists(st.one_of(
