@@ -235,6 +235,20 @@ def save_dataset(path, rows):
     atomic_write_text(path, dataset_to_csv(rows))
 
 
+def _bad_field(rec) -> str:
+    """What is wrong with the first field of the dataset record `rec` that
+    is neither an integer id nor a finite number (`los` aside)."""
+    for k, (name, text) in enumerate(zip(DATASET_HEADER, rec)):
+        try:
+            if k < 2:
+                int(text)
+            elif name != "los" and not math.isfinite(float(text)):
+                break
+        except ValueError:
+            break
+    return f"{name} must be {'an integer' if k < 2 else 'a finite number'}, not {brief(text)}"
+
+
 def load_dataset(path) -> list:
     rows = []
     with open(path) as f:
@@ -251,16 +265,22 @@ def load_dataset(path) -> list:
                                      f"got {len(rec)}")
                 if rec[-2] not in ("0", "1"):
                     raise ValueError(f"{where}: los must be 0 or 1, not {brief(rec[-2])}")
-                key = (int(rec[0]), int(rec[1]))
+                try:
+                    key = (int(rec[0]), int(rec[1]))
+                    values = list(map(float, rec[2:-2]))  # the features, then the path loss
+                    timestamp = float(rec[-1])
+                    finite = all(map(math.isfinite, values)) and math.isfinite(timestamp)
+                except ValueError:
+                    finite = False
+                if not finite:
+                    raise ValueError(f"{where}: {_bad_field(rec)}")
                 if key in seen:
                     raise ValueError(f"{where}: position {key[0]} realization {key[1]} "
                                      "is listed twice")
                 seen.add(key)
                 rows.append(DatasetRow(
-                    position_id=key[0], realization_id=key[1],
-                    features=np.array([float(x) for x in rec[2:2 + len(FEATURE_NAMES)]]),
-                    path_loss_db=float(rec[-3]), los=rec[-2] == "1",
-                    timestamp=float(rec[-1])))
+                    position_id=key[0], realization_id=key[1], features=np.array(values[:-1]),
+                    path_loss_db=values[-1], los=rec[-2] == "1", timestamp=timestamp))
         except csv.Error as exc:  # such as a field over the csv module's size limit
             raise ValueError(f"dataset line {reader.line_num}: {exc}") from None
     if not rows:

@@ -5,10 +5,10 @@ out evaluation rebuilds a pool per held-out position from the remaining
 positions' realizations.  A pool entry derives its knowledge on first
 read (see `pool.KnowledgeEntry`), so a rebuilt pool fits only the entry
 it serves and that entry's transfer source; the rebuilt pools share one
-memo (`FitCache`), so a position's forest is fit, and its knowledge
-derived from the same rows and transfer source, at most once.  A loaded
-pool's memo already holds each stored forest and each stored derivation,
-so neither is made again.
+memo (`FitCache`), whose `importance` is the one derivation, so a
+position's forest is fit, and its knowledge derived from the same rows
+and transfer source, at most once.  A loaded pool's memo already holds
+each stored forest and each stored derivation, so neither is made again.
 """
 
 from __future__ import annotations

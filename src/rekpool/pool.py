@@ -146,25 +146,30 @@ class FitCache:
         self._fits = {}
         self._derived = {}
 
-    def fit(self, X, y, params, digest=None):
-        """The forest of (X, y) under `params`, fit on the key's first
-        lookup only; `digest`, if given, is `rows_sha256(X, y)`, which the
-        caller has already taken."""
-        key = (rows_sha256(X, y) if digest is None else digest, params)
+    def fit(self, X, y, params, digest):
+        """The forest of (X, y), whose `rows_sha256` is `digest`, under
+        `params`: fit on the key's first lookup only."""
+        key = (digest, params)
         if key not in self._fits:
             self._fits[key] = rf.fit(X, y, params, feature_names=FEATURE_NAMES)
         return self._fits[key]
 
     def importance(self, X, y, params, source=None):
-        """(model, weights, source rows digest or None): `derive_knowledge` of
-        these rows, transfer source rows and params, made on the key's first
-        lookup only; so each key costs at most one permutation-importance
-        run, which names the method (perfbench's tracer counts its lookups
-        and hits by it)."""
-        key = (rows_sha256(X, y), None if source is None else rows_sha256(*source), params)
+        """(model, weights, source rows digest or None): the forest of (X, y)
+        and the group weights of its permutation importances, taken on a
+        transfer over its trees followed by those of `source`, the source
+        entry's (train_X, train_y) as ingested.  Made on the key's first
+        lookup only, each row set digested once; perfbench's tracer counts
+        lookups and hits by this method's name."""
+        digest = rows_sha256(X, y)
+        source_digest = None if source is None else rows_sha256(*source)
+        key = (digest, source_digest, params)
         if key not in self._derived:
-            self._derived[key] = (*derive_knowledge(self, X, y, params, source, key[:2]),
-                                  key[1])
+            model = self.fit(X, y, params, digest)
+            basis = model if source is None else replace(
+                model, trees=model.trees + self.fit(*source, params, source_digest).trees)
+            weights = group_weights(rf.permutation_importance(basis, X, y, seed=params.seed))
+            self._derived[key] = (model, weights, source_digest)
         return self._derived[key]
 
     def add(self, X, y, model, weights, source_sha256):
@@ -174,54 +179,6 @@ class FitCache:
         digest = rows_sha256(X, y)
         self._fits[(digest, model.params)] = model
         self._derived[(digest, source_sha256, model.params)] = (model, weights, source_sha256)
-
-
-def derive_knowledge(cache: FitCache, X, y, params: rf.ForestParams, source=None,
-                     digests=(None, None)):
-    """(model, weights): the forest fit on (X, y) through `cache` and the group
-    weights of its permutation importances; on a transfer the importances
-    are taken over the fresh trees followed by the trees fit on `source`, the
-    source entry's (train_X, train_y) as they were at ingest time.  The miss
-    path of `FitCache.importance`, which memoizes it and passes the
-    `rows_sha256` of the rows and of the source rows as `digests`, so that
-    no fit digests them again."""
-    model = cache.fit(X, y, params, digests[0])
-    basis = model if source is None else replace(
-        model, trees=model.trees + cache.fit(*source, params, digests[1]).trees)
-    return model, group_weights(rf.permutation_importance(basis, X, y, seed=params.seed))
-
-
-class Knowledge:
-    """One entry's model and weights, derived together on the first read of
-    either, through the pool's memo (`FitCache.importance`), with the digest
-    of the transfer source's rows that keys that derivation.
-
-    Until then the cell holds only what that derivation needs: the memo,
-    the rows, the forest parameters and, on a transfer, the source entry's
-    rows as they were at ingest time; never the source's cell, so a pending
-    transfer holds no chain of unread cells.  Once derived it holds only
-    the result, which nothing changes, so a memo may share its model."""
-
-    def __init__(self, cache: FitCache, X, y, params: rf.ForestParams, source=None):
-        self._pending = (cache, X, y, params, source)
-        self._value = None
-
-    @classmethod
-    def of(cls, model: rf.RandomForestModel, weights: GroupWeights,
-           source_sha256: str | None) -> Knowledge:
-        """A cell derived already, as a pool file holds it."""
-        cell = cls.__new__(cls)
-        cell._pending, cell._value = None, (model, weights, source_sha256)
-        return cell
-
-    def get(self):
-        """(model, weights, source rows digest or None), derived now if they
-        were not."""
-        if self._value is None:
-            cache, *args = self._pending
-            self._value = cache.importance(*args)
-            self._pending = None
-        return self._value
 
 
 @dataclass
@@ -238,37 +195,49 @@ class KnowledgeEntry:
     the digest of the source's rows is, as `source_sha256`.  The knowledge
     spectrum is not stored: it is `weights.spectrum`.
 
-    All three are read-only views of one `Knowledge` cell, derived on the
-    first read: when the entry is served, saved or shown.  The forest of
-    its rows is also fit, through the memo, when an entry transferred
-    from it is read.  Routing and eviction read only the context, the utilization
-    and `created_at`, so an entry evicted unread is never fit.  A refine
-    swaps the cell.
+    All three are derived together into `knowledge` through the pool's memo
+    (`FitCache.importance`) on the first read: when the entry is served,
+    saved or shown.  Until then `pending` holds what that needs besides the
+    entry's rows: the memo, the forest parameters and, on a transfer, the
+    source's rows as ingested; never the source entry, so no chain of
+    unread entries is held.  Its forest is also fit when an entry
+    transferred from it is read.  Routing and eviction read only the
+    context, the utilization and `created_at`, so an entry evicted unread
+    is never fit.  A refine makes the entry pending again.
     """
 
     entry_id: int
     context: Context
-    knowledge: Knowledge
     train_X: np.ndarray
     train_y: np.ndarray
     created_at: float
     updated_at: float
     utilization_count: int = 0
+    knowledge: tuple | None = None  # (model, weights, source_sha256) once derived
+    pending: tuple | None = None    # (memo, forest params, source rows or None) until then
+
+    def _derive(self) -> tuple:
+        """`knowledge`, derived now if it was not."""
+        if self.knowledge is None:
+            cache, params, source = self.pending
+            self.knowledge = cache.importance(self.train_X, self.train_y, params, source)
+            self.pending = None
+        return self.knowledge
 
     @property
     def model(self) -> rf.RandomForestModel:
-        return self.knowledge.get()[0]
+        return self._derive()[0]
 
     @property
     def weights(self) -> GroupWeights:
-        return self.knowledge.get()[1]
+        return self._derive()[1]
 
     @property
     def source_sha256(self) -> str | None:
         """`rows_sha256` of the transfer source's rows as ingested, or None:
         with the entry's rows and the forest parameters, the key of its
         derivation."""
-        return self.knowledge.get()[2]
+        return self._derive()[2]
 
 
 class EvictionTerms(NamedTuple):
@@ -356,8 +325,7 @@ class Pool:
             # Refine: retrain on stored provenance plus the new data.
             entry.train_X = np.vstack([entry.train_X, X])
             entry.train_y = np.concatenate([entry.train_y, y])
-            entry.knowledge = Knowledge(self.cache, entry.train_X, entry.train_y,
-                                        self.forest_params)
+            entry.knowledge, entry.pending = None, (self.cache, self.forest_params, None)
             entry.updated_at = now
             return Outcome.REFINED, entry.entry_id
         if best is not None and best[1] >= self.theta_low:
@@ -369,10 +337,9 @@ class Pool:
             outcome, source = Outcome.TRANSFERRED, (src.train_X, src.train_y)
         else:
             outcome, source = Outcome.GENERATED_NEW, None
-        entry = KnowledgeEntry(entry_id=self.next_entry_id, context=ctx,
-                               knowledge=Knowledge(self.cache, X, y, self.forest_params,
-                                                   source),
-                               train_X=X, train_y=y, created_at=now, updated_at=now)
+        entry = KnowledgeEntry(entry_id=self.next_entry_id, context=ctx, train_X=X, train_y=y,
+                               created_at=now, updated_at=now,
+                               pending=(self.cache, self.forest_params, source))
         self.next_entry_id += 1
         self.entries[entry.entry_id] = entry
         if len(self.entries) > self.capacity:
@@ -518,11 +485,11 @@ def pool_from_dict(doc: dict) -> Pool:
             entry = KnowledgeEntry(
                 entry_id=json_field(ed, "entry_id", int),
                 context=_context_from_dict(ed["context"]),
-                knowledge=Knowledge.of(model, weights, source_sha256),
                 train_X=train_X, train_y=train_y,
                 created_at=_time(json_field(ed, "created_at", float), "created_at"),
                 updated_at=_time(json_field(ed, "updated_at", float), "updated_at"),
-                utilization_count=json_field(ed, "utilization_count", int))
+                utilization_count=json_field(ed, "utilization_count", int),
+                knowledge=(model, weights, source_sha256))
             if entry.utilization_count < 0:
                 raise ValueError(f"utilization_count must be >= 0: {entry.utilization_count}")
             if entry.entry_id in pool.entries:

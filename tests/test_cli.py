@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from rekpool import cli
 from rekpool.cli import main
-from rekpool.features import FEATURE_NAMES, load_dataset
+from rekpool.features import DATASET_HEADER, FEATURE_NAMES, load_dataset
 from rekpool.forest import ForestParams
 from rekpool.geometry import from_blob, load_scene
 from rekpool.pipeline import SPECTRUM_HEADER, loo_evaluate
@@ -578,6 +578,27 @@ class TestMalformedInput:
             "--scene", str(workdir / "scene.json"), "--dataset", str(path)])
         assert err.startswith("error: dataset line 3: field larger than field limit")
         assert not (tmp_path / "pool.json").exists()
+
+    @pytest.mark.parametrize("command", ["learn", "predict"])
+    @pytest.mark.parametrize("column, value", [
+        ("position_id", "1.0"), ("L_cy", "abc"), ("L_cy", "nan"), ("path_loss_db", "inf"),
+        ("timestamp", "-inf")])
+    def test_dataset_value(self, workdir, tmp_path, capsys, command, column, value):
+        """An id that is not an integer, or a number that is not finite, which
+        `realize` never writes, names its line and column."""
+        lines = (workdir / "dataset.csv").read_text().splitlines(keepends=True)
+        fields = lines[2].rstrip("\n").split(",")
+        fields[DATASET_HEADER.index(column)] = value
+        path = tmp_path / "dataset.csv"
+        path.write_text("".join(lines[:2] + [",".join(fields) + "\n"] + lines[3:]))
+        argv = ["--seed", "1", "--out-dir", str(tmp_path), command,
+                "--scene", str(workdir / "scene.json"), "--dataset", str(path)]
+        if command == "predict":
+            argv += ["--pool", str(workdir / "pool.json")]
+        err = self.assert_one_error_line(capsys, argv)
+        kind = "an integer" if column == "position_id" else "a finite number"
+        assert err == f"error: dataset line 3: {column} must be {kind}, not '{value}'"
+        assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("depth", NESTING_DEPTHS)
     def test_deeply_nested_scene(self, workdir, tmp_path, capsys, depth):

@@ -17,7 +17,7 @@ from rekpool.forest import (TREE_ROW_BUDGET, ForestParams, RandomForestModel, Tr
 from rekpool.geometry import canonical_street_scene, from_blob, to_blob
 from rekpool.pipeline import (FitCache, build_pool, design_matrices, loo_evaluate,
                               rows_by_position, simulate_trajectory, trace_trajectory)
-from rekpool.pool import Pool, derive_knowledge, load_pool, rows_sha256, save_pool
+from rekpool.pool import Pool, load_pool, rows_sha256, save_pool
 from rekpool.predict import trajectory_contexts
 
 
@@ -658,7 +658,7 @@ class TestFitCache:
         weights = [d[1] for d in derived]
         assert weights[0] != weights[1] != weights[2] != weights[0]
         for src, w in zip(sources, weights):
-            assert w == derive_knowledge(FitCache(), *rows[0], params, src)[1]
+            assert w == FitCache().importance(*rows[0], params, src)[1]
         runs.clear()
         assert [cache.importance(*rows[0], params, src) for src in sources] == derived
         assert cache.importance(*rows[0], dataclasses.replace(params, seed=2))[1] \
@@ -684,8 +684,10 @@ class TestFitCache:
         digested.clear()
         assert cache.importance(X, X[:, 0], params, (A[:20], A[:20, 1]))[0] is model
         assert digested == [40, 20]
-        assert cache.fit(A[:20], A[:20, 1], params) is cache.fit(
-            A[:20], A[:20, 1], params, real(A[:20], A[:20, 1]))  # one memo key either way
+        fitted = []
+        monkeypatch.setattr(forest, "fit", lambda *args, **kwargs: fitted.append(args))
+        cache.fit(A[:20], A[:20, 1], params, real(A[:20], A[:20, 1]))
+        assert fitted == []  # the source's forest, under the key the miss made
 
     def test_loaded_template_seeds_fits(self, tmp_path, monkeypatch):
         """A saved->loaded pool as LOO template: only the positions it does
@@ -725,16 +727,18 @@ class TestFitCache:
         stored = {(rows_sha256(e.train_X, e.train_y), e.source_sha256)
                   for e in template.entries.values()}
         derived, runs = [], []
-        real_derive, real_importance = pool_module.derive_knowledge, forest.permutation_importance
+        real_derive, real_importance = FitCache.importance, forest.permutation_importance
 
-        def derive(cache, X, y, params, source=None, digests=(None, None)):
-            derived.append((rows_sha256(X, y), None if source is None else rows_sha256(*source)))
-            return real_derive(cache, X, y, params, source, digests)
+        def derive(cache, X, y, params, source=None):
+            key = (rows_sha256(X, y), None if source is None else rows_sha256(*source))
+            if (*key, params) not in cache._derived:  # a miss
+                derived.append(key)
+            return real_derive(cache, X, y, params, source)
 
         def importance(*args, **kwargs):
             runs.append(1)
             return real_importance(*args, **kwargs)
-        monkeypatch.setattr(pool_module, "derive_knowledge", derive)
+        monkeypatch.setattr(FitCache, "importance", derive)
         monkeypatch.setattr(forest, "permutation_importance", importance)
         cold, _ = loo_evaluate(scene, traj, rows, pool_template=Pool(forest_params=params))
         needed = set(derived)
@@ -748,22 +752,23 @@ class TestFitCache:
 
     def test_unread_template_stays_unread(self, monkeypatch):
         """A template built in this process lends its memo, and LOO derives
-        none of its entries: each held-out pool fits what it reads.  A cell
-        derives only on its first read, and no template cell is ever read."""
+        none of its entries: each held-out pool fits what it reads.  An entry
+        derives only on its first read, and no template entry is ever read."""
         scene, traj = canonical_street_scene()
         rows = simulate_trajectory(scene, traj, RealizationConfig(n_realizations=10, seed=3))
         params = ForestParams(n_trees=3, max_depth=4, min_leaf=2, seed=3)
         contexts = trajectory_contexts(scene, traj, trace_trajectory(scene, traj))
-        read, real_get = [], pool_module.Knowledge.get
+        read, real_derive = [], pool_module.KnowledgeEntry._derive
 
-        def get(cell):
-            read.append(id(cell))
-            return real_get(cell)
-        monkeypatch.setattr(pool_module.Knowledge, "get", get)
+        def derive(entry):
+            if entry.knowledge is None:  # its first read
+                read.append(id(entry))
+            return real_derive(entry)
+        monkeypatch.setattr(pool_module.KnowledgeEntry, "_derive", derive)
         template = build_pool(rows, contexts, Pool(forest_params=params))
         lazy, _ = loo_evaluate(scene, traj, rows, pool_template=template)
-        assert read  # the held-out pools' cells are read
-        assert not {id(e.knowledge) for e in template.entries.values()} & set(read)
+        assert read  # the held-out pools' entries are read
+        assert not {id(e) for e in template.entries.values()} & set(read)
         cold, _ = loo_evaluate(scene, traj, rows, pool_template=Pool(forest_params=params))
         assert lazy == cold
 

@@ -20,12 +20,12 @@ linter is a dependency.
   the console script.
 - Importing the CLI does not import scipy, which only stream alignment
   needs and which costs every CLI call about half a second.
-- Knowledge is derived in one place: only `pool.derive_knowledge` runs
-  `permutation_importance` and calls `group_weights`, and only the memo's
-  miss path, `FitCache.importance`, calls `derive_knowledge`.
-- A pool's memo and cells stay inside `pool.py`: only `pool_from_dict`
-  records a forest with `FitCache.add`, and no other module touches an
-  entry's `.knowledge`.
+- Knowledge is derived in one place: only the memo's miss path,
+  `FitCache.importance`, runs `permutation_importance` and calls
+  `group_weights`.
+- A pool's memo and lazy derivations stay inside `pool.py`: only
+  `pool_from_dict` records a forest with `FitCache.add`, and no other
+  module touches an entry's `knowledge` or `pending`.
 - A seed becomes random numbers in one place: only `geometry.stream`
   builds a `SeedSequence`, so every stream of the same (seed, keys)
   draws the same numbers.
@@ -301,9 +301,8 @@ def test_cli_import_leaves_scipy_out():
 
 
 #: Each step of deriving knowledge, and the one function that may call it.
-DERIVATION_CALLERS = {"permutation_importance": "derive_knowledge",
-                      "group_weights": "derive_knowledge",
-                      "derive_knowledge": "FitCache.importance"}
+DERIVATION_CALLERS = {"permutation_importance": "FitCache.importance",
+                      "group_weights": "FitCache.importance"}
 
 
 def scoped_nodes(source: str):
@@ -348,34 +347,42 @@ def test_knowledge_derived_in_one_place():
 def test_derivation_scanner_finds_planted_calls():
     source = ("class FitCache:\n"
               "    def importance(self, X):\n"
-              "        return derive_knowledge(self, X)\n"
-              "def derive_knowledge(c, X):\n"
-              "    return group_weights(rf.permutation_importance(c.fit(X)))\n"
-              "class Knowledge:\n"
-              "    def get(self):\n"
+              "        return group_weights(rf.permutation_importance(self.fit(X)))\n"
+              "def derive(c, X):\n"
+              "    return group_weights(c.importance(X))\n"
+              "class KnowledgeEntry:\n"
+              "    def _derive(self):\n"
               "        def again():\n"
               "            return permutation_importance(2)\n"
-              "        return group_weights(derive_knowledge(self.cache, 3))\n"
+              "        return group_weights(self.cache.permutation_importance(3))\n"
               "W = group_weights(4)\n")
     calls = derivation_calls(source)
-    assert calls[:3] == [("derive_knowledge", "FitCache.importance", 3),
-                         ("group_weights", "derive_knowledge", 5),
-                         ("permutation_importance", "derive_knowledge", 5)]
-    assert stray(calls) == calls[3:] == [
-        ("permutation_importance", "Knowledge.get.again", 9),
-        ("group_weights", "Knowledge.get", 10), ("derive_knowledge", "Knowledge.get", 10),
+    assert calls[:2] == [("group_weights", "FitCache.importance", 3),
+                         ("permutation_importance", "FitCache.importance", 3)]
+    assert stray(calls) == calls[2:] == [
+        ("group_weights", "derive", 5),
+        ("permutation_importance", "KnowledgeEntry._derive.again", 9),
+        ("group_weights", "KnowledgeEntry._derive", 10),
+        ("permutation_importance", "KnowledgeEntry._derive", 10),
         ("group_weights", None, 11)]
 
 
+#: The fields of an entry's lazy derivation.
+LAZY_FIELDS = ("knowledge", "pending")
+
+
 def pool_internals(source: str) -> list:
-    """("FitCache.add" or "knowledge", enclosing function, line) of every
-    `.add` call on a memo and every `.knowledge` attribute.  The package
-    holds each `FitCache` under the name `cache` or as a `.cache`
-    attribute, which tells a memo's `add` from a set's."""
+    """("FitCache.add" or a name in LAZY_FIELDS, enclosing function, line)
+    of every `.add` call on a memo, and of every attribute or keyword
+    argument named in LAZY_FIELDS.  The package holds each `FitCache`
+    under the name `cache` or as a `.cache` attribute, which tells a
+    memo's `add` from a set's."""
     found = []
     for node, scope in scoped_nodes(source):
-        if isinstance(node, ast.Attribute) and node.attr == "knowledge":
-            found.append(("knowledge", scope, node.lineno))
+        if isinstance(node, ast.Attribute) and node.attr in LAZY_FIELDS:
+            found.append((node.attr, scope, node.lineno))
+        if isinstance(node, ast.keyword) and node.arg in LAZY_FIELDS:
+            found.append((node.arg, scope, node.lineno))
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "add"):
             holder = node.func.value
@@ -398,7 +405,7 @@ def test_pool_internals_stay_in_pool():
     # no rule holds vacuously
     assert [u[:2] for u in uses["pool.py"] if u[0] == "FitCache.add"] == [
         ("FitCache.add", "pool_from_dict")]
-    assert any(u[0] == "knowledge" for u in uses["pool.py"])
+    assert set(LAZY_FIELDS) <= {u[0] for u in uses["pool.py"]}
 
 
 def test_pool_internals_scanner_finds_planted_uses():
@@ -407,15 +414,16 @@ def test_pool_internals_scanner_finds_planted_uses():
               "    seen.add(3)\n"
               "def loo(template, cache):\n"
               "    cache.add(4, 5, 6)\n"
-              "    return [e.knowledge.derived for e in template]\n"
+              "    return [e.knowledge[0] for e in template if e.pending]\n"
               "class Pool:\n"
               "    def ingest(self, entry):\n"
-              "        entry.knowledge = self.cache.add(7)\n")
+              "        entry.pending = self.cache.add(7)\n"
+              "        return KnowledgeEntry(knowledge=8)\n")
     uses = pool_internals(source)
     assert uses == [
         ("FitCache.add", "pool_from_dict", 2), ("FitCache.add", "loo", 5),
-        ("knowledge", "loo", 6), ("knowledge", "Pool.ingest", 9),
-        ("FitCache.add", "Pool.ingest", 9)]
+        ("knowledge", "loo", 6), ("pending", "loo", 6), ("pending", "Pool.ingest", 9),
+        ("FitCache.add", "Pool.ingest", 9), ("knowledge", "Pool.ingest", 10)]
     assert misused_pool_internals("pool.py", uses) == [
         u for u in uses if u[0] == "FitCache.add" and u[1] != "pool_from_dict"]
     assert misused_pool_internals("pipeline.py", uses) == uses

@@ -17,8 +17,8 @@ from rekpool.pipeline import (design_matrices, learn_positions, rows_by_position
                               simulate_trajectory)
 from rekpool.pool import (ALPHA, BETA, GAMMA, POOL_FORMAT_VERSION, Context, FitCache,
                           KnowledgeEntry, Outcome, Pool, PoolFileError, PoolVersionError,
-                          derive_knowledge, fnv1a_64, load_pool, pool_from_dict, pool_to_dict,
-                          rows_sha256, save_pool, similarity)
+                          fnv1a_64, load_pool, pool_from_dict, pool_to_dict, rows_sha256,
+                          save_pool, similarity)
 from rekpool.spectrum import GroupWeights, group_weights, spectrum
 
 SMALL_PARAMS = ForestParams(n_trees=6, max_depth=4, min_leaf=2, seed=1)
@@ -1105,7 +1105,6 @@ def test_stored_forest_is_the_fit_of_its_rows(ops):
         assert e.model.oob_r2 == refit.oob_r2
         assert (e.source_sha256 is not None) == transfer[eid]
         source = None if e.source_sha256 is None else seen[e.source_sha256]
-        model, weights = derive_knowledge(FitCache(), e.train_X, e.train_y, STATE_PARAMS,
-                                          source)
+        model, weights, _ = FitCache().importance(e.train_X, e.train_y, STATE_PARAMS, source)
         assert model.trees.to_dict() == refit.trees.to_dict()
         assert e.weights == weights
