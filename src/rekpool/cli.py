@@ -17,7 +17,7 @@ from .forest import ForestParams
 from .geometry import (atomic_write_text, brief, canonical_street_scene, json_field,
                        load_json, load_scene, save_scene)
 from .pipeline import (FitCache, build_pool, cdf_csv, learn_positions,
-                       loo_evaluate, simulate_trajectory,
+                       loo_evaluate, position_data, simulate_trajectory,
                        spectrum_csv, summary_csv, trace_trajectory)
 from .pool import ALPHA, BETA, GAMMA, Pool, load_pool, save_pool
 from .predict import trajectory_contexts
@@ -127,7 +127,7 @@ def cmd_learn(args, parser) -> int:
     pool = Pool(forest_params=params, cache=cache, **_given(
         args, capacity="capacity", theta_high="theta_high", theta_low="theta_low"))
     contexts = trajectory_contexts(scene, traj, trace_trajectory(scene, traj))
-    build_pool(rows, contexts, pool)
+    build_pool(position_data(rows), contexts, pool)
     spath = _out(args, "spectrum.csv")
     atomic_write_text(spath, spectrum_csv(knowledge))
     ppath = _out(args, "pool.json")

@@ -367,9 +367,9 @@ def compute_oob_r2(trees: Trees, bootstraps, X, y) -> float | None:
 def check_rows(X, y, params: ForestParams | None, n_features: int | None = None):
     """(X, y) as float arrays if a forest can read them: X 2-D with
     `n_features` columns (any number if None), one target per row and
-    every value finite.  With `params`, at least 2 * `params.min_leaf`
-    rows, the fewest a root can be split with, as fitting needs; without,
-    at least one row.  ValueError otherwise."""
+    every value finite and small enough for a fit's sums.  With `params`,
+    at least 2 * `params.min_leaf` rows, the fewest a root can be split
+    with, as fitting needs; without, at least one row.  ValueError otherwise."""
     min_rows = 1 if params is None else 2 * params.min_leaf
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -382,8 +382,12 @@ def check_rows(X, y, params: ForestParams | None, n_features: int | None = None)
     if len(X) < min_rows:
         raise ValueError("dataset must be nonempty" if params is None
                          else f"need at least {min_rows} rows, got {len(X)}")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise ValueError("rows and targets must be finite")
+    # a split midpoint adds two x, and a fit adds up y and y * y over the
+    # rows; NaN fails every comparison, and none of them overflows
+    big = np.finfo(float).max
+    if not (np.all(np.abs(X) <= big / 2) and np.all(np.abs(y) <= math.sqrt(big) / 4 / len(y))):
+        raise ValueError("rows and targets must be finite, with |x| <= max float / 2 and "
+                         "|y| <= sqrt(max float) / (4 * rows)")
     return X, y
 
 

@@ -90,6 +90,8 @@ class Scatterer:
 
     def __post_init__(self):
         object.__setattr__(self, "id", as_int(self.id, "scatterer id"))
+        if not -2**63 <= self.id < 2**63:  # held in a scene's int64 id array
+            raise ValueError(f"scatterer id must fit in int64, not {brief(self.id)}")
         object.__setattr__(self, "center", as_vec3(self.center))
         object.__setattr__(self, "dims", as_vec3(self.dims))
         if np.any(self.dims <= 0):
@@ -197,10 +199,6 @@ class Scene:
     def ids_containing(self, p) -> list:
         """Ids of the scatterers whose closed box, padded by EPS_EXACT, holds p."""
         return self.box_ids[in_boxes(p, self.box_lo, self.box_hi)].tolist()
-
-    def point_free(self, p) -> bool:
-        """True if p is outside every scatterer."""
-        return not self.ids_containing(p)
 
 
 @dataclass(frozen=True)
@@ -317,7 +315,7 @@ def _slab_test(p, q, lo, hi, of):
     return in_slabs & (leave - enter > EPS_EXACT), enter, leave
 
 
-def segment_blocked(p, q, scene: Scene, exclude_ids=()) -> Blockage:
+def segment_blocked(p, q, scene: Scene) -> Blockage:
     """Occlusion test for the open segment p-q against scene scatterers.
 
     blocked_fraction is the measure of the union of the per-scatterer
@@ -331,8 +329,6 @@ def segment_blocked(p, q, scene: Scene, exclude_ids=()) -> Blockage:
         raise ValueError("segment endpoints must differ")
     hit, enter, leave = (a[0] for a in _slab_test(
         p[None], q[None], scene.box_lo[None], scene.box_hi[None], [0]))
-    for sid in exclude_ids:
-        hit &= scene.box_ids != sid
     return Blockage.from_slab(hit, enter, leave, scene.box_ids)
 
 
@@ -379,7 +375,7 @@ def canonical_street_scene(spacing_m: float = 5.0,
     scene = Scene(tx=tx, frequency_hz=frequency_hz, scatterers=scatterers)
     positions = [np.array([spacing_m * (i + 1), 0.0, 1.5]) for i in range(N_POSITIONS)]
     for p in positions:
-        if not scene.point_free(p):
+        if scene.ids_containing(p):
             raise ValueError(f"trajectory position {p} lies inside a scatterer")
     return scene, Trajectory(positions=tuple(positions), spacing_m=spacing_m)
 

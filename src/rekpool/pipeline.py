@@ -1,7 +1,8 @@
 """End-to-end pipeline: simulate -> learn -> pool -> predict.
 
-Shared by the CLI and the evaluation harness.  The leave-one-position-
-out evaluation rebuilds a pool per held-out position from the remaining
+Shared by the CLI and the evaluation harness.  `position_data` groups a
+dataset by position, once per stage.  The leave-one-position-out
+evaluation rebuilds a pool per held-out position from the remaining
 positions' realizations.  A pool entry derives its knowledge on first
 read (see `pool.KnowledgeEntry`), so a rebuilt pool fits only the entry
 it serves and that entry's transfer source; the rebuilt pools share one
@@ -39,19 +40,19 @@ def simulate_trajectory(scene: Scene, trajectory: Trajectory,
     return rows
 
 
-def rows_by_position(rows) -> dict:
-    out = {}
+def position_data(rows) -> dict:
+    """{position id: (X, y, los)} in ascending id: the position's feature
+    rows and path losses in realization order, and the LOS state of its
+    realization 0, the unperturbed one.  The one grouping of a dataset."""
+    by_pos = {}
     for r in rows:
-        out.setdefault(r.position_id, []).append(r)
-    for pid in out:
-        out[pid].sort(key=lambda r: r.realization_id)
+        by_pos.setdefault(r.position_id, []).append(r)
+    out = {}
+    for pid in sorted(by_pos):
+        group = sorted(by_pos[pid], key=lambda r: r.realization_id)
+        out[pid] = (np.array([r.features for r in group]),
+                    np.array([r.path_loss_db for r in group]), group[0].los)
     return out
-
-
-def design_matrices(rows):
-    X = np.array([r.features for r in rows])
-    y = np.array([r.path_loss_db for r in rows])
-    return X, y
 
 
 @dataclass
@@ -69,14 +70,9 @@ def learn_positions(scene: Scene, trajectory: Trajectory, rows,
                     params: rf.ForestParams, cache: FitCache | None = None) -> list:
     """Cold per-position knowledge: the derivation a pool's new entry gets."""
     cache = cache or FitCache()
-    by_pos = rows_by_position(rows)
-    out = []
-    for pid in sorted(by_pos):
-        X, y = design_matrices(by_pos[pid])
-        los = by_pos[pid][0].los  # realization 0 is unperturbed
-        weights = cache.importance(X, y, params)[1]
-        out.append(PositionKnowledge(position_id=pid, los=los, weights=weights))
-    return out
+    return [PositionKnowledge(position_id=pid, los=los,
+                              weights=cache.importance(X, y, params)[1])
+            for pid, (X, y, los) in position_data(rows).items()]
 
 
 def trace_trajectory(scene: Scene, trajectory: Trajectory) -> dict:
@@ -84,17 +80,14 @@ def trace_trajectory(scene: Scene, trajectory: Trajectory) -> dict:
     return {pid: trace(scene, rx) for pid, rx in enumerate(trajectory.positions, start=1)}
 
 
-def build_pool(rows, contexts, pool: Pool, skip_positions=()) -> Pool:
-    """Ingest every position's realizations through the dual interaction
-    flow, in position order; `contexts` maps each position id to its
-    `Context` (see `predict.trajectory_contexts`)."""
-    by_pos = rows_by_position(rows)
-    for pid in sorted(by_pos):
-        if pid in skip_positions:
-            continue
+def build_pool(data, contexts, pool: Pool) -> Pool:
+    """Ingest every position's realizations of `data` (see `position_data`)
+    through the dual interaction flow, in position order; `contexts` maps
+    each position id to its `Context` (see `predict.trajectory_contexts`)."""
+    for pid in sorted(data):
         if pid not in contexts:
             raise ValueError(f"dataset position {pid} is not on the trajectory")
-        X, y = design_matrices(by_pos[pid])
+        X, y, _ = data[pid]
         pool.ingest(contexts[pid], X, y, now=float(pid))
     return pool
 
@@ -116,13 +109,14 @@ def loo_evaluate(scene: Scene, trajectory: Trajectory, rows,
     For each held-out position a fresh pool with `pool_template`'s
     capacity, thresholds and forest parameters is built from the
     remaining positions' realizations; the held-out position's data never
-    enters that pool.  One trace per position serves every round.  The
-    pools share `cache`, by default the template's memo, which loading
-    seeds with the stored forests and derivations, so a round derives only
-    what the loaded file does not hold.  Returns (predictions,
-    reports-by-method).
+    enters that pool.  One grouping of `rows` (no entry writes its rows in
+    place) and one trace per position serve every round.  The pools share
+    `cache`, by default the template's memo, which loading seeds with the
+    stored forests and derivations, so a round derives only what the
+    loaded file does not hold.  Returns (predictions, reports-by-method).
     """
     cache = cache or pool_template.cache
+    data = position_data(rows)
     traces = trace_trajectory(scene, trajectory)
     contexts = trajectory_contexts(scene, trajectory, traces)
     truths = {pid: tr.sample(pid).path_loss_db for pid, tr in traces.items()}
@@ -131,7 +125,7 @@ def loo_evaluate(scene: Scene, trajectory: Trajectory, rows,
         others = [(traces[pid].rx, truths[pid]) for pid in traces if pid != q]
         ld = fit_logdistance([(float(np.linalg.norm(p - scene.tx)), pl) for p, pl in others])
         pool = replace(pool_template, entries={}, next_entry_id=1, cache=cache)
-        build_pool(rows, contexts, pool, skip_positions={q})
+        build_pool({p: d for p, d in data.items() if p != q}, contexts, pool)
         predictions.append(serve(pool, contexts[q], tr, tau=tau, fallback=ld))
         d = float(np.linalg.norm(tr.rx - scene.tx))
         predictions.append(Prediction(position_id=q, predicted_db=ld(d),

@@ -113,7 +113,8 @@ def similarity(a: Context, b: Context) -> float:
     s = 0.0
     if a.scene_fingerprint == b.scene_fingerprint:
         s += 0.4
-    s += 0.3 * math.exp(-float(np.linalg.norm(a.rx - b.rx)) / SIMILARITY_RX_SCALE_M)
+    d = a.rx - b.rx  # math.sqrt(d.dot(d)) is np.linalg.norm(d), bit for bit
+    s += 0.3 * math.exp(-math.sqrt(d.dot(d)) / SIMILARITY_RX_SCALE_M)
     if a.los == b.los:
         s += 0.2
     fa, fb = a.frequency_hz, b.frequency_hz
@@ -322,9 +323,11 @@ class Pool:
             if not force_refresh:
                 entry.utilization_count += 1
                 return Outcome.ANSWERED_EXISTING, entry.entry_id
-            # Refine: retrain on stored provenance plus the new data.
-            entry.train_X = np.vstack([entry.train_X, X])
-            entry.train_y = np.concatenate([entry.train_y, y])
+            # Refine: retrain on stored provenance plus the new data, checked
+            # again, as the bound on the targets falls with the rows' number.
+            entry.train_X, entry.train_y = rf.check_rows(
+                np.vstack([entry.train_X, X]), np.concatenate([entry.train_y, y]),
+                self.forest_params, len(FEATURE_NAMES))
             entry.knowledge, entry.pending = None, (self.cache, self.forest_params, None)
             entry.updated_at = now
             return Outcome.REFINED, entry.entry_id
@@ -490,8 +493,9 @@ def pool_from_dict(doc: dict) -> Pool:
                 updated_at=_time(json_field(ed, "updated_at", float), "updated_at"),
                 utilization_count=json_field(ed, "utilization_count", int),
                 knowledge=(model, weights, source_sha256))
-            if entry.utilization_count < 0:
-                raise ValueError(f"utilization_count must be >= 0: {entry.utilization_count}")
+            if not 0 <= entry.utilization_count < 2**63:
+                raise ValueError(f"utilization_count must be in [0, 2**63): "
+                                 f"{brief(entry.utilization_count)}")
             if entry.entry_id in pool.entries:
                 raise ValueError(f"entry_id {entry.entry_id} is stored twice")
             pool.entries[entry.entry_id] = entry

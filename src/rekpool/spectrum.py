@@ -49,11 +49,8 @@ class GroupWeights:
         """The spectrum built on these weights; None when they are degenerate."""
         return None if self.degenerate else spectrum(self)
 
-    def as_dict(self) -> dict:
-        return {"L": self.w_L, "V": self.w_V, "B": self.w_B, "D": self.w_D}
-
     def __getitem__(self, group: str) -> float:
-        return self.as_dict()[group]
+        return getattr(self, "w_" + group)
 
 
 @dataclass(frozen=True)

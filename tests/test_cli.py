@@ -370,7 +370,8 @@ class TestMalformedInput:
                                       "features_per_split 2.5", "n_trees 2.7",
                                       "integer too large for a float", "capacity 2.7",
                                       "scene_fingerprint 1.9", "los no", "created_at string",
-                                      "utilization_count -5", "more entries than capacity"])
+                                      "utilization_count -5", "utilization_count 10**400",
+                                      "more entries than capacity"])
     def test_pool_invariants(self, workdir, tmp_path, capsys, edit_blob, case):
         doc = json.loads((workdir / "pool.json").read_text())
         first, second = doc["entries"][:2]
@@ -397,6 +398,8 @@ class TestMalformedInput:
             first["created_at"] = "3"
         elif case == "utilization_count -5":  # an evicting merge hit log1p(-5)
             first["utilization_count"] = -5
+        elif case == "utilization_count 10**400":  # log1p could not take it as a float
+            first["utilization_count"] = 10 ** 400
         elif case == "more entries than capacity":
             doc["capacity"] = len(doc["entries"]) - 1
         else:  # loading coerced these, and a fit later raised TypeError
@@ -527,12 +530,15 @@ class TestMalformedInput:
         self.assert_one_error_line(capsys, [
             "--seed", "1", "--out-dir", str(tmp_path), "simulate", "--scene", str(path)])
 
-    @pytest.mark.parametrize("case", ["id 1.9", "center strings", "tx true", "version true"])
+    @pytest.mark.parametrize("case", ["id 1.9", "center strings", "tx true", "version true",
+                                      "id 2**63", "id -2**63 - 1"])
     def test_scene_json_types(self, workdir, tmp_path, capsys, case):
         """A scene field must have the JSON type that `save_scene` writes."""
         doc = json.loads((workdir / "scene.json").read_text())
         if case == "id 1.9":
             doc["scatterers"][0]["id"] = 1.9
+        elif case.startswith("id "):  # outside the scene's int64 id array
+            doc["scatterers"][0]["id"] = 2**63 if case == "id 2**63" else -2**63 - 1
         elif case == "center strings":
             doc["scatterers"][1]["center"] = ["22.5", "-14", "8"]
         elif case == "tx true":
@@ -546,7 +552,7 @@ class TestMalformedInput:
         assert not (tmp_path / "dataset.csv").exists()
 
     @pytest.mark.parametrize("case", ["empty", "short row", "los 2", "los -1",
-                                      "repeated row"])
+                                      "repeated row", "path loss 1e308"])
     def test_dataset(self, workdir, tmp_path, capsys, case):
         text = ""
         lines = (workdir / "dataset.csv").read_text().splitlines(keepends=True)
@@ -560,11 +566,19 @@ class TestMalformedInput:
             text = "".join([lines[0], ",".join(fields)] + lines[2:])
         elif case == "repeated row":
             text = "".join(lines[:2] + lines[1:])
+        elif case == "path loss 1e308":  # finite, but a fit's sums would overflow
+            fields = lines[2].split(",")
+            fields[DATASET_HEADER.index("path_loss_db")] = "1e308"
+            text = "".join(lines[:2] + [",".join(fields)] + lines[3:])
         path = tmp_path / "dataset.csv"
         path.write_text(text)
-        self.assert_one_error_line(capsys, [
-            "--seed", "1", "--out-dir", str(tmp_path), "learn",
-            "--scene", str(workdir / "scene.json"), "--dataset", str(path)])
+        argv = ["--seed", "1", "--out-dir", str(tmp_path), "learn",
+                "--scene", str(workdir / "scene.json"), "--dataset", str(path)]
+        self.assert_one_error_line(capsys, argv)
+        if case == "path loss 1e308":  # and from a good pool
+            argv[4] = "predict"
+            self.assert_one_error_line(capsys, argv + ["--pool", str(workdir / "pool.json")])
+        assert list(tmp_path.iterdir()) == [path]
 
 
     def test_dataset_field_over_the_csv_limit(self, workdir, tmp_path, capsys):

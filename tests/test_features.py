@@ -135,7 +135,7 @@ def scalar_realization(scene, rx, cfg, position_id, i):
         for s in scene.scatterers))
     for _attempt in range(100):
         cand = rx + rng.normal(0.0, cfg.rx_jitter_sigma, 3)
-        if sc.point_free(cand):
+        if not sc.ids_containing(cand):
             return sc, cand
     raise ValueError(f"could not place jittered RX outside scatterers at position {position_id}")
 
@@ -615,7 +615,7 @@ class TestBatchedRealize:
             scenes, error = scene.realizations(
                 scene.box_center + rng.normal(0.0, 0.5, (6, 13, 3)))
             assert error is None
-            scenes = [scene] + [s for s in scenes if s.point_free(rx)]
+            scenes = [scene] + [s for s in scenes if not s.ids_containing(rx)]
             batch = trace_all(scenes, [rx] * len(scenes))
             assert batch[0].scene is scene
             for tr, row in zip(batch, feature_rows(batch)):

@@ -15,8 +15,8 @@ from rekpool.features import RealizationConfig
 from rekpool.forest import (TREE_ROW_BUDGET, ForestParams, RandomForestModel, Trees, fit,
                             permutation_importance)
 from rekpool.geometry import canonical_street_scene, from_blob, to_blob
-from rekpool.pipeline import (FitCache, build_pool, design_matrices, loo_evaluate,
-                              rows_by_position, simulate_trajectory, trace_trajectory)
+from rekpool.pipeline import (FitCache, build_pool, loo_evaluate, position_data,
+                              simulate_trajectory, trace_trajectory)
 from rekpool.pool import Pool, load_pool, rows_sha256, save_pool
 from rekpool.predict import trajectory_contexts
 
@@ -545,6 +545,9 @@ class TestPermutationImportance:
         ("nan target", "must be finite"),
         ("nan row", "must be finite"),
         ("inf row", "must be finite"),
+        ("huge target", "must be finite"),
+        ("huge row", "must be finite"),
+        ("huge row, negative", "must be finite"),
         ("1-D rows", "must be 2-D"),
         ("too few columns", "3 columns for 4 feature names"),
         ("no rows", "dataset must be nonempty"),
@@ -559,6 +562,10 @@ class TestPermutationImportance:
             y[3] = np.nan
         elif case in ("nan row", "inf row"):  # NaN would be walked as "go right"
             X[5, 0] = np.nan if case == "nan row" else np.inf
+        elif case == "huge target":  # its square sum over the rows overflows
+            y[3] = np.finfo(float).max ** 0.5 / 4 / len(y) * (1 + 1e-15)
+        elif case.startswith("huge row"):  # a split midpoint's sum overflows
+            X[5, 0] = np.finfo(float).max / 2 * (1 + 1e-15) * (-1 if "negative" in case else 1)
         elif case == "1-D rows":
             X = X[0]
         elif case == "too few columns":
@@ -567,6 +574,20 @@ class TestPermutationImportance:
             X, y = X[:0], y[:0]
         with pytest.raises(ValueError, match=message):
             permutation_importance(model, X, y)
+
+    def test_largest_accepted_rows_keep_every_sum_finite(self):
+        """Features at half the largest float, adjacent values near it, and
+        targets at sqrt(largest float) / (4 * rows), tracking each other:
+        fit, predict and importance overflow nowhere (a RuntimeWarning fails)."""
+        big = np.finfo(float).max
+        X, y = linear_benchmark(n=40)
+        rank = np.argsort(np.argsort(y)) / (len(y) - 1)
+        X[:, 0] = big / 2 * (1 - rank / 2)
+        y = math.sqrt(big) / 4 / len(y) * (2 * rank - 1)
+        model = fit(X, y, ForestParams(n_trees=5, min_leaf=2, seed=0))
+        assert 0 in model.features_used() and math.isfinite(model.oob_r2)
+        assert np.all(np.isfinite(model.predict(X)))
+        assert np.all(np.isfinite(permutation_importance(model, X, y, seed=0)))
 
 
 @st.composite
@@ -696,9 +717,11 @@ class TestFitCache:
         rows = simulate_trajectory(scene, traj, RealizationConfig(n_realizations=10, seed=3))
         params = ForestParams(n_trees=3, max_depth=4, min_leaf=2, seed=3)
         missing = {2, 9}
+        data = position_data(rows)
         contexts = trajectory_contexts(scene, traj, trace_trajectory(scene, traj))
         save_pool(tmp_path / "pool.json", build_pool(
-            rows, contexts, Pool(forest_params=params), skip_positions=missing))
+            {p: d for p, d in data.items() if p not in missing}, contexts,
+            Pool(forest_params=params)))
         template = load_pool(tmp_path / "pool.json")
         cold, _ = loo_evaluate(scene, traj, rows, pool_template=Pool(forest_params=params))
 
@@ -709,10 +732,8 @@ class TestFitCache:
             return fit(X, y, params, feature_names=feature_names)
         monkeypatch.setattr(forest, "fit", counted)
         seeded, _ = loo_evaluate(scene, traj, rows, pool_template=template)
-        by_pos = rows_by_position(rows)
-        keys = {pid: tuple(m.tobytes() for m in design_matrices(by_pos[pid]))
-                for pid in by_pos}
-        assert sorted(fitted) == sorted(keys[pid] for pid in missing)
+        assert sorted(fitted) == sorted((data[pid][0].tobytes(), data[pid][1].tobytes())
+                                        for pid in missing)
         assert seeded == cold
 
     def test_loaded_template_seeds_derivations(self, tmp_path, monkeypatch):
@@ -722,7 +743,8 @@ class TestFitCache:
         rows = simulate_trajectory(scene, traj, RealizationConfig(n_realizations=10, seed=3))
         params = ForestParams(n_trees=3, max_depth=4, min_leaf=2, seed=3)
         contexts = trajectory_contexts(scene, traj, trace_trajectory(scene, traj))
-        save_pool(tmp_path / "pool.json", build_pool(rows, contexts, Pool(forest_params=params)))
+        save_pool(tmp_path / "pool.json",
+                  build_pool(position_data(rows), contexts, Pool(forest_params=params)))
         template = load_pool(tmp_path / "pool.json")
         stored = {(rows_sha256(e.train_X, e.train_y), e.source_sha256)
                   for e in template.entries.values()}
@@ -765,7 +787,7 @@ class TestFitCache:
                 read.append(id(entry))
             return real_derive(entry)
         monkeypatch.setattr(pool_module.KnowledgeEntry, "_derive", derive)
-        template = build_pool(rows, contexts, Pool(forest_params=params))
+        template = build_pool(position_data(rows), contexts, Pool(forest_params=params))
         lazy, _ = loo_evaluate(scene, traj, rows, pool_template=template)
         assert read  # the held-out pools' entries are read
         assert not {id(e) for e in template.entries.values()} & set(read)
@@ -813,6 +835,21 @@ class TestFitCache:
         params = ForestParams(n_trees=3, max_depth=4, min_leaf=2, seed=3)
         loo_evaluate(scene, traj, rows, pool_template=Pool(forest_params=params))
         assert traced == Counter({tuple(rx): 1 for rx in traj.positions})
+
+    def test_groups_the_dataset_once(self, monkeypatch):
+        """Every held-out round builds its pool from one grouping of the rows."""
+        scene, traj = canonical_street_scene()
+        rows = simulate_trajectory(scene, traj, RealizationConfig(n_realizations=10, seed=3))
+        grouped = []
+        real = pipeline.position_data
+
+        def counted(rows):
+            grouped.append(len(rows))
+            return real(rows)
+        monkeypatch.setattr(pipeline, "position_data", counted)
+        params = ForestParams(n_trees=3, max_depth=4, min_leaf=2, seed=3)
+        loo_evaluate(scene, traj, rows, pool_template=Pool(forest_params=params))
+        assert grouped == [len(rows)]
 
 
 class TestSerialization:

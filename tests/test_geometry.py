@@ -133,15 +133,16 @@ class TestSegmentBlocked:
         assert blk.blocked_fraction == pytest.approx(0.1)
 
 
-def scalar_segment_blocked(p, q, scene, exclude_ids=()):
+def scalar_segment_blocked(p, q, scene, excluded=()):
     """Reference: the per-box loop over `ray_box_intersect` that
-    `segment_blocked` batches."""
+    `segment_blocked` batches, skipping the boxes whose ids are `excluded`
+    as `trace` skips a bounce's own box."""
     p = np.asarray(p, dtype=float)
     d = np.asarray(q, dtype=float) - p
     intervals = []
     ids = []
     for s in scene.scatterers:
-        if s.id in exclude_ids:
+        if s.id in excluded:
             continue
         hit = ray_box_intersect(p, d, s)
         if hit is None:
@@ -184,35 +185,33 @@ class TestBatchedSegmentBlocked:
     """Batched slab test == scalar per-box reference, bit for bit."""
 
     @settings(max_examples=400, deadline=None)
-    @given(boxes=st.lists(box, max_size=5), p=point, q=point,
-           exclude=st.sets(st.integers(1, 6), max_size=2))
-    @example(boxes=[], p=(0, 0, 0), q=(1, 2, 3), exclude=set())
-    @example(boxes=[((0, 0, 0), (2, 2, 2))], p=(-1, 0, 0), q=(3, 0, 0), exclude=set())
-    @example(boxes=[((0, 0, 0), (2, 2, 2))], p=(-1, 2, 1), q=(3, 2, 1), exclude=set())
-    @example(boxes=[((0, 0, 0), (2, 2, 2))], p=(0, 1, 1), q=(-1, 1, 1), exclude=set())
+    @given(boxes=st.lists(box, max_size=5), p=point, q=point)
+    @example(boxes=[], p=(0, 0, 0), q=(1, 2, 3))
+    @example(boxes=[((0, 0, 0), (2, 2, 2))], p=(-1, 0, 0), q=(3, 0, 0))
+    @example(boxes=[((0, 0, 0), (2, 2, 2))], p=(-1, 2, 1), q=(3, 2, 1))
+    @example(boxes=[((0, 0, 0), (2, 2, 2))], p=(0, 1, 1), q=(-1, 1, 1))
     @example(boxes=[((0, 0, 0), (2, 2, 2)), ((1, 0, 0), (2, 1, 1))], p=(-1, 0, 0),
-             q=(4, 1, 1), exclude={1})
-    def test_grid_segments(self, boxes, p, q, exclude):
+             q=(4, 1, 1))
+    def test_grid_segments(self, boxes, p, q):
         if np.linalg.norm(np.subtract(q, p)) == 0.0:
             return  # rejected as degenerate
         scene = grid_scene(boxes)
-        assert segment_blocked(p, q, scene, exclude_ids=tuple(exclude)) == \
-            scalar_segment_blocked(p, q, scene, exclude_ids=tuple(exclude))
+        assert segment_blocked(p, q, scene) == scalar_segment_blocked(p, q, scene)
 
     @settings(max_examples=200, deadline=None)
     @given(boxes=st.lists(box, max_size=5), p=st.tuples(coord, coord, coord),
-           q=st.tuples(coord, coord, coord), exclude=st.sets(st.integers(1, 6), max_size=2))
-    def test_general_segments(self, boxes, p, q, exclude):
+           q=st.tuples(coord, coord, coord))
+    def test_general_segments(self, boxes, p, q):
         if np.linalg.norm(np.subtract(q, p)) == 0.0:
             return  # rejected as degenerate
         scene = grid_scene(boxes)
-        assert segment_blocked(p, q, scene, exclude_ids=tuple(exclude)) == \
-            scalar_segment_blocked(p, q, scene, exclude_ids=tuple(exclude))
+        assert segment_blocked(p, q, scene) == scalar_segment_blocked(p, q, scene)
 
 
 def legs_match(boxes, legs):
     """One `_slab_test` pass over all legs, each masked by its own box as
-    `trace` masks a bounce's legs, == one `segment_blocked` per leg."""
+    `trace` masks a bounce's legs, == the scalar reference per leg with
+    that box excluded."""
     legs = [(p, q, sid) for p, q, sid in legs if np.linalg.norm(np.subtract(q, p)) > 0.0]
     scene = grid_scene(boxes)
     p = np.array([leg[0] for leg in legs], dtype=float).reshape(-1, 3)
@@ -221,11 +220,11 @@ def legs_match(boxes, legs):
                                    np.zeros(len(p), dtype=int))
     hit &= scene.box_ids != np.array([sid for _, _, sid in legs], dtype=int)[:, None]
     got = [Blockage.from_slab(*row, scene.box_ids) for row in zip(hit, enter, leave)]
-    assert got == [segment_blocked(a, b, scene, exclude_ids=(sid,)) for a, b, sid in legs]
+    assert got == [scalar_segment_blocked(a, b, scene, excluded=(sid,)) for a, b, sid in legs]
 
 
 class TestSegmentsBlocked:
-    """Batched legs, each with its own box excluded == `segment_blocked`."""
+    """Batched legs, each with its own box excluded == the scalar reference."""
 
     @settings(max_examples=300, deadline=None)
     @given(boxes=st.lists(box, max_size=5),

@@ -13,12 +13,11 @@ from rekpool import forest
 from rekpool.features import FEATURE_NAMES, RealizationConfig
 from rekpool.forest import ForestParams, fit, permutation_importance
 from rekpool.geometry import canonical_street_scene, to_blob
-from rekpool.pipeline import (design_matrices, learn_positions, rows_by_position,
-                              simulate_trajectory)
+from rekpool.pipeline import learn_positions, position_data, simulate_trajectory
 from rekpool.pool import (ALPHA, BETA, GAMMA, POOL_FORMAT_VERSION, Context, FitCache,
                           KnowledgeEntry, Outcome, Pool, PoolFileError, PoolVersionError,
-                          fnv1a_64, load_pool, pool_from_dict, pool_to_dict, rows_sha256,
-                          save_pool, similarity)
+                          SIMILARITY_RX_SCALE_M, fnv1a_64, load_pool, pool_from_dict,
+                          pool_to_dict, rows_sha256, save_pool, similarity)
 from rekpool.spectrum import GroupWeights, group_weights, spectrum
 
 SMALL_PARAMS = ForestParams(n_trees=6, max_depth=4, min_leaf=2, seed=1)
@@ -132,12 +131,36 @@ def entries_of(contexts):
             for i, c in enumerate(contexts, start=1)}
 
 
+def norm_similarity(a, b):
+    """Reference: `similarity` with its RX distance from `np.linalg.norm`."""
+    s = 0.0
+    if a.scene_fingerprint == b.scene_fingerprint:
+        s += 0.4
+    s += 0.3 * math.exp(-float(np.linalg.norm(a.rx - b.rx)) / SIMILARITY_RX_SCALE_M)
+    if a.los == b.los:
+        s += 0.2
+    return s + 0.1 * (min(a.frequency_hz, b.frequency_hz) / max(a.frequency_hz, b.frequency_hz))
+
+
 class TestContextRecord:
     @settings(max_examples=200, deadline=None)
     @given(a=CONTEXTS, b=CONTEXTS)
     def test_similarity_is_symmetric_bit_for_bit(self, a, b):
         # `Pool.similarities` scores each pair once and mirrors it
         assert similarity(a, b) == similarity(b, a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=CONTEXTS, b=CONTEXTS, ra=st.tuples(*[st.floats(-60, 60)] * 3),
+           rb=st.tuples(*[st.floats(-60, 60)] * 3), scale=st.sampled_from([1e-150, 1.0, 1e150]))
+    def test_similarity_matches_the_norm_reference(self, a, b, ra, rb, scale):
+        """The RX distance is the float `np.linalg.norm` gives, bit for bit,
+        at street distances and scaled to 1e-150 and 1e150."""
+        assert similarity(a, b) == norm_similarity(a, b)
+        # every other term 0 or below an ulp of the RX term, so that one ulp
+        # of distance shows in the similarity
+        x = ctx(fp=1, rx=np.multiply(ra, scale), los=True, f=1e-150)
+        y = ctx(fp=2, rx=np.multiply(rb, scale), los=False, f=1e150)
+        assert similarity(x, y) == norm_similarity(x, y)
 
     @settings(max_examples=100, deadline=None)
     @given(contexts=st.lists(CONTEXTS, min_size=1, max_size=8))
@@ -376,15 +399,33 @@ class TestKnowledgeMemo:
         rows = simulate_trajectory(scene, traj, RealizationConfig(n_realizations=10, seed=3))
         params = ForestParams(n_trees=3, max_depth=4, min_leaf=2, seed=3)
         knowledge = learn_positions(scene, traj, rows, params)
-        by_pos = rows_by_position(rows)
-        assert [k.position_id for k in knowledge] == sorted(by_pos)
+        data = position_data(rows)
+        assert [k.position_id for k in knowledge] == sorted(data)
         for k in knowledge:
             pool = Pool(forest_params=params)
-            outcome, eid = pool.ingest(ctx(pid=k.position_id),
-                                       *design_matrices(by_pos[k.position_id]))
+            outcome, eid = pool.ingest(ctx(pid=k.position_id), *data[k.position_id][:2])
             assert outcome is Outcome.GENERATED_NEW
             assert k.weights == pool.entries[eid].weights
             assert k.spectrum == pool.entries[eid].weights.spectrum
+
+    def test_position_data_groups_rows_in_any_order(self):
+        """Positions in ascending id, each position's rows in realization
+        order, and its LOS state that of realization 0."""
+        scene, traj = canonical_street_scene()
+        rows = simulate_trajectory(scene, traj, RealizationConfig(n_realizations=4, seed=3))
+        # every other realization in the other LOS state, so only realization 0 gives `los`
+        rows = [r if r.realization_id == 0 else dataclasses.replace(r, los=not r.los)
+                for r in rows]
+        data = position_data(rows[::-1])
+        assert list(data) == list(range(1, len(traj) + 1))
+        for pid, (X, y, los) in data.items():
+            own = sorted((r for r in rows if r.position_id == pid),
+                         key=lambda r: r.realization_id)
+            assert [r.realization_id for r in own] == [0, 1, 2, 3]
+            assert X.dtype == y.dtype == np.float64
+            assert X.tolist() == [list(r.features) for r in own]
+            assert y.tolist() == [r.path_loss_db for r in own]
+            assert los == own[0].los != own[-1].los
 
 
 class TestIngestRows:
@@ -428,6 +469,19 @@ class TestIngestRows:
         # the same call with good rows takes the path under test
         assert pool.ingest(probe, *data(seed=5, n=12), now=2.0,
                            force_refresh=refresh)[0] is outcome
+
+    def test_refine_checks_the_stacked_rows(self):
+        """Each batch within the bound on targets, which falls with the rows'
+        number, and the two stacked over it: the refine raises at the call,
+        not at the entry's first read, and leaves the pool as it was."""
+        X, _ = data(n=12)
+        y = np.where(X[:, 0] > 0, 1.0, -1.0) * math.sqrt(np.finfo(float).max) / 4 / 12
+        pool = small_pool()
+        pool.ingest(ctx(), X, y, now=1.0)
+        before = json.dumps(pool_to_dict(pool))
+        with pytest.raises(ValueError, match="must be finite"):
+            pool.ingest(ctx(), X, y, now=2.0, force_refresh=True)
+        assert json.dumps(pool_to_dict(pool)) == before
 
     def test_fit_ingest_and_load_share_the_check(self):
         X, y = self.bad("rows")

@@ -10,7 +10,7 @@ from rekpool.geometry import (EPS_EXACT, Scatterer, Scene, canonical_street_scen
 from rekpool.propagation import (OUTAGE_CAP_DB, SPEED_OF_LIGHT, fspl_db, path_loss,
                                  trace, trace_paths)
 
-from test_geometry import mirror_point
+from test_geometry import mirror_point, scalar_segment_blocked
 
 
 def one_wall_scene():
@@ -185,8 +185,8 @@ def scalar_trace_paths(scene, rx):
                 if any(p[a] < s.lo[a] - EPS_EXACT or p[a] > s.hi[a] + EPS_EXACT
                        for a in range(3) if a != axis):
                     continue
-                if (segment_blocked(tx, p, scene, exclude_ids=(s.id,)).blocked
-                        or segment_blocked(p, rx, scene, exclude_ids=(s.id,)).blocked):
+                if (scalar_segment_blocked(tx, p, scene, excluded=(s.id,)).blocked
+                        or scalar_segment_blocked(p, rx, scene, excluded=(s.id,)).blocked):
                     continue
                 length = float(np.linalg.norm(rx - img))
                 paths.append(("Reflection", length,
